@@ -1,13 +1,16 @@
 """One executable for the whole pipeline: data, training, evaluation, monitoring.
 
-Every subcommand takes an optional --config JSON file; explicit flags override
-file values, which override built-in defaults. Runs that produce files write
-the merged settings next to them (run_config.json) so any result can be
+Every setting in DEFAULTS is both a flag (--batch-size) and a key of the
+optional --config JSON file (batch_size); explicit flags override file values,
+which override built-in defaults. Each merged value is coerced once to the type
+of its default. Runs that produce files write the merged settings next to them
+(run_config.json), which --config accepts back, so any result can be
 reproduced from its output directory alone, and identical seeds give
 byte-identical summaries.
 
 Exit codes: 0 on success, 1 with a structured message on stderr for runtime
-failures (missing inputs, bad data, divergence), 2 for usage errors.
+failures (missing inputs, bad data or checkpoints, divergence), 2 for usage
+errors, among them unknown or mistyped config values.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, Field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,41 +56,36 @@ class UsageError(Exception):
     """Bad invocation that argparse cannot catch (missing or malformed values)."""
 
 
-# ----------------------------------------------------------------- defaults
+# ----------------------------------------------------------------- settings
 
-_TRAIN_KNOBS = {
-    "epochs": 100,
-    "batch_size": 128,
-    "lr": 1e-3,
-    "clip_norm": 1.0,
-    "patience": 10,
-}
+
+def _knobs(cls, rename: dict[str, str] | None = None) -> dict[str, Field]:
+    """CLI key -> field, for each field of config dataclass `cls` that has a default."""
+    rename = rename or {}
+    return {rename.get(f.name, f.name): f for f in fields(cls) if f.default is not MISSING}
+
+
+def _defaults(cls, rename: dict[str, str] | None = None) -> dict:
+    return {key: f.default for key, f in _knobs(cls, rename).items()}
+
+
+def _from_cfg(cls, cfg: dict, rename: dict[str, str] | None = None, **extra):
+    """Build config dataclass `cls` from the merged settings."""
+    return cls(**{f.name: cfg[key] for key, f in _knobs(cls, rename).items()}, **extra)
+
+
+# SimConfig fields that keep their shorter historical CLI key
+_SIM_KEYS = {"n_scenarios": "scenarios", "dt_seconds": "dt"}
 
 DEFAULTS: dict[str, dict] = {
-    "simulate": {
-        "out": None,
-        "scenarios": 200,
-        "episode_len": 200,
-        "dt": 1.0,
-        "seed": 42,
-        # plant knobs, settable through a config file
-        "speed_mps": 5.0,
-        "k_c": 0.8,
-        "k_h": 0.5,
-        "u_max_deg_s": 6.0,
-        "noise_base": 0.3,
-        "noise_cloud_gain": 1.2,
-        "noise_tod_gain": 0.6,
-        "bias_gain": 7.0,
-    },
+    "simulate": {"out": None, **_defaults(SimConfig, _SIM_KEYS)},
     "train": {
         "data": None,
         "out": None,
         "family": None,
         "h": 3,
         "cm": 3,
-        **_TRAIN_KNOBS,
-        "seed": 0,
+        **_defaults(TrainConfig),
         "quantiles": list(DEFAULT_QUANTILES),
         "target": None,
         "params": {},
@@ -98,8 +97,7 @@ DEFAULTS: dict[str, dict] = {
         "family": None,
         "h": 3,
         "cm": 3,
-        **_TRAIN_KNOBS,
-        "seed": 0,
+        **_defaults(TrainConfig),
         "quantiles": list(DEFAULT_QUANTILES),
         "target": None,
         "axes": {},
@@ -109,12 +107,10 @@ DEFAULTS: dict[str, dict] = {
         "model": None,
         "data": None,
         "out": None,
-        **_TRAIN_KNOBS,
-        "seed": 0,
+        **_defaults(TrainConfig),
         "reps": 5,
         "quantiles": None,
         "n_paths": 100,
-        "workers": 1,
     },
     "sweep": {
         "data": None,
@@ -122,13 +118,11 @@ DEFAULTS: dict[str, dict] = {
         "families": list(FAMILIES),
         "h_values": [3, 12],
         "cm_values": [1, 3, 9],
-        **_TRAIN_KNOBS,
-        "seed": 0,
+        **_defaults(TrainConfig),
         "reps": 1,
         "quantiles": list(DEFAULT_QUANTILES),
         "target": None,
         "n_paths": 100,
-        "workers": 1,
     },
     "bench": {
         "model": None,
@@ -138,13 +132,7 @@ DEFAULTS: dict[str, dict] = {
         "warmup": 50,
         "n_paths": 100,
     },
-    "monitor": {
-        "model": None,
-        "decision_quantile": 0.995,
-        "hysteresis": 1,
-        "seed": 0,
-        "n_paths": 100,
-    },
+    "monitor": {"model": None, **_defaults(MonitorConfig)},
     "analyze": {
         "model": None,
         "data": None,
@@ -158,70 +146,134 @@ DEFAULTS: dict[str, dict] = {
     },
 }
 
+# one line of --help per setting name, whichever subcommands take it
+HELP: dict[str, str] = {
+    "out": "output directory",
+    "data": "dataset file or directory",
+    "model": "checkpoint path",
+    "scenarios": "number of sampled scenarios (one episode each)",
+    "episode_len": "steps per episode",
+    "dt": "seconds per step",
+    "speed_mps": "taxi speed, m/s",
+    "k_c": "controller gain on estimated cross-track error",
+    "k_h": "controller gain on estimated heading error",
+    "u_max_deg_s": "heading-rate limit, deg/s",
+    "noise_base": "estimator noise std floor",
+    "noise_cloud_gain": "estimator noise std per unit of cloud cover",
+    "noise_tod_gain": "estimator noise std per unit of time of day",
+    "bias_gain": "estimator bias per unit of cloud cover above 0.5",
+    "seed": "random seed",
+    "family": "forecaster family",
+    "families": "comma-separated family names",
+    "h": "forecast horizon",
+    "cm": "context multiplier (lookback = cm * h)",
+    "h_values": "comma-separated horizons",
+    "cm_values": "comma-separated context multipliers",
+    "epochs": "maximum training epochs",
+    "batch_size": "training batch size",
+    "lr": "Adam learning rate",
+    "clip_norm": "global gradient-norm clip",
+    "patience": "epochs without validation gain before stopping",
+    "quantiles": "comma-separated quantile levels (evaluate: the checkpoint's if unset)",
+    "target": "safety metric to forecast (default: first in dataset)",
+    "params": "JSON object of model hyperparameters",
+    "allow_custom": "accept off-grid hyperparameters",
+    "axes": 'JSON object of axis values, e.g. {"neurons": [20, 80]}',
+    "reps": "training repetitions (per configuration for tune)",
+    "n_paths": "Monte Carlo paths for sampling forecasters",
+    "iters": "timed predictions",
+    "warmup": "untimed predictions before timing",
+    "decision_quantile": "grid level whose sign decides",
+    "hysteresis": "consecutive positives needed to alarm",
+    "q": "quantile level whose F3 is explained",
+    "depths": "comma-separated max depths to cross-validate",
+    "leaves": "comma-separated min leaf sizes to cross-validate",
+    "folds": "cross-validation folds",
+}
+
+# the type of each setting: that of its default, or, where a subcommand has
+# None there (evaluate's quantiles), of another subcommand's default; a setting
+# whose default is always None is a string
+_TYPED: dict[str, object] = {
+    key: value for settings in DEFAULTS.values() for key, value in settings.items()
+    if value is not None
+}
+
 
 # ----------------------------------------------------------------- plumbing
 
 
+def _scalar(kind: type, value):
+    """`value` as `kind` (str, bool, int or float), or ValueError.
+
+    Numbers may come as strings, from flags and comma-separated lists; a bool
+    is no number, and a float with a fractional part is no int.
+    """
+    if kind in (int, float) and isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    if type(value) is not kind:
+        raise ValueError
+    return value
+
+
+def _coerce(key: str, value):
+    """One merged setting as the type of its default; UsageError names the key."""
+    typed = _TYPED.get(key, "")
+    if value is None:
+        return None
+    kind = type(typed).__name__
+    try:
+        if isinstance(typed, dict):
+            parsed = json.loads(value) if isinstance(value, str) else value
+            if isinstance(parsed, dict):
+                return parsed
+        elif isinstance(typed, list):
+            kind = f"list of {type(typed[0]).__name__}"
+            items = value
+            if isinstance(value, str):
+                items = [s.strip() for s in value.split(",") if s.strip()]
+            if isinstance(items, list):
+                return [_scalar(type(typed[0]), x) for x in items]
+        else:
+            return _scalar(type(typed), value)
+    except (ValueError, OverflowError):  # also json.JSONDecodeError
+        pass
+    raise UsageError(f"setting {key!r} must be {kind}, got {value!r}")
+
+
+def _read_config(path: Path, cmd: str) -> dict:
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    try:
+        file_cfg = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    # a run_config.json names the subcommand that wrote it
+    command = file_cfg.pop("command", cmd)
+    if command != cmd:
+        raise UsageError(f"config file {path} is for {command!r}, not {cmd}")
+    unknown = sorted(set(file_cfg) - set(DEFAULTS[cmd]))
+    if unknown:
+        raise UsageError(f"unknown config keys for {cmd}: {', '.join(unknown)}")
+    return file_cfg
+
+
 def _merged(cmd: str, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags; unknown file keys are rejected."""
-    defaults = DEFAULTS[cmd]
-    ns = dict(vars(args))
-    ns.pop("func", None)
-    ns.pop("cmd", None)
-    config_path = ns.pop("config", None)
-    file_cfg: dict = {}
-    if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
-        if unknown:
-            raise UsageError(f"unknown config keys for {cmd}: {', '.join(unknown)}")
-    return {**defaults, **file_cfg, **ns}
+    """defaults < config file < explicit flags, each coerced to its setting's type."""
+    flags = {k: v for k, v in vars(args).items() if k in DEFAULTS[cmd]}
+    file_cfg = _read_config(Path(args.config), cmd) if args.config is not None else {}
+    merged = {**DEFAULTS[cmd], **file_cfg, **flags}
+    return {key: _coerce(key, value) for key, value in merged.items()}
 
 
 def _require(cfg: dict, cmd: str, key: str):
     value = cfg.get(key)
     if value is None:
         raise UsageError(f"{cmd} needs --{key.replace('_', '-')} (flag or config file)")
-    return value
-
-
-def _floats(value) -> tuple[float, ...]:
-    items = value.split(",") if isinstance(value, str) else value
-    try:
-        return tuple(float(x) for x in items if str(x).strip() != "")
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"expected a comma-separated number list, got {value!r}") from exc
-
-
-def _ints(value) -> tuple[int, ...]:
-    items = value.split(",") if isinstance(value, str) else value
-    try:
-        return tuple(int(x) for x in items if str(x).strip() != "")
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {value!r}") from exc
-
-
-def _names(value) -> tuple[str, ...]:
-    items = value.split(",") if isinstance(value, str) else value
-    return tuple(str(x).strip() for x in items if str(x).strip())
-
-
-def _dictval(value, what: str) -> dict:
-    if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{what} must be a JSON object, got {value!r}") from exc
-    if not isinstance(value, dict):
-        raise UsageError(f"{what} must be a JSON object, got {value!r}")
     return value
 
 
@@ -257,17 +309,6 @@ def _dataset_file(data) -> Path:
     if not path.exists():
         raise FileNotFoundError(str(path))
     return path
-
-
-def _train_cfg(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        lr=float(cfg["lr"]),
-        clip_norm=float(cfg["clip_norm"]),
-        patience=int(cfg["patience"]),
-        seed=int(cfg["seed"]),
-    )
 
 
 def _phase_windows(episodes, wc: WindowConfig, target: str):
@@ -322,20 +363,7 @@ def _print_report(report: EvalReport) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merged("simulate", args)
     out = Path(_require(cfg, "simulate", "out"))
-    sim_cfg = SimConfig(
-        n_scenarios=int(cfg["scenarios"]),
-        episode_len=int(cfg["episode_len"]),
-        dt_seconds=float(cfg["dt"]),
-        speed_mps=float(cfg["speed_mps"]),
-        k_c=float(cfg["k_c"]),
-        k_h=float(cfg["k_h"]),
-        u_max_deg_s=float(cfg["u_max_deg_s"]),
-        noise_base=float(cfg["noise_base"]),
-        noise_cloud_gain=float(cfg["noise_cloud_gain"]),
-        noise_tod_gain=float(cfg["noise_tod_gain"]),
-        bias_gain=float(cfg["bias_gain"]),
-        seed=int(cfg["seed"]),
-    )
+    sim_cfg = _from_cfg(SimConfig, cfg, _SIM_KEYS)
     episodes = generate_dataset(sim_cfg)
     out.mkdir(parents=True, exist_ok=True)
     data_file = out / "dataset.jsonl"
@@ -364,13 +392,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out = Path(_require(cfg, "train", "out"))
     family = _require(cfg, "train", "family")
     episodes = read_episodes(_dataset_file(_require(cfg, "train", "data")))
-    wc = WindowConfig(h=int(cfg["h"]), cm=int(cfg["cm"]))
-    grid = QuantileGrid(_floats(cfg["quantiles"]))
+    wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
+    grid = QuantileGrid(tuple(cfg["quantiles"]))
     target = cfg["target"] or episodes[0].metric_names[0]
     norm, phases = _phase_windows(episodes, wc, target)
-    spec = ForecasterSpec(family, _dictval(cfg["params"], "--params"), bool(cfg["allow_custom"]))
+    spec = ForecasterSpec(family, cfg["params"], cfg["allow_custom"])
     model = fit(
-        spec, phases["train"], phases["val"], _train_cfg(cfg),
+        spec, phases["train"], phases["val"], _from_cfg(TrainConfig, cfg),
         grid=grid, norm=norm, target=target, lc_names=episodes[0].lc_names,
     )
     out.mkdir(parents=True, exist_ok=True)
@@ -403,14 +431,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     out = Path(_require(cfg, "tune", "out"))
     family = _require(cfg, "tune", "family")
     episodes = read_episodes(_dataset_file(_require(cfg, "tune", "data")))
-    wc = WindowConfig(h=int(cfg["h"]), cm=int(cfg["cm"]))
-    grid = QuantileGrid(_floats(cfg["quantiles"]))
+    wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
+    grid = QuantileGrid(tuple(cfg["quantiles"]))
     target = cfg["target"] or episodes[0].metric_names[0]
     norm, phases = _phase_windows(episodes, wc, target)
-    axes = {k: list(v) for k, v in _dictval(cfg["axes"], "--axes").items()}
+    axes = {k: list(v) for k, v in cfg["axes"].items()}
     result = grid_tune(
-        family, axes, phases["train"], phases["val"], _train_cfg(cfg),
-        repetitions=int(cfg["reps"]), grid=grid, norm=norm, target=target,
+        family, axes, phases["train"], phases["val"], _from_cfg(TrainConfig, cfg),
+        repetitions=cfg["reps"], grid=grid, norm=norm, target=target,
         lc_names=episodes[0].lc_names,
     )
     rows = []
@@ -441,14 +469,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _merged("evaluate", args)
     model = load_checkpoint(_require(cfg, "evaluate", "model"))
     episodes = read_episodes(_dataset_file(_require(cfg, "evaluate", "data")))
-    grid = QuantileGrid(_floats(cfg["quantiles"])) if cfg["quantiles"] else model.grid
+    grid = QuantileGrid(tuple(cfg["quantiles"])) if cfg["quantiles"] else model.grid
     norm, phases = _phase_windows(episodes, model.wc, model.target)
     report = evaluate(
-        model.spec, _train_cfg(cfg),
+        model.spec, _from_cfg(TrainConfig, cfg),
         phases["train"], phases["val"], phases["test"],
-        repetitions=int(cfg["reps"]), grid=grid, norm=norm, target=model.target,
-        lc_names=episodes[0].lc_names, n_paths=int(cfg["n_paths"]),
-        workers=int(cfg["workers"]),
+        repetitions=cfg["reps"], grid=grid, norm=norm, target=model.target,
+        lc_names=episodes[0].lc_names, n_paths=cfg["n_paths"],
     )
     _print_report(report)
     if cfg["out"] is not None:
@@ -463,16 +490,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged("sweep", args)
     out = Path(_require(cfg, "sweep", "out"))
     episodes = read_episodes(_dataset_file(_require(cfg, "sweep", "data")))
-    families = _names(cfg["families"])
+    families = cfg["families"]
     for family in families:
         if family not in FAMILIES:
             raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
-    grid = QuantileGrid(_floats(cfg["quantiles"]))
     rows = sweep(
-        episodes, families, _train_cfg(cfg),
-        h_values=_ints(cfg["h_values"]), cm_values=_ints(cfg["cm_values"]),
-        repetitions=int(cfg["reps"]), grid=grid, target=cfg["target"],
-        n_paths=int(cfg["n_paths"]), workers=int(cfg["workers"]),
+        episodes, families, _from_cfg(TrainConfig, cfg),
+        h_values=cfg["h_values"], cm_values=cfg["cm_values"],
+        repetitions=cfg["reps"], grid=QuantileGrid(tuple(cfg["quantiles"])),
+        target=cfg["target"], n_paths=cfg["n_paths"],
     )
     print(f"{'family':>14} {'h':>3} {'cm':>3} {'total':>6}  result")
     json_rows = []
@@ -507,7 +533,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValidationError("dataset yields no test windows for this model's window config")
     report = bench(
         model, phases["test"][0],
-        warmup=int(cfg["warmup"]), iters=int(cfg["iters"]), n_paths=int(cfg["n_paths"]),
+        warmup=cfg["warmup"], iters=cfg["iters"], n_paths=cfg["n_paths"],
     )
     print(json.dumps(_jsonable(report.to_dict()), indent=2, sort_keys=True))
     if cfg["out"] is not None:
@@ -522,15 +548,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     """Stream episodes from stdin; one JSON line per decision to stdout."""
     cfg = _merged("monitor", args)
     model = load_checkpoint(_require(cfg, "monitor", "model"))
-    mon_cfg = MonitorConfig(
-        model=model,
-        decision_quantile=float(cfg["decision_quantile"]),
-        hysteresis=int(cfg["hysteresis"]),
-        seed=int(cfg["seed"]),
-        n_paths=int(cfg["n_paths"]),
-    )
-    episodes = read_episode_lines(sys.stdin)
-    for ep in episodes:
+    mon_cfg = _from_cfg(MonitorConfig, cfg, model=model)
+    # one line at a time: a line's decisions go out before the next is parsed
+    for ep in read_episode_lines(sys.stdin):
         if ep.lc_names != model.lc_names:
             raise ValidationError(
                 f"episode {ep.id}: channels {ep.lc_names} do not match model {model.lc_names}"
@@ -562,13 +582,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not phases["test"]:
         raise ValidationError("dataset yields no test windows for this model's window config")
     ev = evaluate_model(
-        model, phases["test"], mc_seed=int(cfg["seed"]), n_paths=int(cfg["n_paths"])
+        model, phases["test"], mc_seed=cfg["seed"], n_paths=cfg["n_paths"]
     )
-    q = float(cfg["q"])
+    q = cfg["q"]
     features, f3, names = scenario_f3_table(ev, q, episodes)
     cv = cross_validate(
-        features, f3, max_depths=_ints(cfg["depths"]), min_leaves=_ints(cfg["leaves"]),
-        k=int(cfg["folds"]), seed=int(cfg["seed"]),
+        features, f3, max_depths=cfg["depths"], min_leaves=cfg["leaves"],
+        k=cfg["folds"], seed=cfg["seed"],
     )
     rules = extract_rules(cv.tree)
     print(f"scenario rules for F3 at q={q:g} over {features.shape[0]} episodes")
@@ -613,125 +633,41 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _sub(subparsers, name: str, help_text: str, func) -> argparse.ArgumentParser:
-    p = subparsers.add_parser(name, help=help_text, description=help_text)
-    p.add_argument("--config", help="JSON file of settings; explicit flags win")
-    p.set_defaults(func=func)
-    return p
-
-
-def _opt(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
-    kwargs.setdefault("default", argparse.SUPPRESS)
-    p.add_argument(flag, **kwargs)
+_COMMANDS = {
+    "simulate": ("generate a scenario-swept episode dataset", _cmd_simulate),
+    "train": ("train one forecaster and write a checkpoint", _cmd_train),
+    "tune": ("grid-search hyperparameters against validation q-risk", _cmd_tune),
+    "evaluate": ("retrain a checkpoint's config and report test metrics", _cmd_evaluate),
+    "sweep": ("evaluate families across the window-size grid", _cmd_sweep),
+    "bench": ("measure single-window prediction latency and memory", _cmd_bench),
+    "monitor": ("stream episodes from stdin, print one line per decision", _cmd_monitor),
+    "analyze": ("distill per-scenario F3 into interval rules", _cmd_analyze),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per DEFAULTS key; a flag the user does not pass stays unset."""
     parser = argparse.ArgumentParser(
         prog="forewarn",
         description="quantile forecasting of safety metrics with a runtime violation monitor",
     )
     sub = parser.add_subparsers(dest="cmd", metavar="command", required=True)
-
-    p = _sub(sub, "simulate", "generate a scenario-swept episode dataset", _cmd_simulate)
-    _opt(p, "--scenarios", type=int, help="number of sampled scenarios (one episode each)")
-    _opt(p, "--episode-len", type=int, help="steps per episode")
-    _opt(p, "--dt", type=float, help="seconds per step")
-    _opt(p, "--seed", type=int, help="sampling and noise seed")
-    _opt(p, "--out", help="output directory (dataset.jsonl + manifest.json)")
-
-    p = _sub(sub, "train", "train one forecaster and write a checkpoint", _cmd_train)
-    _opt(p, "--data", help="dataset file or directory")
-    _opt(p, "--out", help="output directory")
-    _opt(p, "--family", choices=FAMILIES, help="forecaster family")
-    _opt(p, "--h", type=int, help="forecast horizon")
-    _opt(p, "--cm", type=int, help="context multiplier (lookback = cm * h)")
-    _opt(p, "--epochs", type=int)
-    _opt(p, "--batch-size", type=int)
-    _opt(p, "--lr", type=float)
-    _opt(p, "--clip-norm", type=float)
-    _opt(p, "--patience", type=int)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--quantiles", help="comma-separated quantile levels")
-    _opt(p, "--target", help="safety metric to forecast (default: first in dataset)")
-    _opt(p, "--params", help="JSON object of model hyperparameters")
-    _opt(p, "--allow-custom", action="store_true", help="accept off-grid hyperparameters")
-
-    p = _sub(sub, "tune", "grid-search hyperparameters against validation q-risk", _cmd_tune)
-    _opt(p, "--data", help="dataset file or directory")
-    _opt(p, "--out", help="output directory")
-    _opt(p, "--family", choices=FAMILIES)
-    _opt(p, "--h", type=int)
-    _opt(p, "--cm", type=int)
-    _opt(p, "--axes", help='JSON object of axis values, e.g. {"neurons": [20, 80]}')
-    _opt(p, "--reps", type=int, help="training repetitions per configuration")
-    _opt(p, "--epochs", type=int)
-    _opt(p, "--batch-size", type=int)
-    _opt(p, "--lr", type=float)
-    _opt(p, "--clip-norm", type=float)
-    _opt(p, "--patience", type=int)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--quantiles", help="comma-separated quantile levels")
-    _opt(p, "--target")
-
-    p = _sub(sub, "evaluate", "retrain a checkpoint's config and report test metrics", _cmd_evaluate)
-    _opt(p, "--model", help="checkpoint path")
-    _opt(p, "--data", help="dataset file or directory")
-    _opt(p, "--out", help="optional output directory for the JSON summary")
-    _opt(p, "--reps", type=int, help="independent retraining repetitions")
-    _opt(p, "--workers", type=int, help="bounded worker pool for repetitions")
-    _opt(p, "--quantiles", help="comma-separated quantile levels (default: checkpoint grid)")
-    _opt(p, "--n-paths", type=int, help="Monte Carlo paths for sampling forecasters")
-    _opt(p, "--epochs", type=int)
-    _opt(p, "--batch-size", type=int)
-    _opt(p, "--lr", type=float)
-    _opt(p, "--clip-norm", type=float)
-    _opt(p, "--patience", type=int)
-    _opt(p, "--seed", type=int)
-
-    p = _sub(sub, "sweep", "evaluate families across the window-size grid", _cmd_sweep)
-    _opt(p, "--data", help="dataset file or directory")
-    _opt(p, "--out", help="output directory")
-    _opt(p, "--families", help="comma-separated family names")
-    _opt(p, "--h-values", help="comma-separated horizons")
-    _opt(p, "--cm-values", help="comma-separated context multipliers")
-    _opt(p, "--reps", type=int)
-    _opt(p, "--workers", type=int)
-    _opt(p, "--quantiles", help="comma-separated quantile levels")
-    _opt(p, "--target")
-    _opt(p, "--n-paths", type=int)
-    _opt(p, "--epochs", type=int)
-    _opt(p, "--batch-size", type=int)
-    _opt(p, "--lr", type=float)
-    _opt(p, "--clip-norm", type=float)
-    _opt(p, "--patience", type=int)
-    _opt(p, "--seed", type=int)
-
-    p = _sub(sub, "bench", "measure single-window prediction latency and memory", _cmd_bench)
-    _opt(p, "--model", help="checkpoint path")
-    _opt(p, "--data", help="dataset file or directory (provides one test window)")
-    _opt(p, "--out", help="optional output directory")
-    _opt(p, "--iters", type=int)
-    _opt(p, "--warmup", type=int)
-    _opt(p, "--n-paths", type=int)
-
-    p = _sub(sub, "monitor", "stream episodes from stdin, print one line per decision", _cmd_monitor)
-    _opt(p, "--model", help="checkpoint path")
-    _opt(p, "--decision-quantile", type=float, help="grid level whose sign decides")
-    _opt(p, "--hysteresis", type=int, help="consecutive positives needed to alarm")
-    _opt(p, "--seed", type=int)
-    _opt(p, "--n-paths", type=int)
-
-    p = _sub(sub, "analyze", "distill per-scenario F3 into interval rules", _cmd_analyze)
-    _opt(p, "--model", help="checkpoint path")
-    _opt(p, "--data", help="dataset file or directory")
-    _opt(p, "--out", help="optional output directory")
-    _opt(p, "--q", type=float, help="quantile level whose F3 is explained")
-    _opt(p, "--depths", help="comma-separated max depths to cross-validate")
-    _opt(p, "--leaves", help="comma-separated min leaf sizes to cross-validate")
-    _opt(p, "--folds", type=int)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--n-paths", type=int)
-
+    for cmd, (help_text, func) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text, description=help_text)
+        p.add_argument("--config", help="JSON file of settings; explicit flags win")
+        p.set_defaults(func=func)
+        for key, default in DEFAULTS[cmd].items():
+            typed = _TYPED.get(key, "")
+            kwargs: dict = {"default": argparse.SUPPRESS, "help": HELP[key]}
+            if default is not None:
+                kwargs["help"] += f" (default: {json.dumps(default)})"
+            if isinstance(typed, bool):
+                kwargs["action"] = "store_true"
+            elif isinstance(typed, (int, float)):
+                kwargs["type"] = type(typed)
+            if key == "family":
+                kwargs["choices"] = FAMILIES
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
     return parser
 
 

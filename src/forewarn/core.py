@@ -28,6 +28,7 @@ __all__ = [
     "DEFAULT_QUANTILES",
     "QuantileForecast",
     "WindowSample",
+    "derived_seed",
     "safety_metric_fn",
     "violation_sign",
     "first_violation_index",
@@ -351,6 +352,11 @@ class WindowSample:
     def future_target_original(self) -> np.ndarray:
         mean, std = self.denorm
         return self.future_target * std + mean
+
+
+def derived_seed(*key: int) -> int:
+    """A 32-bit seed drawn from the integer tuple `key` (one SeedSequence word)."""
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
 def safety_metric_fn(actual: float, threshold: float) -> float:

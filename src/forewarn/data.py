@@ -19,7 +19,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,9 +143,12 @@ def _parse_record(obj: dict, lineno: int) -> Episode:
         raise DatasetError(f"line {lineno}: malformed episode record: {exc}") from exc
 
 
-def read_episode_lines(lines) -> list[Episode]:
-    """Parse line-delimited episode records from any iterable of strings."""
-    episodes = []
+def read_episode_lines(lines) -> Iterator[Episode]:
+    """Parse line-delimited episode records lazily, one per string of `lines`.
+
+    A record is parsed only when the caller asks for it, so a stream's earlier
+    episodes are usable before a later malformed line raises DatasetError.
+    """
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             raise DatasetError(f"line {lineno}: empty record")
@@ -153,14 +156,13 @@ def read_episode_lines(lines) -> list[Episode]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from exc
-        episodes.append(_parse_record(obj, lineno))
-    return episodes
+        yield _parse_record(obj, lineno)
 
 
 def read_episodes(path) -> list[Episode]:
     """Parse a line-delimited episode file; errors carry the 1-based line number."""
     with open(path, "r", encoding="ascii") as f:
-        return read_episode_lines(f)
+        return list(read_episode_lines(f))
 
 
 def dataset_hash(path) -> str:

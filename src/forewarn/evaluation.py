@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample
+from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample, derived_seed
 from .data import NormStats, build_split, fit_norm, windows_for_phase
 from .forecasters import ForecasterSpec, TrainedForecaster, predict_quantiles, predict_quantiles_batch
 from .training import TrainConfig, TrainingDivergedError, fit
@@ -288,10 +288,6 @@ class EvalReport:
     reps: tuple[ModelEval, ...] = field(repr=False, default=())
 
 
-def _derived_seed(base: int, *key: int) -> int:
-    return int(np.random.SeedSequence((base, *key)).generate_state(1)[0])
-
-
 def evaluate(
     spec: ForecasterSpec,
     base_cfg: TrainConfig,
@@ -304,35 +300,25 @@ def evaluate(
     target: str = "target",
     lc_names: tuple[str, ...] | None = None,
     n_paths: int = 100,
-    workers: int = 1,
 ) -> EvalReport:
     """Retrain `repetitions` times (fresh seed each) and aggregate test metrics.
 
     Each repetition derives its training seed and its Monte-Carlo seed from
-    (base_cfg.seed, repetition), so the whole report is reproducible; with
-    workers > 1 repetitions run on a bounded thread pool and the result is
-    independent of scheduling.
+    (base_cfg.seed, repetition), so the whole report is reproducible.
     """
     if repetitions < 1:
         raise ValidationError("repetitions must be >= 1")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
 
-    def one_rep(rep: int) -> ModelEval:
-        seed = _derived_seed(base_cfg.seed, 100, rep)
+    model_evals = []
+    for rep in range(repetitions):
+        seed = derived_seed(base_cfg.seed, 100, rep)
         model = fit(
             spec, train_windows, val_windows, replace(base_cfg, seed=seed),
             grid=grid, norm=norm, target=target, lc_names=lc_names,
         )
-        return evaluate_model(model, test_windows, mc_seed=_derived_seed(seed, 7), n_paths=n_paths)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            model_evals = list(pool.map(one_rep, range(repetitions)))
-    else:
-        model_evals = [one_rep(rep) for rep in range(repetitions)]
+        model_evals.append(
+            evaluate_model(model, test_windows, mc_seed=derived_seed(seed, 7), n_paths=n_paths)
+        )
     wc = WindowConfig(h=test_windows[0].h, cm=test_windows[0].k // test_windows[0].h)
     per_q: dict[float, dict[str, MetricSummary]] = {}
     for q in grid.qs:
@@ -364,7 +350,6 @@ def sweep(
     grid: QuantileGrid = QuantileGrid(),
     target: str | None = None,
     n_paths: int = 100,
-    workers: int = 1,
 ) -> list[dict]:
     """Evaluate each family across the (h, cm) grid; one row per config.
 
@@ -401,7 +386,7 @@ def sweep(
                     ForecasterSpec(family), base_cfg,
                     phase_windows["train"], phase_windows["val"], phase_windows["test"],
                     repetitions=repetitions, grid=grid, norm=norm, target=target,
-                    lc_names=lc_names, n_paths=n_paths, workers=workers,
+                    lc_names=lc_names, n_paths=n_paths,
                 )
                 rows.append({
                     **row,

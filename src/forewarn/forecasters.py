@@ -639,30 +639,60 @@ def save_checkpoint(model: TrainedForecaster, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedForecaster:
+    """Read a checkpoint; ValidationError unless it describes a usable model.
+
+    The header must parse and hold every key save_checkpoint writes, its
+    tensor list must be exactly the names and shapes init_params gives the
+    stored family and sizes, and norm must cover the target and every
+    learned-component channel.
+    """
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != _MAGIC:
             raise ValidationError(f"not a forecaster checkpoint: bad magic {magic!r}")
-        header = json.loads(f.readline().decode("utf-8"))
-        params: dict[str, np.ndarray] = {}
-        for t in header["tensors"]:
-            shape = tuple(t["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValidationError(f"checkpoint truncated at tensor {t['name']!r}")
-            params[t["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+            model = TrainedForecaster(
+                spec=ForecasterSpec(header["family"], header["hyper"], header["allow_custom"]),
+                wc=WindowConfig(h=header["h"], cm=header["cm"]),
+                grid=QuantileGrid(tuple(header["quantiles"])),
+                target=header["target"],
+                lc_names=tuple(header["lc_names"]),
+                n_static=header["n_static"],
+                norm=NormStats(
+                    {k_: (float(v[0]), float(v[1])) for k_, v in header["norm"].items()}
+                ),
+                params={},
+                training_log=header["training_log"],
+            )
+            stored = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+            named = dict(stored)
+            expected = init_params(
+                model.spec, model.wc, len(model.grid), len(model.lc_names), model.n_static, seed=0
+            )
+        except ValidationError:
+            raise
+        except KeyError as exc:
+            raise ValidationError(f"checkpoint header has no {exc} entry") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            # ValueError covers JSON and UTF-8 decoding errors
+            raise ValidationError(f"malformed checkpoint header: {exc}") from None
+        shapes = {n_: p_.shape for n_, p_ in expected.items()}
+        if named != shapes or len(stored) != len(named):
+            differing = [n_ for n_ in {**named, **shapes} if named.get(n_) != shapes.get(n_)]
+            raise ValidationError(
+                f"checkpoint tensors do not fit a {model.spec.family} model of the stored "
+                f"sizes (differing: {differing}, listed {len(stored)}, expected {len(shapes)})"
+            )
+        for n_, _ in stored:
+            want = expected[n_]  # float64, like the stored tensor
+            buf = f.read(want.nbytes)
+            if len(buf) != want.nbytes:
+                raise ValidationError(f"checkpoint truncated at tensor {n_!r}")
+            model.params[n_] = np.frombuffer(buf, dtype="<f8").reshape(want.shape).copy()
         if f.read(1):
             raise ValidationError("trailing bytes after checkpoint tensors")
-    spec = ForecasterSpec(header["family"], header["hyper"], header["allow_custom"])
-    return TrainedForecaster(
-        spec=spec,
-        wc=WindowConfig(h=header["h"], cm=header["cm"]),
-        grid=QuantileGrid(tuple(header["quantiles"])),
-        target=header["target"],
-        lc_names=tuple(header["lc_names"]),
-        n_static=header["n_static"],
-        norm=NormStats({k_: (v[0], v[1]) for k_, v in header["norm"].items()}),
-        params=params,
-        training_log=header["training_log"],
-    )
+    missing = [c for c in (model.target, *model.lc_names) if c not in model.norm.channels]
+    if missing:
+        raise ValidationError(f"checkpoint norm has no stats for channels {missing}")
+    return model

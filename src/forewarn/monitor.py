@@ -27,6 +27,7 @@ from .core import (
     Scenario,
     ValidationError,
     WindowSample,
+    derived_seed,
     first_violation_index,
     violation_sign,
 )
@@ -142,9 +143,8 @@ class SafetyMonitor:
             denorm=(mean, std),
             origin_t=t,
         )
-        mc_seed = int(np.random.SeedSequence((self.cfg.seed, t)).generate_state(1)[0])
         forecast = predict_quantiles(
-            self.cfg.model, sample, mc_seed=mc_seed, n_paths=self.cfg.n_paths
+            self.cfg.model, sample, mc_seed=derived_seed(self.cfg.seed, t), n_paths=self.cfg.n_paths
         )
         column = forecast.column(self.cfg.decision_quantile)
         decision = violation_sign(column)

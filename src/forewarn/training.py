@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample
+from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample, derived_seed
 from .data import NormStats
 from .forecasters import (
     ForecasterSpec,
@@ -210,7 +210,7 @@ def fit(
 
     persistence is a no-op baseline. For runtime (monitor) use, pass the full
     NormStats and real channel names so the checkpoint is self-describing;
-    otherwise a minimal target-only NormStats is stored.
+    otherwise the windows' target stats and identity covariate stats are stored.
     """
     if not train_windows or not val_windows:
         raise ValidationError("fit needs non-empty train and val window sets")
@@ -220,7 +220,7 @@ def fit(
     if lc_names is None:
         lc_names = tuple(f"cov{j}" for j in range(n_cov))
     if norm is None:
-        norm = NormStats({target: train_windows[0].denorm})
+        norm = NormStats({**dict.fromkeys(lc_names, (0.0, 1.0)), target: train_windows[0].denorm})
 
     if spec.family == "persistence":
         return TrainedForecaster(
@@ -295,10 +295,6 @@ class TuneResult:
     rows: list[dict]
 
 
-def _derived_seed(base: int, config_index: int, rep: int) -> int:
-    return int(np.random.SeedSequence((base, config_index, rep)).generate_state(1)[0])
-
-
 def grid_tune(
     family: str,
     axes: dict[str, Sequence],
@@ -346,7 +342,7 @@ def grid_tune(
         configs.append((spec, cfg))
         rep_scores = []
         for rep in range(repetitions):
-            seed = _derived_seed(base_cfg.seed, ci, rep)
+            seed = derived_seed(base_cfg.seed, ci, rep)
             row = {
                 "family": family, "config_index": ci, "params": dict(spec.params),
                 "batch_size": cfg.batch_size, "lr": cfg.lr, "clip_norm": cfg.clip_norm,

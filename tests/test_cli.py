@@ -1,14 +1,16 @@
 """End-to-end checks of the command-line pipeline on a tiny dataset."""
 
+import argparse
 import io
 import json
 
 import numpy as np
 import pytest
 
-from forewarn.cli import main
+from forewarn.cli import DEFAULTS, build_parser, main
+from forewarn.core import ValidationError
 from forewarn.data import dataset_hash
-from forewarn.forecasters import load_checkpoint
+from forewarn.forecasters import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,64 @@ def test_config_file_merge_flags_win(tmp_path):
     assert effective["episode_len"] == 30
     lines = (out / "dataset.jsonl").read_text().count("\n")
     assert lines == 6
+
+
+# ----------------------------------------------------------------- settings
+
+
+@pytest.mark.parametrize("cmd", sorted(DEFAULTS))
+def test_flags_are_the_settings_table(cmd):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(DEFAULTS)
+    flags = {
+        opt[2:].replace("-", "_")
+        for action in sub.choices[cmd]._actions
+        for opt in action.option_strings
+        if opt != "--help" and opt.startswith("--")
+    }
+    assert flags == {"config", *DEFAULTS[cmd]}
+
+
+@pytest.mark.parametrize("cmd, key, value", [
+    ("simulate", "scenarios", "abc"),
+    ("simulate", "scenarios", [1]),
+    ("simulate", "scenarios", 1.7),
+    ("simulate", "seed", True),
+    ("simulate", "dt", "fast"),
+    ("train", "quantiles", "0.5,abc"),
+    ("train", "params", "[1]"),
+    ("train", "allow_custom", 1),
+])
+def test_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, cmd, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_are_recorded_as_they_ran(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"scenarios": 3.0, "episode_len": "30", "dt": 2}')
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    effective = json.loads((out / "run_config.json").read_text())
+    assert [effective[k] for k in ("scenarios", "episode_len", "dt")] == [3, 30, 2.0]
+    assert isinstance(effective["scenarios"], int) and isinstance(effective["dt"], float)
+    assert (out / "dataset.jsonl").read_text().count("\n") == 3
+
+
+def test_run_config_replays_to_identical_dataset(workdir, tmp_path, capsys):
+    run_config = workdir / "data" / "run_config.json"
+    out = tmp_path / "replay"
+    assert main(["simulate", "--config", str(run_config), "--out", str(out)]) == 0
+    assert (out / "dataset.jsonl").read_bytes() == (workdir / "data" / "dataset.jsonl").read_bytes()
+    replayed = json.loads((out / "run_config.json").read_text())
+    assert replayed == {**json.loads(run_config.read_text()), "out": str(out)}
+    # a run_config.json written by another subcommand is refused
+    assert main(["train", "--config", str(run_config), "--out", str(tmp_path / "m")]) == 2
+    assert "'simulate'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- exit codes
@@ -170,24 +230,6 @@ def test_evaluate_summary_bytes_deterministic(workdir, tmp_path):
     assert a == b
 
 
-def test_evaluate_workers_do_not_change_results(workdir, tmp_path):
-    args = [
-        "evaluate", "--model", str(tmp_path / "m" / "seq2seq_h3_cm2.ckpt"),
-        "--data", str(workdir / "data"), "--reps", "2", "--epochs", "1",
-        "--quantiles", "0.5,0.995",
-    ]
-    assert main([
-        "train", "--family", "seq2seq", "--h", "3", "--cm", "2", "--epochs", "1",
-        "--params", '{"decoder_layers": 1, "neurons": 20}', "--quantiles", "0.5,0.995",
-        "--data", str(workdir / "data"), "--out", str(tmp_path / "m"),
-    ]) == 0
-    assert main(args + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
-    assert main(args + ["--workers", "3", "--out", str(tmp_path / "w3")]) == 0
-    serial = (tmp_path / "w1" / "eval_summary.json").read_bytes()
-    pooled = (tmp_path / "w3" / "eval_summary.json").read_bytes()
-    assert serial == pooled
-
-
 # ----------------------------------------------------------------- tune / sweep
 
 
@@ -269,6 +311,65 @@ def test_monitor_rejects_channel_mismatch(workdir, capsys, monkeypatch):
     code = main(["monitor", "--model", _ckpt(workdir)])
     assert code == 1
     assert "do not match" in capsys.readouterr().err
+
+
+def test_monitor_decides_each_line_before_reading_the_next(workdir, capsys, monkeypatch):
+    first = (workdir / "data" / "dataset.jsonl").read_text().splitlines(keepends=True)[0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(first + "{bad\n"))
+    assert main(["monitor", "--model", _ckpt(workdir)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 34  # line 1's decisions, then the error
+    assert "line 2" in captured.err
+
+
+@pytest.fixture(scope="module")
+def seq2seq_ckpt(workdir):
+    out = workdir / "seq2seq"
+    assert main([
+        "train", "--family", "seq2seq", "--h", "3", "--cm", "2", "--epochs", "1",
+        "--params", '{"decoder_layers": 1, "neurons": 20}',
+        "--data", str(workdir / "data"), "--out", str(out),
+    ]) == 0
+    return out / "seq2seq_h3_cm2.ckpt"
+
+
+def _edit_header(edit):
+    def write(model, path):
+        save_checkpoint(model, path)
+        magic, header, tensors = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + edit(header) + b"\n" + tensors)
+    return write
+
+
+def _edit_model(edit):
+    def write(model, path):
+        edit(model)
+        save_checkpoint(model, path)
+    return write
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated_header": _edit_header(lambda h: h[: len(h) // 2]),
+    "header_without_tensors": _edit_header(
+        lambda h: json.dumps({k: v for k, v in json.loads(h).items() if k != "tensors"}).encode()
+    ),
+    "missing_tensor": _edit_model(lambda m: m.params.pop("head.b")),
+    "wrong_shape": _edit_model(lambda m: m.params.update({"head.W": m.params["head.W"][:, 1:]})),
+    "norm_without_channel": _edit_model(lambda m: m.norm.channels.pop(m.lc_names[0])),
+    "norm_without_target": _edit_model(lambda m: m.norm.channels.pop(m.target)),
+}
+
+
+@pytest.mark.parametrize("write", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_is_rejected_at_load(seq2seq_ckpt, tmp_path, capsys, write):
+    bad = tmp_path / "bad.ckpt"
+    write(load_checkpoint(seq2seq_ckpt), bad)
+    with pytest.raises(ValidationError):
+        load_checkpoint(bad)
+    capsys.readouterr()
+    assert main(["monitor", "--model", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ----------------------------------------------------------------- analyze

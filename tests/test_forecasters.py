@@ -49,7 +49,7 @@ def tiny_model(family, wc=WC, n_cov=2, n_static=3, qs=QS, seed=0, zero=False, **
         target="m",
         lc_names=tuple(f"c{i}" for i in range(n_cov)),
         n_static=n_static,
-        norm=NormStats({"m": (0.0, 1.0)}),
+        norm=NormStats({"m": (0.0, 1.0), **{f"c{i}": (0.0, 1.0) for i in range(n_cov)}}),
         params=params,
         training_log={"seed": seed},
     )
