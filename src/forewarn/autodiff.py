@@ -8,15 +8,29 @@ gradients are summed back to the parent's shape.
 
 The op set is exactly what the forecaster families need. Gradients are
 verified against central finite differences in the test suite.
+
+The module functions (sigmoid, tanh, relu, softplus, exp, softmax, concat)
+take a Tensor or a plain ndarray: a Tensor records the op on the tape, an
+ndarray gets the same numpy expression and no tape, so a forward pass written
+once runs on either and gives the same bits. An ndarray on the left of an
+arithmetic operator defers to the Tensor on its right.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "concat"]
+__all__ = ["Tensor", "concat", "exp", "relu", "sigmoid", "softmax", "softplus", "tanh"]
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))  # numerically stable logistic
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, 0.0)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -33,6 +47,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_bw")
+    __array_ufunc__ = None  # ndarray <op> Tensor calls the Tensor's reflected op
 
     def __init__(self, data, parents: tuple = (), bw=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -164,6 +179,9 @@ class Tensor:
         out._bw = bw
         return out
 
+    def __rmatmul__(self, other):
+        return self._wrap(other).__matmul__(self)
+
     def __getitem__(self, idx):
         out = Tensor(self.data[idx], (self,))
 
@@ -218,22 +236,19 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        y = 0.5 * (1.0 + np.tanh(0.5 * self.data))  # numerically stable logistic
+        y = _sigmoid(self.data)
         out = Tensor(y, (self,))
         out._bw = lambda g: self.__iadd_grad(g * y * (1.0 - y))
         return out
 
     def relu(self):
-        mask = self.data > 0
-        out = Tensor(np.where(mask, self.data, 0.0), (self,))
-        out._bw = lambda g: self.__iadd_grad(g * mask)
+        out = Tensor(_relu(self.data), (self,))
+        out._bw = lambda g: self.__iadd_grad(g * (self.data > 0))
         return out
 
     def softplus(self):
-        y = np.logaddexp(0.0, self.data)
-        s = 0.5 * (1.0 + np.tanh(0.5 * self.data))
-        out = Tensor(y, (self,))
-        out._bw = lambda g: self.__iadd_grad(g * s)
+        out = Tensor(np.logaddexp(0.0, self.data), (self,))
+        out._bw = lambda g: self.__iadd_grad(g * _sigmoid(self.data))
         return out
 
     def exp(self):
@@ -253,13 +268,40 @@ class Tensor:
         return out
 
     def softmax(self, axis: int = -1):
-        """Softmax along one axis; the max shift is a constant (no gradient)."""
-        shifted = self - self.data.max(axis=axis, keepdims=True)
-        e = shifted.exp()
-        return e / e.sum(axis=axis, keepdims=True)
+        return softmax(self, axis)
 
 
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+def sigmoid(x):
+    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x)
+
+
+def tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def relu(x):
+    return x.relu() if isinstance(x, Tensor) else _relu(x)
+
+
+def softplus(x):
+    return x.softplus() if isinstance(x, Tensor) else np.logaddexp(0.0, x)
+
+
+def exp(x):
+    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+
+
+def softmax(x, axis: int = -1):
+    """Softmax along one axis; the max shift is a constant (no gradient)."""
+    data = x.data if isinstance(x, Tensor) else x
+    e = exp(x - data.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def concat(tensors: Sequence, axis: int = 0):
+    """Join along one axis: a Tensor if any operand is one, else an ndarray."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [Tensor._wrap(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]

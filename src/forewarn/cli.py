@@ -302,13 +302,17 @@ def _echo_config(outdir: Path, cmd: str, cfg: dict) -> None:
     _write_json(outdir / "run_config.json", {"command": cmd, **cfg})
 
 
-def _dataset_file(data) -> Path:
-    path = Path(data)
+def _episodes(cfg: dict, cmd: str) -> list:
+    """The episodes of the --data file (or dataset.jsonl in that directory)."""
+    path = Path(_require(cfg, cmd, "data"))
     if path.is_dir():
         path = path / "dataset.jsonl"
     if not path.exists():
         raise FileNotFoundError(str(path))
-    return path
+    episodes = read_episodes(path)
+    if not episodes:
+        raise DatasetError(f"{path}: no episodes")
+    return episodes
 
 
 def _phase_windows(episodes, wc: WindowConfig, target: str):
@@ -391,7 +395,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _merged("train", args)
     out = Path(_require(cfg, "train", "out"))
     family = _require(cfg, "train", "family")
-    episodes = read_episodes(_dataset_file(_require(cfg, "train", "data")))
+    episodes = _episodes(cfg, "train")
     wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
     grid = QuantileGrid(tuple(cfg["quantiles"]))
     target = cfg["target"] or episodes[0].metric_names[0]
@@ -430,7 +434,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     cfg = _merged("tune", args)
     out = Path(_require(cfg, "tune", "out"))
     family = _require(cfg, "tune", "family")
-    episodes = read_episodes(_dataset_file(_require(cfg, "tune", "data")))
+    episodes = _episodes(cfg, "tune")
     wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
     grid = QuantileGrid(tuple(cfg["quantiles"]))
     target = cfg["target"] or episodes[0].metric_names[0]
@@ -468,7 +472,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _merged("evaluate", args)
     model = load_checkpoint(_require(cfg, "evaluate", "model"))
-    episodes = read_episodes(_dataset_file(_require(cfg, "evaluate", "data")))
+    episodes = _episodes(cfg, "evaluate")
     grid = QuantileGrid(tuple(cfg["quantiles"])) if cfg["quantiles"] else model.grid
     norm, phases = _phase_windows(episodes, model.wc, model.target)
     report = evaluate(
@@ -489,7 +493,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged("sweep", args)
     out = Path(_require(cfg, "sweep", "out"))
-    episodes = read_episodes(_dataset_file(_require(cfg, "sweep", "data")))
+    episodes = _episodes(cfg, "sweep")
     families = cfg["families"]
     for family in families:
         if family not in FAMILIES:
@@ -527,7 +531,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _merged("bench", args)
     model = load_checkpoint(_require(cfg, "bench", "model"))
-    episodes = read_episodes(_dataset_file(_require(cfg, "bench", "data")))
+    episodes = _episodes(cfg, "bench")
     _, phases = _phase_windows(episodes, model.wc, model.target)
     if not phases["test"]:
         raise ValidationError("dataset yields no test windows for this model's window config")
@@ -577,7 +581,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _merged("analyze", args)
     model = load_checkpoint(_require(cfg, "analyze", "model"))
-    episodes = read_episodes(_dataset_file(_require(cfg, "analyze", "data")))
+    episodes = _episodes(cfg, "analyze")
     _, phases = _phase_windows(episodes, model.wc, model.target)
     if not phases["test"]:
         raise ValidationError("dataset yields no test windows for this model's window config")

@@ -16,9 +16,11 @@ quantile forecasts):
                     per-position queries, multi-head attention, position-wise
                     quantile heads
 
-All forward passes run on the autodiff Tensor type, so training and inference
-share one code path. Forecast rows are projected to non-crossing by sorting
-each lead time's quantiles ascending (on the original scale).
+Each family's forward pass is written once over the autodiff module functions.
+Training hands it Tensor parameters and gets a tape to differentiate;
+prediction hands it the plain parameter arrays and gets plain arrays back, the
+same bits without the tape. Forecast rows are projected to non-crossing by
+sorting each lead time's quantiles ascending (on the original scale).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, concat, relu, sigmoid, softmax, softplus, tanh
 from .core import (
     QuantileForecast,
     QuantileGrid,
@@ -61,6 +63,7 @@ FAMILIES = ("persistence", "seq2seq", "convseq2seq", "ar_rnn", "attn_seq2seq")
 NEURAL_FAMILIES = FAMILIES[1:]
 
 SIGMA_FLOOR = 1e-6
+_CHUNK_ROWS = 200_000  # ar_rnn Monte-Carlo rows (windows x paths) decoded at once
 
 # model hyperparameter grids; training knobs (batch, lr, clip) live in TrainConfig
 GRIDS: dict[str, dict[str, tuple]] = {
@@ -182,58 +185,28 @@ def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) 
     return x * mask
 
 
-def _split_cols(t: Tensor, n: int) -> tuple[Tensor, Tensor]:
-    return t[:, :n], t[:, n:]
+def _lift(p: dict, *arrays: np.ndarray) -> list:
+    """The input arrays, as Tensors when the params are, so they join the tape."""
+    on_tape = isinstance(next(iter(p.values())), Tensor)
+    return [Tensor(a) if on_tape else a for a in arrays]
 
 
-def _gru_step(p: dict, pre: str, x: Tensor, state: Tensor, n: int) -> Tensor:
-    rz = (x @ p[pre + "W_rz"] + state @ p[pre + "U_rz"] + p[pre + "b_rz"]).sigmoid()
-    r, z = _split_cols(rz, n)
-    cand = (x @ p[pre + "W_n"] + r * (state @ p[pre + "U_n"]) + p[pre + "b_n"]).tanh()
+def _gru_step(p: dict, pre: str, x, state, n: int):
+    rz = sigmoid(x @ p[pre + "W_rz"] + state @ p[pre + "U_rz"] + p[pre + "b_rz"])
+    r, z = rz[:, :n], rz[:, n:]
+    cand = tanh(x @ p[pre + "W_n"] + r * (state @ p[pre + "U_n"]) + p[pre + "b_n"])
     return (1.0 - z) * cand + z * state
 
 
-def _lstm_step(p: dict, pre: str, x: Tensor, state, n: int):
+def _lstm_step(p: dict, pre: str, x, state, n: int):
     h, c = state
     gates = x @ p[pre + "W"] + h @ p[pre + "U"] + p[pre + "b"]
-    i = gates[:, :n].sigmoid()
-    f = gates[:, n : 2 * n].sigmoid()
-    g = gates[:, 2 * n : 3 * n].tanh()
-    o = gates[:, 3 * n :].sigmoid()
+    i = sigmoid(gates[:, :n])
+    f = sigmoid(gates[:, n : 2 * n])
+    g = tanh(gates[:, 2 * n : 3 * n])
+    o = sigmoid(gates[:, 3 * n :])
     c2 = f * c + i * g
-    return o * c2.tanh(), c2
-
-
-def _zeros(bsz: int, n: int) -> Tensor:
-    return Tensor(np.zeros((bsz, n)))
-
-
-# Plain-array twins of the cells above, for the inference-only sampling
-# path.  They must stay arithmetically identical, op for op, so sampled
-# paths match the tape version bit for bit; only the graph bookkeeping
-# is dropped.
-
-
-def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _np_gru_step(p: dict, x: np.ndarray, state: np.ndarray, n: int) -> np.ndarray:
-    rz = _np_sigmoid(x @ p["cell.W_rz"] + state @ p["cell.U_rz"] + p["cell.b_rz"])
-    r, z = rz[:, :n], rz[:, n:]
-    cand = np.tanh(x @ p["cell.W_n"] + r * (state @ p["cell.U_n"]) + p["cell.b_n"])
-    return (1.0 - z) * cand + z * state
-
-
-def _np_lstm_step(p: dict, x: np.ndarray, state, n: int):
-    h, c = state
-    gates = x @ p["cell.W"] + h @ p["cell.U"] + p["cell.b"]
-    i = _np_sigmoid(gates[:, :n])
-    f = _np_sigmoid(gates[:, n : 2 * n])
-    g = np.tanh(gates[:, 2 * n : 3 * n])
-    o = _np_sigmoid(gates[:, 3 * n :])
-    c2 = f * c + i * g
-    return o * np.tanh(c2), c2
+    return o * tanh(c2), c2
 
 
 # ----------------------------------------------------------------- init
@@ -328,17 +301,16 @@ def init_params(
 # ----------------------------------------------------------------- forwards
 
 
-def _mlp_decoder(p: dict, x: Tensor, layers: int) -> Tensor:
+def _mlp_decoder(p: dict, x, layers: int):
     for i in range(layers):
-        x = (x @ p[f"dec{i}.W"] + p[f"dec{i}.b"]).relu()
+        x = relu(x @ p[f"dec{i}.W"] + p[f"dec{i}.b"])
     return x @ p["head.W"] + p["head.b"]
 
 
-def _causal_conv(p: dict, pre: str, x: Tensor, dilation: int) -> Tensor:
+def _causal_conv(p: dict, pre: str, x, dilation: int):
     """Kernel-3 causal 1-D convolution along axis 1 of (B, k, C_in)."""
     bsz, k, c_in = x.shape
-    pad = Tensor(np.zeros((bsz, 2 * dilation, c_in)))
-    xp = concat([pad, x], axis=1)
+    xp = concat([np.zeros((bsz, 2 * dilation, c_in)), x], axis=1)
     out = None
     for tap in range(3):
         start = tap * dilation
@@ -349,59 +321,55 @@ def _causal_conv(p: dict, pre: str, x: Tensor, dilation: int) -> Tensor:
 
 def forward_quantiles(
     spec: ForecasterSpec,
-    p: dict[str, Tensor],
+    p: dict,
     batch: dict[str, np.ndarray],
     h: int,
     n_quantiles: int,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> Tensor:
+):
     """Normalized-scale quantile head outputs, shape (B, h, |Q|).
 
-    Valid for the three direct quantile families; ar_rnn has a Gaussian head
-    (see forward_gaussian / sample_paths).
+    A Tensor on the tape when the params are Tensors, a plain ndarray when
+    they are arrays. Valid for the three direct quantile families; ar_rnn has
+    a Gaussian head (see forward_gaussian / sample_paths).
     """
     fam = spec.family
-    bsz = batch["past_target"].shape[0]
-    static = Tensor(batch["static"])
-    past = Tensor(batch["past_target"])
-    cov = Tensor(batch["past_cov"])
+    bsz, k, n_cov = batch["past_cov"].shape
     if fam == "seq2seq":
-        k, n_cov = batch["past_cov"].shape[1:]
+        static, past, cov = _lift(p, batch["static"], batch["past_target"], batch["past_cov"])
         x = concat([static, past, cov.reshape(bsz, k * n_cov)], axis=1)
-        enc = (x @ p["enc.W"] + p["enc.b"]).relu()
+        enc = relu(x @ p["enc.W"] + p["enc.b"])
         out = _mlp_decoder(p, enc, spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "convseq2seq":
-        k = batch["past_cov"].shape[1]
-        tiled = Tensor(np.broadcast_to(batch["static"][:, None, :], (bsz, k, batch["static"].shape[1])).copy())
+        tiled = np.repeat(batch["static"][:, None, :], k, axis=1)
+        past, cov, tiled = _lift(p, batch["past_target"], batch["past_cov"], tiled)
         seq = concat([past.reshape(bsz, k, 1), cov, tiled], axis=2)
-        c0 = _causal_conv(p, "conv0", seq, dilation=1).relu()
-        c1 = _causal_conv(p, "conv1", c0, dilation=2).relu()
-        feat = c1[:, k - 1, :]
-        out = _mlp_decoder(p, feat, spec.get("decoder_layers"))
+        c0 = relu(_causal_conv(p, "conv0", seq, dilation=1))
+        c1 = relu(_causal_conv(p, "conv1", c0, dilation=2))
+        out = _mlp_decoder(p, c1[:, k - 1, :], spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "attn_seq2seq":
-        return _attn_forward(spec, p, batch, h, n_quantiles, train, rng)
+        return _attn_forward(spec, p, batch, h, train, rng)
     raise ValidationError(f"{fam} has no direct quantile head")
 
 
-def _attn_forward(spec, p, batch, h, n_quantiles, train, rng):
+def _attn_forward(spec, p, batch, h, train, rng):
     d = spec.get("state")
     heads = spec.get("heads")
     drop = spec.get("dropout")
     dh = d // heads
     bsz, k, n_cov = batch["past_cov"].shape
-    past = Tensor(batch["past_target"])
-    cov = Tensor(batch["past_cov"])
-    state = _zeros(bsz, d)
+    static, past, cov = _lift(p, batch["static"], batch["past_target"], batch["past_cov"])
+    state = np.zeros((bsz, d))
     enc_states = []
     for t in range(k):
         x_t = concat([past[:, t].reshape(bsz, 1), cov[:, t, :]], axis=1)
         state = _gru_step(p, "enc.", x_t, state, d)
         enc_states.append(state.reshape(bsz, 1, d))
     enc = concat(enc_states, axis=1)  # (B, k, d)
-    static_emb = (Tensor(batch["static"]) @ p["static.W"] + p["static.b"]).relu()
+    static_emb = relu(static @ p["static.W"] + p["static.b"])
     queries = static_emb.reshape(bsz, 1, d) + p["pos.E"].reshape(1, h, d)
     keys = enc @ p["attn.Wk"]
     values = enc @ p["attn.Wv"]
@@ -411,57 +379,66 @@ def _attn_forward(spec, p, batch, h, n_quantiles, train, rng):
 
     q4, k4, v4 = split(queries, h), split(keys, k), split(values, k)
     scores = (q4 @ k4.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    attn = scores.softmax(axis=-1)
+    attn = softmax(scores, axis=-1)
     attn = _dropout(attn, drop, train, rng)
     ctx = (attn @ v4).transpose((0, 2, 1, 3)).reshape(bsz, h, d) @ p["attn.Wo"]
-    static_tiled = Tensor(np.zeros((bsz, h, d))) + static_emb.reshape(bsz, 1, d)
+    static_tiled = np.zeros((bsz, h, d)) + static_emb.reshape(bsz, 1, d)
     dec_in = concat([ctx, static_tiled], axis=2)
-    hid = (dec_in @ p["dec.W1"] + p["dec.b1"]).relu()
+    hid = relu(dec_in @ p["dec.W1"] + p["dec.b1"])
     hid = _dropout(hid, drop, train, rng)
     return hid @ p["dec.W2"] + p["dec.b2"]  # (B, h, |Q|)
 
 
-def _ar_head(spec, p, state: Tensor, train: bool, rng) -> tuple[Tensor, Tensor]:
-    out = _dropout(state, spec.get("dropout"), train, rng)
+def _ar_head(spec, p, state, train: bool, rng):
+    """(mu, sigma) of the Gaussian head, each (B, 1), from the cell's output."""
+    out = state[0] if isinstance(state, tuple) else state  # lstm state is (h, c)
+    out = _dropout(out, spec.get("dropout"), train, rng)
     mu = out @ p["head.W_mu"] + p["head.b_mu"]
-    sigma = (out @ p["head.W_sigma"] + p["head.b_sigma"]).softplus() + SIGMA_FLOOR
+    sigma = softplus(out @ p["head.W_sigma"] + p["head.b_sigma"]) + SIGMA_FLOOR
     return mu, sigma
 
 
-def _ar_consume(spec, p, y_prev: Tensor, static: Tensor, state, n: int):
+def _ar_consume(spec, p, y_prev, static, state):
+    """One cell step on (previous target, static); state is h, or (h, c) for lstm."""
     x = concat([y_prev, static], axis=1)
-    if spec.get("cell") == "gru":
-        return _gru_step(p, "cell.", x, state, n)
-    return _lstm_step(p, "cell.", x, state, n)
+    step = _lstm_step if spec.get("cell") == "lstm" else _gru_step
+    return step(p, "cell.", x, state, spec.get("nodes"))
+
+
+def _ar_warmup(spec, p, static, past):
+    """The cell state after consuming the whole lookback, from zeros."""
+    bsz, k = past.shape
+    zeros = np.zeros((bsz, spec.get("nodes")))
+    state = (zeros, zeros) if spec.get("cell") == "lstm" else zeros
+    for t in range(k):
+        state = _ar_consume(spec, p, past[:, t].reshape(bsz, 1), static, state)
+    return state
 
 
 def forward_gaussian(
     spec: ForecasterSpec,
-    p: dict[str, Tensor],
+    p: dict,
     batch: dict[str, np.ndarray],
     h: int,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Teacher-forced ar_rnn pass: (mu, sigma) Tensors of shape (B, h)."""
+):
+    """Teacher-forced ar_rnn pass: (mu, sigma) of shape (B, h).
+
+    Tensors on the tape when the params are Tensors, plain ndarrays when they
+    are arrays.
+    """
     if spec.family != "ar_rnn":
         raise ValidationError("forward_gaussian is only for ar_rnn")
-    n = spec.get("nodes")
-    bsz, k = batch["past_target"].shape
-    static = Tensor(batch["static"])
-    past = Tensor(batch["past_target"])
-    future = Tensor(batch["future_target"])
-    state = (_zeros(bsz, n), _zeros(bsz, n)) if spec.get("cell") == "lstm" else _zeros(bsz, n)
-    for t in range(k):
-        state = _ar_consume(spec, p, past[:, t].reshape(bsz, 1), static, state, n)
-    mus, sigmas = [], []
+    static, past, future = _lift(p, batch["static"], batch["past_target"], batch["future_target"])
+    bsz = past.shape[0]
+    state = _ar_warmup(spec, p, static, past)
+    leads = []
     for j in range(h):
-        s_out = state[0] if isinstance(state, tuple) else state
-        mu_j, sigma_j = _ar_head(spec, p, s_out, train, rng)
-        mus.append(mu_j)
-        sigmas.append(sigma_j)
-        if j < h - 1:
-            state = _ar_consume(spec, p, future[:, j].reshape(bsz, 1), static, state, n)
+        if j > 0:
+            state = _ar_consume(spec, p, future[:, j - 1].reshape(bsz, 1), static, state)
+        leads.append(_ar_head(spec, p, state, train, rng))
+    mus, sigmas = zip(*leads)
     return concat(mus, axis=1), concat(sigmas, axis=1)
 
 
@@ -475,45 +452,28 @@ def sample_paths(
 ) -> np.ndarray:
     """Monte-Carlo decoding of ar_rnn: (B, n_paths, h) normalized samples.
 
-    The warm-up over the lookback is deterministic; decoding feeds each
-    path's own sample back as the next input.  Runs on plain arrays: no
-    gradients are needed here, and per-op tape bookkeeping would dominate
-    the latency of the small batches the monitor sends.
+    The warm-up over the lookback is forward_gaussian's, and each lead's
+    (mu, sigma) comes from the same head, on the plain parameter arrays (no
+    tape). Lead j of every path is mu + sigma * z with z the rng's next
+    (B * n_paths) standard normals, rows ordered (sample, path); that draw is
+    fed back as the next input, where forward_gaussian feeds the true target.
     """
-    n = spec.get("nodes")
-    p = {k_: (v.data if isinstance(v, Tensor) else v) for k_, v in params.items()}
-    bsz, k = batch["past_target"].shape
     static = batch["static"]
-    past = batch["past_target"]
-    lstm = spec.get("cell") == "lstm"
-    step = _np_lstm_step if lstm else _np_gru_step
+    state = _ar_warmup(spec, params, static, batch["past_target"])
 
-    state = (np.zeros((bsz, n)), np.zeros((bsz, n))) if lstm else np.zeros((bsz, n))
-    for t in range(k):
-        x = np.concatenate([past[:, t : t + 1], static], axis=1)
-        state = step(p, x, state, n)
-    # replicate the warmed state across paths: rows ordered (sample, path)
-    def tile(a: np.ndarray) -> np.ndarray:
+    def tile(a: np.ndarray) -> np.ndarray:  # replicate each sample's rows across paths
         return np.repeat(a, n_paths, axis=0)
 
-    state = (tile(state[0]), tile(state[1])) if lstm else tile(state)
-    static_t = tile(static)
-    rows = bsz * n_paths
+    state = tuple(map(tile, state)) if isinstance(state, tuple) else tile(state)
+    static = tile(static)
+    rows = static.shape[0]
     out = np.empty((rows, h))
-    y_prev = None
     for j in range(h):
         if j > 0:
-            x = np.concatenate([y_prev, static_t], axis=1)
-            state = step(p, x, state, n)
-        s_out = state[0] if lstm else state
-        mu = s_out @ p["head.W_mu"] + p["head.b_mu"]
-        raw = s_out @ p["head.W_sigma"] + p["head.b_sigma"]
-        sigma = np.logaddexp(0.0, raw) + SIGMA_FLOOR
-        z = rng.standard_normal((rows, 1))
-        y = mu + sigma * z
-        out[:, j] = y[:, 0]
-        y_prev = y
-    return out.reshape(bsz, n_paths, h)
+            state = _ar_consume(spec, params, out[:, j - 1 : j], static, state)
+        mu, sigma = _ar_head(spec, params, state, False, None)
+        out[:, j : j + 1] = mu + sigma * rng.standard_normal((rows, 1))
+    return out.reshape(-1, n_paths, h)
 
 
 # ----------------------------------------------------------------- prediction
@@ -561,7 +521,6 @@ def predict_quantiles_batch(
     samples: Sequence[WindowSample],
     mc_seed: int | None = None,
     n_paths: int = 100,
-    chunk_rows: int = 200_000,
 ) -> np.ndarray:
     """Original-scale forecasts for many samples at once: (N, h, |Q|), rows sorted."""
     for s in samples:
@@ -580,7 +539,7 @@ def predict_quantiles_batch(
         if n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
         rng = np.random.default_rng(mc_seed)
-        per_chunk = max(1, chunk_rows // max(1, n_paths))
+        per_chunk = max(1, _CHUNK_ROWS // n_paths)
         pieces = []
         for i in range(0, n, per_chunk):
             sub = {k_: v[i : i + per_chunk] for k_, v in batch.items()}
@@ -588,9 +547,7 @@ def predict_quantiles_batch(
             pieces.append(_path_quantiles(paths, qs))  # (b, h, |Q|)
         normalized = np.concatenate(pieces, axis=0)
     else:
-        p = {k_: Tensor(v) for k_, v in model.params.items()}
-        out = forward_quantiles(model.spec, p, batch, h, len(qs), train=False)
-        normalized = out.data
+        normalized = forward_quantiles(model.spec, model.params, batch, h, len(qs))
     mean = batch["denorm"][:, 0][:, None, None]
     std = batch["denorm"][:, 1][:, None, None]
     original = normalized * std + mean

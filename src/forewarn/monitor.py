@@ -15,7 +15,6 @@ feeds its own forecasts back in.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -88,7 +87,6 @@ class SafetyMonitor:
         self._future_stub = np.zeros(model.wc.h)
         self._count = 0
         self._streak = 0
-        self.latencies_s: list[float] = []
         self.last_decision: Optional[int] = None
         self.last_forecast: Optional[QuantileForecast] = None
 
@@ -104,7 +102,6 @@ class SafetyMonitor:
         decision uses observations 1..k at t = k), so a length-T stream
         yields exactly T - k decisions.
         """
-        start = time.perf_counter()
         lc = np.asarray(lc_row, dtype=np.float64)
         if lc.shape != (self._lc_buf.shape[1],):
             raise ValidationError(
@@ -124,7 +121,6 @@ class SafetyMonitor:
         if t < k:
             self.last_decision = None
             self.last_forecast = None
-            self.latencies_s.append(time.perf_counter() - start)
             return None
 
         # chronological order: the slot just written is the newest
@@ -158,7 +154,6 @@ class SafetyMonitor:
                 time_to_violation=first_violation_index(column),
                 forecast=forecast,
             )
-        self.latencies_s.append(time.perf_counter() - start)
         return alarm
 
 

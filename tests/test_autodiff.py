@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_matmul_batched_both():
     a = RNG.normal(size=(2, 3, 4))
     b = RNG.normal(size=(2, 4, 2))
     check(lambda x, y: (x @ y).sum(), [a, b])
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.matmul]
+)
+def test_ndarray_on_the_left_defers_to_the_tensor(op):
+    a = RNG.normal(size=(3, 3))
+    b = RNG.normal(size=(3, 3)) + 3.0  # keep the divisor away from zero
+    assert isinstance(op(a, Tensor(b)), Tensor)
+    check(lambda y: op(a, y).square().sum(), [b])
 
 
 def test_getitem_slice():

@@ -153,6 +153,22 @@ def test_missing_data_exits_1_with_path(tmp_path, capsys):
     assert "absent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["train", "tune", "evaluate", "sweep", "bench", "analyze"])
+def test_empty_dataset_exits_1_with_named_error(workdir, tmp_path, capsys, cmd):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = ["--out", str(tmp_path / "out")]
+    extra = {
+        "train": ["--family", "persistence", *out],
+        "tune": ["--family", "persistence", *out],
+        "sweep": ["--families", "persistence", *out],
+    }.get(cmd, ["--model", _ckpt(workdir)])
+    code = main([cmd, "--data", str(empty), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "no episodes" in err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     code = main([
         "simulate", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path / "d"),

@@ -157,6 +157,49 @@ def test_lstm_cell_shapes():
     assert np.all(np.isfinite(paths))
 
 
+@pytest.mark.parametrize("family", ["seq2seq", "convseq2seq", "attn_seq2seq"])
+def test_array_forward_equals_tape_forward(family):
+    rng = np.random.default_rng(13)
+    model = tiny_model(family)
+    batch = stack_windows(batch_of(rng, 4))
+    p = {k: Tensor(v) for k, v in model.params.items()}
+    tape = forward_quantiles(model.spec, p, batch, WC.h, len(QS))
+    plain = forward_quantiles(model.spec, model.params, batch, WC.h, len(QS))
+    assert isinstance(plain, np.ndarray)
+    assert np.array_equal(plain, tape.data)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_array_gaussian_forward_equals_tape_forward(cell):
+    rng = np.random.default_rng(14)
+    model = tiny_model("ar_rnn", cell=cell)
+    batch = stack_windows(batch_of(rng, 4))
+    p = {k: Tensor(v) for k, v in model.params.items()}
+    tape = forward_gaussian(model.spec, p, batch, WC.h)
+    plain = forward_gaussian(model.spec, model.params, batch, WC.h)
+    for got, want in zip(plain, tape):
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want.data)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_sample_paths_first_lead_is_the_gaussian_head_draw(cell):
+    rng = np.random.default_rng(15)
+    model = tiny_model("ar_rnn", cell=cell)
+    batch = stack_windows(batch_of(rng, 3))
+    mu, sigma = forward_gaussian(model.spec, model.params, batch, WC.h)
+    for n_paths in (1, 7):
+        paths = sample_paths(
+            model.spec, model.params, batch, WC.h, n_paths, np.random.default_rng(4)
+        )
+        z = np.random.default_rng(4).standard_normal((3 * n_paths, 1)).reshape(3, n_paths)
+        want = mu[:, :1] + sigma[:, :1] * z  # draws are taken in (sample, path) row order
+        if n_paths == 1:
+            assert np.array_equal(paths[:, :, 0], want)
+        else:  # BLAS may round the head's product over 21 rows apart from over 3
+            assert np.allclose(paths[:, :, 0], want, rtol=0, atol=1e-12)
+
+
 def test_persistence_repeats_last_value_on_original_scale():
     rng = np.random.default_rng(3)
     sample = make_sample(rng, WC, denorm=(1.5, 0.5))

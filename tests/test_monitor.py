@@ -121,14 +121,12 @@ def test_hysteresis_zero_behaves_like_one():
     assert [r.origin_t for r in r0 if r] == [r.origin_t for r in r1 if r]
 
 
-def test_latency_recorded_and_no_retraining():
+def test_pushes_leave_parameters_unchanged():
     rng = np.random.default_rng(11)
     model = make_model("seq2seq", wc=WC, decoder_layers=1, neurons=20)
     before = {k: v.tobytes() for k, v in model.params.items()}
     monitor = SafetyMonitor(MonitorConfig(model), make_episode(rng).scenario)
     push_stream(monitor, list(np.linspace(-1, 1, 10)), rng)
-    assert len(monitor.latencies_s) == 10
-    assert all(dt >= 0 for dt in monitor.latencies_s)
     assert {k: v.tobytes() for k, v in model.params.items()} == before
 
 
