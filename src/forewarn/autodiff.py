@@ -3,17 +3,24 @@
 A minimal tape: each Tensor remembers its parents and a closure that pushes
 the output gradient back to them. backward() walks the tape in reverse
 topological order (iteratively; recurrent nets build long chains). Everything
-is float64. Broadcasting in elementwise ops and batched matmul is supported;
-gradients are summed back to the parent's shape.
+is float64. Broadcasting in elementwise ops and batched matmul (1-D operands
+included, as numpy promotes them) is supported; gradients are summed back to
+the parent's shape.
+
+backward() sets .grad only on the nodes reachable from its output, and each
+such node gets its own buffer: no two nodes' .grad share memory, so a caller
+may scale one in place (training clips leaf gradients that way). A buffer is
+made by the first gradient that reaches the node (adopted when that array is
+new, copied when it is a view or another node's), and later ones add into it.
 
 The op set is exactly what the forecaster families need. Gradients are
 verified against central finite differences in the test suite.
 
-The module functions (sigmoid, tanh, relu, softplus, exp, softmax, concat)
-take a Tensor or a plain ndarray: a Tensor records the op on the tape, an
-ndarray gets the same numpy expression and no tape, so a forward pass written
-once runs on either and gives the same bits. An ndarray on the left of an
-arithmetic operator defers to the Tensor on its right.
+The module functions (sigmoid, tanh, relu, softplus, exp, log, square, mean,
+softmax, concat) take a Tensor or a plain ndarray: a Tensor records the op on
+the tape, an ndarray gets the same numpy expression and no tape, so a forward
+pass or a loss written once runs on either and gives the same bits. An ndarray
+on the left of an arithmetic operator defers to the Tensor on its right.
 """
 
 from __future__ import annotations
@@ -22,7 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "exp", "relu", "sigmoid", "softmax", "softplus", "tanh"]
+__all__ = [
+    "Tensor", "concat", "exp", "log", "mean", "relu", "sigmoid", "softmax", "softplus",
+    "square", "tanh",
+]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -43,6 +53,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _is_basic(idx) -> bool:
+    """True for an index of ints, slices, Ellipsis and None only (no fancy indexing)."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        isinstance(i, (slice, int, np.integer, type(Ellipsis), type(None)))
+        and not isinstance(i, (bool, np.bool_))
+        for i in parts
+    )
 
 
 class Tensor:
@@ -76,7 +96,7 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into .grad of every reachable node."""
+        """Set .grad of every reachable node to d(self)/d(node), in its own buffer."""
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
         order: list[Tensor] = []
@@ -95,11 +115,19 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         for node in order:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._bw is not None:
                 node._bw(node.grad)
+
+    def _acc(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g into .grad. The first g becomes the buffer when fresh (a new
+        array nothing else holds), else a copy of it does."""
+        if self.grad is None:
+            self.grad = g if fresh else g.copy()
+        else:
+            self.grad += g
 
     # ------------------------------------------------------------- arithmetic
 
@@ -108,8 +136,8 @@ class Tensor:
         out = Tensor(self.data + other.data, (self, other))
 
         def bw(g):
-            self.grad += _unbroadcast(g, self.data.shape)
-            other.grad += _unbroadcast(g, other.data.shape)
+            self._acc(_unbroadcast(g, self.data.shape))
+            other._acc(_unbroadcast(g, other.data.shape))
 
         out._bw = bw
         return out
@@ -118,19 +146,16 @@ class Tensor:
 
     def __neg__(self):
         out = Tensor(-self.data, (self,))
-        out._bw = lambda g: self.__iadd_grad(-g)
+        out._bw = lambda g: self._acc(-g, fresh=True)
         return out
-
-    def __iadd_grad(self, g):
-        self.grad += _unbroadcast(g, self.data.shape)
 
     def __sub__(self, other):
         other = self._wrap(other)
         out = Tensor(self.data - other.data, (self, other))
 
         def bw(g):
-            self.grad += _unbroadcast(g, self.data.shape)
-            other.grad += _unbroadcast(-g, other.data.shape)
+            self._acc(_unbroadcast(g, self.data.shape))
+            other._acc(_unbroadcast(-g, other.data.shape), fresh=True)
 
         out._bw = bw
         return out
@@ -143,8 +168,8 @@ class Tensor:
         out = Tensor(self.data * other.data, (self, other))
 
         def bw(g):
-            self.grad += _unbroadcast(g * other.data, self.data.shape)
-            other.grad += _unbroadcast(g * self.data, other.data.shape)
+            self._acc(_unbroadcast(g * other.data, self.data.shape), fresh=True)
+            other._acc(_unbroadcast(g * self.data, other.data.shape), fresh=True)
 
         out._bw = bw
         return out
@@ -156,8 +181,8 @@ class Tensor:
         out = Tensor(self.data / other.data, (self, other))
 
         def bw(g):
-            self.grad += _unbroadcast(g / other.data, self.data.shape)
-            other.grad += _unbroadcast(-g * self.data / other.data**2, other.data.shape)
+            self._acc(_unbroadcast(g / other.data, self.data.shape), fresh=True)
+            other._acc(_unbroadcast(-g * self.data / other.data**2, other.data.shape), fresh=True)
 
         out._bw = bw
         return out
@@ -170,11 +195,21 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def bw(g):
+            # promote 1-D operands as numpy does: (d,) is (1, d) on the left
+            # and (d, 1) on the right, and g regains the axis numpy dropped
             a, b = self.data, other.data
-            ga = g @ b.swapaxes(-1, -2) if b.ndim >= 2 else np.outer(g, b)
-            gb = a.swapaxes(-1, -2) @ g if a.ndim >= 2 else np.outer(a, g)
-            self.grad += _unbroadcast(ga, a.shape)
-            other.grad += _unbroadcast(gb, b.shape)
+            if b.ndim == 1:
+                b, g = b[:, None], g[..., None]
+            if a.ndim == 1:
+                a, g = a[None, :], g[..., None, :]
+            ga = g @ b.swapaxes(-1, -2)
+            if b.ndim == 2 and a.ndim > 2:
+                # a weight shared across leading dims: one 2-D GEMM over all rows
+                gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = a.swapaxes(-1, -2) @ g
+            self._acc(_unbroadcast(ga, a.shape).reshape(self.data.shape), fresh=True)
+            other._acc(_unbroadcast(gb, b.shape).reshape(other.data.shape), fresh=True)
 
         out._bw = bw
         return out
@@ -186,9 +221,12 @@ class Tensor:
         out = Tensor(self.data[idx], (self,))
 
         def bw(g):
-            scatter = np.zeros_like(self.data)
-            np.add.at(scatter, idx, g)
-            self.grad += scatter
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            if _is_basic(idx):
+                self.grad[idx] += g  # a basic index selects each element at most once
+            else:
+                np.add.at(self.grad, idx, g)  # fancy indices may repeat
 
         out._bw = bw
         return out
@@ -199,14 +237,14 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out = Tensor(self.data.reshape(shape), (self,))
-        out._bw = lambda g: self.__iadd_grad(g.reshape(self.data.shape))
+        out._bw = lambda g: self._acc(g.reshape(self.data.shape))
         return out
 
     def transpose(self, axes: Sequence[int]):
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
         out = Tensor(self.data.transpose(axes), (self,))
-        out._bw = lambda g: self.__iadd_grad(g.transpose(inverse))
+        out._bw = lambda g: self._acc(g.transpose(inverse))
         return out
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -216,7 +254,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 ax = axis if isinstance(axis, tuple) else (axis,)
                 g = np.expand_dims(g, ax)
-            self.grad += np.broadcast_to(g, self.data.shape)
+            self._acc(np.broadcast_to(g, self.data.shape))
 
         out._bw = bw
         return out
@@ -232,39 +270,39 @@ class Tensor:
     def tanh(self):
         y = np.tanh(self.data)
         out = Tensor(y, (self,))
-        out._bw = lambda g: self.__iadd_grad(g * (1.0 - y * y))
+        out._bw = lambda g: self._acc(g * (1.0 - y * y), fresh=True)
         return out
 
     def sigmoid(self):
         y = _sigmoid(self.data)
         out = Tensor(y, (self,))
-        out._bw = lambda g: self.__iadd_grad(g * y * (1.0 - y))
+        out._bw = lambda g: self._acc(g * y * (1.0 - y), fresh=True)
         return out
 
     def relu(self):
         out = Tensor(_relu(self.data), (self,))
-        out._bw = lambda g: self.__iadd_grad(g * (self.data > 0))
+        out._bw = lambda g: self._acc(g * (self.data > 0), fresh=True)
         return out
 
     def softplus(self):
         out = Tensor(np.logaddexp(0.0, self.data), (self,))
-        out._bw = lambda g: self.__iadd_grad(g * _sigmoid(self.data))
+        out._bw = lambda g: self._acc(g * _sigmoid(self.data), fresh=True)
         return out
 
     def exp(self):
         y = np.exp(self.data)
         out = Tensor(y, (self,))
-        out._bw = lambda g: self.__iadd_grad(g * y)
+        out._bw = lambda g: self._acc(g * y, fresh=True)
         return out
 
     def log(self):
         out = Tensor(np.log(self.data), (self,))
-        out._bw = lambda g: self.__iadd_grad(g / self.data)
+        out._bw = lambda g: self._acc(g / self.data, fresh=True)
         return out
 
     def square(self):
         out = Tensor(self.data * self.data, (self,))
-        out._bw = lambda g: self.__iadd_grad(2.0 * g * self.data)
+        out._bw = lambda g: self._acc(2.0 * g * self.data, fresh=True)
         return out
 
     def softmax(self, axis: int = -1):
@@ -291,6 +329,19 @@ def exp(x):
     return x.exp() if isinstance(x, Tensor) else np.exp(x)
 
 
+def log(x):
+    return x.log() if isinstance(x, Tensor) else np.log(x)
+
+
+def square(x):
+    return x.square() if isinstance(x, Tensor) else x * x
+
+
+def mean(x):
+    """Mean of all elements; an ndarray gets Tensor.mean's sum * (1/n), not ndarray.mean."""
+    return x.mean() if isinstance(x, Tensor) else x.sum() * (1.0 / float(x.size))
+
+
 def softmax(x, axis: int = -1):
     """Softmax along one axis; the max shift is a constant (no gradient)."""
     data = x.data if isinstance(x, Tensor) else x
@@ -311,7 +362,7 @@ def concat(tensors: Sequence, axis: int = 0):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(a, b)
-            t.grad += g[tuple(idx)]
+            t._acc(g[tuple(idx)])
 
     out._bw = bw
     return out

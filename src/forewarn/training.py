@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, log, mean, relu, square
 from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample, derived_seed
 from .data import NormStats
 from .forecasters import (
@@ -46,6 +46,7 @@ __all__ = [
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 DIVERGENCE_THRESHOLD = 1e12
+_EVAL_CHUNK = 4096  # validation windows per forward pass
 
 
 class TrainingDivergedError(RuntimeError):
@@ -81,11 +82,11 @@ def pinball_loss(y: float, y_hat: float, q: float) -> float:
     return q * max(diff, 0.0) + (1.0 - q) * max(-diff, 0.0)
 
 
-def _pinball_mean(pred: Tensor, y: np.ndarray, qs: np.ndarray) -> Tensor:
-    """Mean pinball over a (B, h, |Q|) prediction block."""
-    diff = Tensor(y[:, :, None]) - pred
+def _pinball_mean(pred, y: np.ndarray, qs: np.ndarray):
+    """Mean pinball over a (B, h, |Q|) prediction block, a Tensor or an ndarray."""
+    diff = y[:, :, None] - pred
     q = qs.reshape(1, 1, -1)
-    return (diff.relu() * q + (-diff).relu() * (1.0 - q)).mean()
+    return mean(relu(diff) * q + relu(-diff) * (1.0 - q))
 
 
 def gaussian_nll(y: float, mu: float, sigma: float) -> float:
@@ -97,9 +98,10 @@ def gaussian_nll(y: float, mu: float, sigma: float) -> float:
     return HALF_LOG_2PI + math.log(sigma) + 0.5 * z * z
 
 
-def _gaussian_nll_mean(mu: Tensor, sigma: Tensor, y: np.ndarray) -> Tensor:
-    err = Tensor(y) - mu
-    return (sigma.log() + err.square() / (sigma.square() * 2.0) + HALF_LOG_2PI).mean()
+def _gaussian_nll_mean(mu, sigma, y: np.ndarray):
+    """Mean Gaussian NLL over (B, h) heads, Tensors or ndarrays."""
+    err = y - mu
+    return mean(log(sigma) + square(err) / (square(sigma) * 2.0) + HALF_LOG_2PI)
 
 
 def loss_and_grads(
@@ -111,8 +113,12 @@ def loss_and_grads(
     rng: np.random.Generator | None = None,
     compute_grads: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """One forward (and optionally backward) pass over a stacked batch."""
-    p = {name: Tensor(v) for name, v in params.items()}
+    """One forward (and optionally backward) pass over a stacked batch.
+
+    Without grads the forward runs on the plain arrays and builds no tape; the
+    loss is the same bits either way.
+    """
+    p = {name: Tensor(v) for name, v in params.items()} if compute_grads else params
     h = batch["future_target"].shape[1]
     if spec.family == "ar_rnn":
         mu, sigma = forward_gaussian(spec, p, batch, h, train=train, rng=rng)
@@ -186,11 +192,11 @@ def _check_divergence(loss: float, epoch: int, what: str) -> None:
         raise TrainingDivergedError(f"{what} loss diverged at epoch {epoch}: {loss!r}")
 
 
-def _eval_loss(spec, params, arrays, grid, chunk=4096) -> float:
+def _eval_loss(spec, params, arrays, grid) -> float:
     n = arrays["future_target"].shape[0]
     total = 0.0
-    for i in range(0, n, chunk):
-        sub = {k: v[i : i + chunk] for k, v in arrays.items()}
+    for i in range(0, n, _EVAL_CHUNK):
+        sub = {k: v[i : i + _EVAL_CHUNK] for k, v in arrays.items()}
         loss, _ = loss_and_grads(spec, params, sub, grid, train=False, compute_grads=False)
         total += loss * sub["future_target"].shape[0]
     return total / n
@@ -211,6 +217,10 @@ def fit(
     persistence is a no-op baseline. For runtime (monitor) use, pass the full
     NormStats and real channel names so the checkpoint is self-describing;
     otherwise the windows' target stats and identity covariate stats are stored.
+
+    training_log holds one entry per epoch run for the train and val loss and
+    for the steps' raw gradient norms (before clipping): their median, their
+    maximum, and the fraction of steps that were clipped.
     """
     if not train_windows or not val_windows:
         raise ValidationError("fit needs non-empty train and val window sets")
@@ -245,18 +255,25 @@ def fit(
     since_improve = 0
     train_losses: list[float] = []
     val_losses: list[float] = []
+    norm_medians: list[float] = []
+    norm_maxes: list[float] = []
+    clip_fractions: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
+        norms: list[float] = []
         for i in range(0, n, cfg.batch_size):
             idx = perm[i : i + cfg.batch_size]
             sub = {k: v[idx] for k, v in train_arrays.items()}
             loss, grads = loss_and_grads(spec, params, sub, grid, train=True, rng=dropout_rng)
             _check_divergence(loss, epoch, "training")
-            clip_global_norm(grads, cfg.clip_norm)
+            norms.append(clip_global_norm(grads, cfg.clip_norm))
             adam_step(params, grads, adam, cfg.lr)
             epoch_loss += loss * len(idx)
         train_losses.append(epoch_loss / n)
+        norm_medians.append(float(np.median(norms)))
+        norm_maxes.append(max(norms))
+        clip_fractions.append(sum(g > cfg.clip_norm for g in norms) / len(norms))
         val_loss = _eval_loss(spec, params, val_arrays, grid)
         _check_divergence(val_loss, epoch, "validation")
         val_losses.append(val_loss)
@@ -279,6 +296,9 @@ def fit(
             "best_epoch": best_epoch,
             "best_val_loss": best_val,
             "stopped_epoch": len(val_losses),
+            "grad_norm_median": norm_medians,
+            "grad_norm_max": norm_maxes,
+            "clip_fraction": clip_fractions,
         },
     )
 

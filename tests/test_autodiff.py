@@ -2,8 +2,17 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from forewarn.autodiff import Tensor, concat
+
+# few examples, fixed per test, and no example database written to disk
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+# central differences on random inputs reach about 1e-6 relative error where a
+# gradient element is small; a wrong gradient is off by far more
+PROPERTY_TOL = 1e-5
 
 
 def fd_grad(f, x, step=1e-5):
@@ -160,3 +169,111 @@ def test_grad_accumulation_matches_fanout():
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tensor(np.zeros((2, 2))).backward()
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((2, 3, 4), (4,)), ((4,), (2, 4, 3)), ((4,), (4,)), ((3, 4), (4,)), ((4,), (4, 3))],
+)
+def test_matmul_1d_operands(shapes):
+    rng = np.random.default_rng(1)
+    a, b = (rng.normal(size=s) for s in shapes)
+    check(lambda x, y: (x @ y).tanh().sum(), [a, b])
+
+
+def test_gradient_buffers_never_alias():
+    rng = np.random.default_rng(2)
+    a, b = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
+    (a + b).sum().backward()
+    assert a.grad is not b.grad
+    before = b.grad.copy()
+    a.grad *= 2.0
+    assert np.array_equal(b.grad, before)
+
+    # every pass-through op: add, sub, reshape, transpose, sum, concat, getitem
+    x, y = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3)))
+    s = x + y
+    d = s - y
+    r = d.reshape(3, 2).transpose((1, 0))
+    c = concat([r, s], axis=1)
+    total = (c[:, 1:].sum(axis=0) + c.sum()).sum()
+    total.backward()
+    nodes = [x, y, s, d, r, c, total]
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            assert not np.shares_memory(u.grad, v.grad)
+
+
+def test_backward_resets_grads_between_calls():
+    x = Tensor(np.arange(3.0))
+    loss = (x * 2.0).sum()
+    loss.backward()
+    loss.backward()
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+# ------------------------------------------------------------------ properties
+
+
+def _arrays(seed, *shapes, away_from_zero=False):
+    rng = np.random.default_rng(seed)
+    out = [rng.normal(size=s) for s in shapes]
+    if away_from_zero:  # the last array is a divisor
+        out[-1] = np.asarray(np.sign(out[-1]) * (np.abs(out[-1]) + 0.5))  # 0-d stays an array
+    return out
+
+
+def _weighted_sum(out_shape, seed):
+    """A loss that weights every output element differently, so no gradient is degenerate."""
+    w = np.random.default_rng(seed + 1).normal(size=out_shape)
+    return lambda t: (t * w).sum()
+
+
+@PROPERTY
+@given(
+    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+    op=st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_elementwise_gradients_property(shapes, op, seed):
+    a, b = _arrays(seed, *shapes.input_shapes, away_from_zero=True)
+    loss = _weighted_sum(shapes.result_shape, seed)
+    check(lambda x, y: loss(op(x, y)), [a, b], tol=PROPERTY_TOL)
+
+
+@st.composite
+def _matmul_shapes(draw):
+    """Operand shapes for a @ b: batched, 2-D, and 1-D on either side or both."""
+    m, d, n = (draw(st.integers(1, 3)) for _ in range(3))
+    batch = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3))
+    left, right = draw(st.sampled_from([(2, 2), (1, 2), (2, 1), (1, 1)]))
+    a = (d,) if left == 1 else batch.input_shapes[0] + (m, d)
+    b = (d,) if right == 1 else batch.input_shapes[1] + (d, n)
+    return a, b
+
+
+@PROPERTY
+@given(shapes=_matmul_shapes(), seed=st.integers(0, 2**32 - 1))
+def test_matmul_gradients_property(shapes, seed):
+    a, b = _arrays(seed, *shapes)
+    loss = _weighted_sum(np.matmul(a, b).shape, seed)
+    check(lambda x, y: loss(x @ y), [a, b], tol=PROPERTY_TOL)
+
+
+@st.composite
+def _indexed(draw, fancy: bool):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+    if fancy:  # integer arrays, repeats included
+        idx = draw(hnp.integer_array_indices(shape, result_shape=hnp.array_shapes(max_dims=2)))
+    else:
+        idx = draw(hnp.basic_indices(shape, allow_newaxis=True))
+    return shape, idx
+
+
+@PROPERTY
+@given(case=st.one_of(_indexed(False), _indexed(True)), seed=st.integers(0, 2**32 - 1))
+def test_getitem_gradients_property(case, seed):
+    shape, idx = case
+    (a,) = _arrays(seed, shape)
+    loss = _weighted_sum(a[idx].shape, seed)
+    check(lambda x: loss(x[idx]), [a], tol=PROPERTY_TOL)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from _synth import make_learnable_windows, make_sample
+from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
 from forewarn.forecasters import ForecasterSpec, init_params, stack_windows
 from forewarn.training import (
     TrainConfig,
     TrainingDivergedError,
     TuneResult,
+    _eval_loss,
     adam_step,
     clip_global_norm,
     fit,
@@ -198,6 +200,26 @@ def test_gradients_match_central_differences(family):
         _gradcheck(spec, params, batch, QS, rng)
 
 
+@pytest.mark.parametrize("family", sorted(TINY_HYPERS) + ["ar_rnn/lstm"])
+def test_validation_loss_on_arrays_equals_tape_loss(family, monkeypatch):
+    family, _, cell = family.partition("/")
+    hyper = dict(TINY_HYPERS[family], **({"cell": cell} if cell else {}))
+    spec = ForecasterSpec(family, hyper)
+    params = init_params(spec, WC, len(QS), 2, 3, seed=4)
+    batch = tiny_batch(np.random.default_rng(11), n=9)
+    tape_loss, _ = loss_and_grads(spec, params, batch, QS, train=False)
+    made = []
+    original_init = Tensor.__init__
+    monkeypatch.setattr(
+        Tensor, "__init__", lambda t, *a, **k: made.append(1) or original_init(t, *a, **k)
+    )
+    array_loss, grads = loss_and_grads(spec, params, batch, QS, train=False, compute_grads=False)
+    assert grads == {} and made == []  # validation builds no tape
+    assert array_loss == tape_loss  # the same bits
+    assert _eval_loss(spec, params, batch, QS) == tape_loss * 9 / 9
+    assert made == []
+
+
 # ------------------------------------------------------------------ fit
 
 
@@ -219,6 +241,19 @@ def test_fit_is_deterministic_to_the_byte():
     for name in a.params:
         assert a.params[name].tobytes() == b.params[name].tobytes()
     assert a.training_log == b.training_log
+
+
+@pytest.mark.parametrize("family", ["seq2seq", "ar_rnn"])
+def test_fit_logs_gradient_norms_per_epoch(family):
+    train, val = make_split_windows(seed=8)
+    cfg = TrainConfig(epochs=4, batch_size=16, clip_norm=0.5, patience=1, seed=2)
+    log = fit(ForecasterSpec(family, TINY_HYPERS[family]), train, val, cfg, grid=QS).training_log
+    for key in ("grad_norm_median", "grad_norm_max", "clip_fraction"):
+        assert len(log[key]) == log["stopped_epoch"], key
+    assert all(0.0 <= f <= 1.0 for f in log["clip_fraction"])
+    assert all(hi >= med > 0.0 for hi, med in zip(log["grad_norm_max"], log["grad_norm_median"]))
+    assert all((hi > cfg.clip_norm) == (f > 0.0)
+               for hi, f in zip(log["grad_norm_max"], log["clip_fraction"]))
 
 
 def test_fit_restores_best_epoch_parameters():
