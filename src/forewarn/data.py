@@ -183,6 +183,14 @@ class NormStats:
 
     channels: dict[str, tuple[float, float]]
 
+    def __post_init__(self) -> None:
+        for name, (mean, std) in self.channels.items():
+            if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
+                raise DatasetError(
+                    f"channel {name!r}: normalization (mean, std) must be finite "
+                    f"with std > 0, got ({mean}, {std})"
+                )
+
     def apply(self, x, channel: str):
         mean, std = self._get(channel)
         return (np.asarray(x, dtype=np.float64) - mean) / std

@@ -27,7 +27,13 @@ import numpy as np
 
 from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample, derived_seed
 from .data import NormStats, build_split, fit_norm, windows_for_phase
-from .forecasters import ForecasterSpec, TrainedForecaster, predict_quantiles, predict_quantiles_batch
+from .forecasters import (
+    SAMPLING_FAMILIES,
+    ForecasterSpec,
+    TrainedForecaster,
+    predict_quantiles,
+    predict_quantiles_batch,
+)
 from .training import TrainConfig, TrainingDivergedError, fit
 
 __all__ = [
@@ -458,7 +464,7 @@ def bench(
         peak_bytes, source = int(peak), "tracemalloc"
     except Exception:  # pragma: no cover - tracemalloc is stdlib, belt and braces
         k, h, nq = model.wc.k, model.wc.h, len(model.grid)
-        paths = n_paths if model.spec.family == "ar_rnn" else 1
+        paths = n_paths if model.spec.family in SAMPLING_FAMILIES else 1
         peak_bytes = model.parameter_bytes + 8 * paths * (k + h) * max(nq, 8) * 4
         source = "analytic"
     ms = times * 1e3

@@ -46,6 +46,7 @@ from .data import NormStats
 __all__ = [
     "FAMILIES",
     "NEURAL_FAMILIES",
+    "SAMPLING_FAMILIES",
     "ForecasterSpec",
     "TrainedForecaster",
     "init_params",
@@ -55,12 +56,14 @@ __all__ = [
     "sample_paths",
     "predict_quantiles",
     "predict_quantiles_batch",
+    "predict_stacked",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 FAMILIES = ("persistence", "seq2seq", "convseq2seq", "ar_rnn", "attn_seq2seq")
 NEURAL_FAMILIES = FAMILIES[1:]
+SAMPLING_FAMILIES = ("ar_rnn",)  # forecast by Monte-Carlo decoding, so they need an mc_seed
 
 SIGMA_FLOOR = 1e-6
 _CHUNK_ROWS = 200_000  # ar_rnn Monte-Carlo rows (windows x paths) decoded at once
@@ -525,17 +528,31 @@ def predict_quantiles_batch(
     """Original-scale forecasts for many samples at once: (N, h, |Q|), rows sorted."""
     for s in samples:
         _check_sample(model, s)
-    batch = stack_windows(samples)
+    return predict_stacked(model, stack_windows(samples), mc_seed=mc_seed, n_paths=n_paths)
+
+
+def predict_stacked(
+    model: TrainedForecaster,
+    batch: dict[str, np.ndarray],
+    mc_seed: int | None = None,
+    n_paths: int = 100,
+) -> np.ndarray:
+    """predict_quantiles_batch on stack_windows-shaped arrays already fit to the model.
+
+    The caller vouches for what _check_sample and WindowSample would check:
+    shapes that match the model, finite normalized inputs, finite denorm
+    with std > 0.
+    """
     h, qs = model.wc.h, np.array(model.grid.qs)
-    n = len(samples)
+    n = batch["past_target"].shape[0]
     fam = model.spec.family
     if fam == "persistence":
         last = batch["past_target"][:, -1]
         normalized = np.repeat(last[:, None, None], h, axis=1)
         normalized = np.repeat(normalized, len(qs), axis=2)
-    elif fam == "ar_rnn":
+    elif fam in SAMPLING_FAMILIES:
         if mc_seed is None:
-            raise ValidationError("ar_rnn prediction requires an explicit mc_seed")
+            raise ValidationError(f"{fam} prediction requires an explicit mc_seed")
         if n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
         rng = np.random.default_rng(mc_seed)

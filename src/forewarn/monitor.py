@@ -7,15 +7,21 @@ of the configured decision quantile's horizon (>= 0 anywhere means violation
 predicted), and raises an Alarm when `hysteresis` consecutive decisions are
 positive.
 
-Buffers are preallocated at construction; a push allocates only the fixed-size
-window handed to the forecaster, never anything proportional to stream length.
+Everything a push reuses is built at construction: a doubled raw ring buffer
+of shape (2k, 1 + D_o) holding [metric, learned-component outputs] rows, the
+normalization means and stds as two rows, and the forecaster's batch dict
+(scenario, future stub, denorm). A push writes its row twice, so the lookback
+is one contiguous slice; it then allocates only the normalized (k, 1 + D_o)
+window, the forecaster's fixed-size arrays for one window (for ar_rnn, its
+n_paths sample paths) and the QuantileForecast, never anything proportional
+to stream length. Only families that sample draw a Monte-Carlo seed.
 The monitor consumes measured safety-metric values for its lookback; it never
 feeds its own forecasts back in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,12 +31,12 @@ from .core import (
     QuantileForecast,
     Scenario,
     ValidationError,
-    WindowSample,
     derived_seed,
     first_violation_index,
     violation_sign,
 )
-from .forecasters import TrainedForecaster, predict_quantiles
+# predict_quantiles is not called here; benchmarks/tracing.py wraps monitor.predict_quantiles
+from .forecasters import SAMPLING_FAMILIES, TrainedForecaster, predict_quantiles, predict_stacked
 
 __all__ = ["MonitorConfig", "Alarm", "SafetyMonitor", "replay"]
 
@@ -75,16 +81,22 @@ class SafetyMonitor:
             raise ValidationError(
                 f"scenario has {len(scenario.dims)} dims, model expects {model.n_static}"
             )
-        # fail at construction, not mid-stream, if the stats are incomplete
-        self._target_denorm = model.norm._get(model.target)
-        self._cov_stats = [model.norm._get(name) for name in model.lc_names]
+        # fail at construction, not mid-stream, if the stats are incomplete;
+        # NormStats has already checked them finite with std > 0
+        stats = np.array([model.norm._get(c) for c in (model.target, *model.lc_names)])
+        self._mean, self._std = stats.T.copy()
         self.cfg = cfg
         self.scenario = scenario
         k = model.wc.k
         self._k = k
-        self._lc_buf = np.zeros((k, len(model.lc_names)))
-        self._y_buf = np.zeros(k)
-        self._future_stub = np.zeros(model.wc.h)
+        # row t is written at t % k and t % k + k, so the newest k rows are one slice
+        self._ring = np.zeros((2 * k, len(stats)))
+        self._batch = {
+            "static": scenario.unit_values()[None, :],
+            "future_target": np.zeros((1, model.wc.h)),
+            "denorm": stats[:1],
+        }
+        self._samples = model.spec.family in SAMPLING_FAMILIES
         self._count = 0
         self._streak = 0
         self.last_decision: Optional[int] = None
@@ -103,19 +115,20 @@ class SafetyMonitor:
         yields exactly T - k decisions.
         """
         lc = np.asarray(lc_row, dtype=np.float64)
-        if lc.shape != (self._lc_buf.shape[1],):
-            raise ValidationError(
-                f"observation has shape {lc.shape}, expected ({self._lc_buf.shape[1]},)"
-            )
+        n_cov = self._ring.shape[1] - 1
+        if lc.shape != (n_cov,):
+            raise ValidationError(f"observation has shape {lc.shape}, expected ({n_cov},)")
         y = float(metric_value)
-        if not (np.all(np.isfinite(lc)) and np.isfinite(y)):
+        if not (np.isfinite(lc).all() and np.isfinite(y)):
             raise ValidationError("observation contains non-finite values")
 
         k = self._k
-        pos = self._count % k
-        self._lc_buf[pos] = lc
-        self._y_buf[pos] = y
         t = self._count
+        pos = t % k
+        row = self._ring[pos]
+        row[0] = y
+        row[1:] = lc
+        self._ring[pos + k] = row
         self._count += 1
 
         if t < k:
@@ -123,32 +136,23 @@ class SafetyMonitor:
             self.last_forecast = None
             return None
 
-        # chronological order: the slot just written is the newest
-        order = np.roll(np.arange(k), -(pos + 1))
-        mean, std = self._target_denorm
-        past_target = (self._y_buf[order] - mean) / std
-        past_cov = np.empty_like(self._lc_buf)
-        raw_cov = self._lc_buf[order]
-        for j, (m_j, s_j) in enumerate(self._cov_stats):
-            past_cov[:, j] = (raw_cov[:, j] - m_j) / s_j
-        sample = WindowSample(
-            scenario=self.scenario,
-            past_target=past_target,
-            past_covariates=past_cov,
-            future_target=self._future_stub,
-            denorm=(mean, std),
-            origin_t=t,
-        )
-        forecast = predict_quantiles(
-            self.cfg.model, sample, mc_seed=derived_seed(self.cfg.seed, t), n_paths=self.cfg.n_paths
-        )
-        column = forecast.column(self.cfg.decision_quantile)
+        window = (self._ring[pos + 1 : pos + 1 + k] - self._mean) / self._std
+        if not np.isfinite(window).all():
+            raise ValidationError("normalized lookback contains non-finite values")
+        batch = self._batch
+        batch["past_target"] = window[None, :, 0]
+        batch["past_cov"] = window[None, :, 1:]
+        cfg = self.cfg
+        mc_seed = derived_seed(cfg.seed, t) if self._samples else None
+        values = predict_stacked(cfg.model, batch, mc_seed=mc_seed, n_paths=cfg.n_paths)
+        forecast = QuantileForecast(values[0], cfg.model.grid, origin_t=t)
+        column = forecast.column(cfg.decision_quantile)
         decision = violation_sign(column)
         self._streak = self._streak + 1 if decision == 1 else 0
         self.last_decision = decision
         self.last_forecast = forecast
         alarm = None
-        if decision == 1 and self._streak >= self.cfg.hysteresis:
+        if decision == 1 and self._streak >= cfg.hysteresis:
             alarm = Alarm(
                 origin_t=t,
                 time_to_violation=first_violation_index(column),

@@ -373,6 +373,12 @@ MALFORMED_CHECKPOINTS = {
     "wrong_shape": _edit_model(lambda m: m.params.update({"head.W": m.params["head.W"][:, 1:]})),
     "norm_without_channel": _edit_model(lambda m: m.norm.channels.pop(m.lc_names[0])),
     "norm_without_target": _edit_model(lambda m: m.norm.channels.pop(m.target)),
+    "target_std_negative": _edit_model(lambda m: m.norm.channels.update({m.target: (0.0, -1.0)})),
+    "target_std_zero": _edit_model(lambda m: m.norm.channels.update({m.target: (0.0, 0.0)})),
+    "target_mean_nan": _edit_model(lambda m: m.norm.channels.update({m.target: (np.nan, 1.0)})),
+    "channel_std_negative": _edit_model(
+        lambda m: m.norm.channels.update({m.lc_names[0]: (0.0, -1.0)})
+    ),
 }
 
 

@@ -1,14 +1,32 @@
 """Streaming monitor: warm-up, decisions, hysteresis, alarms, replay."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _synth import make_episode, make_model
-from forewarn.core import ValidationError, WindowConfig, violation_sign
-from forewarn.data import DatasetError, NormStats
+from forewarn import core, forecasters, monitor as monitor_module
+from forewarn.core import ValidationError, WindowConfig, derived_seed, violation_sign
+from forewarn.data import DatasetError, NormStats, make_windows
+from forewarn.forecasters import SAMPLING_FAMILIES, predict_quantiles
 from forewarn.monitor import Alarm, MonitorConfig, SafetyMonitor, replay
 
 WC = WindowConfig(h=2, cm=2)  # k = 4
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+SMALL_HYPERS = {
+    "persistence": {},
+    "seq2seq": {"decoder_layers": 1, "neurons": 20},
+    "convseq2seq": {"decoder_layers": 1, "neurons": 20, "channels": 20},
+    "ar_rnn": {"cell": "gru", "nodes": 40, "dropout": 0.1},
+    "attn_seq2seq": {"state": 40, "heads": 4, "dropout": 0.1},
+}
+# non-identity stats, so the monitor's normalization is exercised
+SKEWED_NORM = NormStats({"m": (0.3, 1.7), "c0": (-0.2, 0.9), "c1": (1.1, 2.3)})
 
 
 def persistence_cfg(**kw):
@@ -192,3 +210,95 @@ def test_replay_rejects_mismatched_channels():
     ep = make_episode(rng, n_cov=3)
     with pytest.raises(ValidationError, match="channels"):
         replay(ep, persistence_cfg())
+
+
+@pytest.mark.parametrize("family", SMALL_HYPERS)
+def test_push_forecasts_equal_predict_quantiles_on_make_windows(family):
+    model = make_model(family, wc=WC, norm=SKEWED_NORM, **SMALL_HYPERS[family])
+    cfg = MonitorConfig(model, decision_quantile=0.5, seed=9, n_paths=30)
+    ep = make_episode(np.random.default_rng(18), t_len=30)
+    windows = {
+        w.origin_t: w for w in make_windows(ep, (0, ep.length), WC, SKEWED_NORM, target="m")
+    }
+    monitor = SafetyMonitor(cfg, ep.scenario)
+    y = ep.metric("m")
+    compared = 0
+    for t in range(ep.length):
+        monitor.push(ep.lc_outputs[t], y[t])
+        if t not in windows or monitor.last_forecast is None:
+            continue
+        if family in SAMPLING_FAMILIES:
+            want = predict_quantiles(
+                model, windows[t], mc_seed=derived_seed(cfg.seed, t), n_paths=cfg.n_paths
+            )
+        else:
+            want = predict_quantiles(model, windows[t])
+        assert monitor.last_forecast.origin_t == t
+        assert np.array_equal(monitor.last_forecast.values, want.values)
+        compared += 1
+    assert compared == ep.length - WC.total  # origins k..T-1-h
+
+
+@pytest.mark.parametrize("family, bound", [("persistence", None), ("seq2seq", 1e6)])
+@PROPERTY
+@given(data=st.data())
+def test_any_finite_stream_yields_t_minus_k_decisions(family, bound, data):
+    # persistence forecasts stay finite for any finite input; a neural
+    # forward can overflow, so its inputs keep a physical magnitude
+    elements = st.floats(
+        min_value=-bound if bound else None,
+        max_value=bound,
+        allow_nan=False,
+        allow_infinity=False,
+    )
+    shape = st.tuples(st.integers(0, 12), st.just(3))  # rows of [metric, c0, c1]
+    stream = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+    monitor = SafetyMonitor(
+        MonitorConfig(make_model(family, wc=WC, **SMALL_HYPERS[family])),
+        make_episode(np.random.default_rng(19)).scenario,
+    )
+    decisions = 0
+    for t, row in enumerate(stream):
+        monitor.push(row[1:], row[0])
+        assert (monitor.last_decision is None) == (t < WC.k)
+        decisions += monitor.last_decision is not None
+    assert decisions == max(len(stream) - WC.k, 0)
+
+
+@pytest.mark.parametrize("family", SMALL_HYPERS)
+def test_push_builds_no_window_sample_or_stacked_batch(family, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("called on the monitor's hot path")
+
+    monkeypatch.setattr(core.WindowSample, "__post_init__", boom)
+    monkeypatch.setattr(forecasters, "stack_windows", boom)
+    if family not in SAMPLING_FAMILIES:
+        monkeypatch.setattr(monitor_module, "derived_seed", boom)
+    model = make_model(family, wc=WC, **SMALL_HYPERS[family])
+    ep = make_episode(np.random.default_rng(20), t_len=12)
+    assert len(replay(ep, MonitorConfig(model, n_paths=10))) == 12 - WC.k
+
+
+@pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
+def test_memory_held_is_bounded_in_stream_length(family):
+    model = make_model(family, wc=WC, **SMALL_HYPERS[family])
+    ep = make_episode(np.random.default_rng(21), t_len=2000)
+    y = ep.metric("m")
+
+    def held_after(pushes):
+        """Traced bytes released by dropping a monitor fed `pushes` observations."""
+        monitor = SafetyMonitor(MonitorConfig(model, n_paths=10), ep.scenario)
+        for t in range(pushes):
+            monitor.push(ep.lc_outputs[t], y[t])
+        gc.collect()
+        with_monitor = tracemalloc.get_traced_memory()[0]
+        del monitor
+        gc.collect()
+        return with_monitor - tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        short, long = held_after(50), held_after(ep.length)
+    finally:
+        tracemalloc.stop()
+    assert 0 < long <= short + 2048
