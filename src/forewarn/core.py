@@ -12,7 +12,7 @@ speaks in these types. Two conventions hold package-wide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "DEFAULT_QUANTILES",
     "QuantileForecast",
     "WindowSample",
+    "WindowBatch",
     "derived_seed",
     "safety_metric_fn",
     "violation_sign",
@@ -352,6 +353,79 @@ class WindowSample:
     def future_target_original(self) -> np.ndarray:
         mean, std = self.denorm
         return self.future_target * std + mean
+
+
+@dataclass(frozen=True, eq=False)
+class WindowBatch:
+    """N windows as columns: the arrays the forward passes take, plus provenance.
+
+    ``static`` (N, S) holds the scenario unit values, ``past_target`` (N, k),
+    ``past_cov`` (N, k, D_o) and ``future_target`` (N, h) the normalized
+    series of WindowSample, ``denorm`` (N, 2) one (mean, std) row per window.
+    ``episode_ids`` and ``origin_t`` (N,) say where each window was cut, and
+    ``scenarios`` maps every episode id to its Scenario. The batch is checked
+    once, as a whole: the arrays agree on N and k, every float is finite and
+    every std is > 0. ``batch[i]`` is window i as a WindowSample;
+    ``batch[a:b:c]`` is a WindowBatch.
+    """
+
+    static: np.ndarray
+    past_target: np.ndarray
+    past_cov: np.ndarray
+    future_target: np.ndarray
+    denorm: np.ndarray
+    episode_ids: np.ndarray
+    origin_t: np.ndarray
+    scenarios: dict[str, Scenario] = field(repr=False)
+
+    COLUMNS = ("static", "past_target", "past_cov", "future_target", "denorm")
+
+    def __post_init__(self) -> None:
+        for name, ndim in zip(self.COLUMNS, (2, 2, 3, 2, 2)):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), name, ndim))
+        n, k = self.past_target.shape
+        for name, got, want in (
+            ("static rows", self.static.shape[:1], (n,)),
+            ("past_cov (N, k)", self.past_cov.shape[:2], (n, k)),
+            ("future_target rows", self.future_target.shape[:1], (n,)),
+            ("denorm", self.denorm.shape, (n, 2)),
+            ("episode_ids", np.shape(self.episode_ids), (n,)),
+            ("origin_t", np.shape(self.origin_t), (n,)),
+        ):
+            if got != want:
+                raise ValidationError(
+                    f"window batch columns disagree: {name} is {got}, "
+                    f"past_target {(n, k)} needs {want}"
+                )
+        if not np.all(self.denorm[:, 1] > 0):
+            raise ValidationError("denorm std must be > 0 in every window")
+
+    def __len__(self) -> int:
+        return self.past_target.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return WindowBatch(
+                *(getattr(self, f.name)[index] for f in fields(self) if f.name != "scenarios"),
+                scenarios=self.scenarios,
+            )
+        episode_id = str(self.episode_ids[index])
+        return WindowSample(
+            scenario=self.scenarios[episode_id],
+            past_target=self.past_target[index],
+            past_covariates=self.past_cov[index],
+            future_target=self.future_target[index],
+            denorm=tuple(self.denorm[index]),
+            episode_id=episode_id,
+            origin_t=int(self.origin_t[index]),
+        )
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The five forward arrays, by the names the forward passes read."""
+        return {name: getattr(self, name) for name in self.COLUMNS}
 
 
 def derived_seed(*key: int) -> int:

@@ -8,8 +8,10 @@ bytes (dataset hashes are stable).
 Splits are time-based per episode: the first 70% of steps train, the next 10%
 validate, the rest test (floors, remainder to test). Window extraction is
 rolling-origin: a sample's lookback may reach backward across a split
-boundary, its targets may not leave the segment. Normalization statistics are
-fit on training segments only.
+boundary, its targets may not leave the segment. Windows come as one
+columnar WindowBatch per episode or phase, cut as strided views of each
+episode's normalized series and copied once into the batch's arrays.
+Normalization statistics are fit on training segments only.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .core import (
     Scenario,
     ScenarioDim,
     ValidationError,
+    WindowBatch,
     WindowConfig,
-    WindowSample,
 )
 
 __all__ = [
@@ -286,19 +288,17 @@ def build_split(
 # --------------------------------------------------------------- windows
 
 
-def make_windows(
+def _cut(
     episode: Episode,
     segment: tuple[int, int],
     wc: WindowConfig,
     norm: NormStats,
-    target: str | None = None,
-    stride: int = 1,
-) -> list[WindowSample]:
-    """Rolling-origin samples whose h targets lie inside the segment.
+    target: str | None,
+    stride: int,
+) -> dict:
+    """One episode's window origins, target (mean, std) and per-window columns.
 
-    The k-step lookback ends at the origin and may reach backward past the
-    segment start (earlier observations are legitimately in the past), but
-    never before the episode start. Returns [] when the segment is too short.
+    The columns are strided views into the episode's normalized series.
     """
     if stride < 1:
         raise DatasetError(f"stride must be >= 1, got {stride}")
@@ -308,28 +308,52 @@ def make_windows(
     if target is None:
         target = episode.metric_names[0]
     k, h = wc.k, wc.h
-    metric = episode.metric(target)
     mean, std = norm._get(target)
-    metric_n = (metric - mean) / std
-    cov_n = np.column_stack(
-        [norm.apply(episode.lc_outputs[:, j], name) for j, name in enumerate(episode.lc_names)]
+    metric_n = (episode.metric(target) - mean) / std
+    cov_mean, cov_std = np.array([norm._get(name) for name in episode.lc_names]).T
+    cov_n = (episode.lc_outputs - cov_mean) / cov_std
+    origins = np.arange(max(s0 - 1, k - 1), s1 - h, stride)
+    cut = {"origin_t": origins, "denorm": (mean, std)}
+    if not origins.size:
+        return {**cut, "past_target": np.empty((0, k)),
+                "past_cov": np.empty((0, k, cov_n.shape[1])), "future_target": np.empty((0, h))}
+    # window i starts at origins[i] - k + 1: its lookback, then its horizon
+    rows = slice(origins[0] - k + 1, origins[-1] - k + 2, stride)
+    spans = np.lib.stride_tricks.sliding_window_view(metric_n, k + h)[rows]
+    cov = np.lib.stride_tricks.sliding_window_view(cov_n, k, axis=0)[rows]
+    return {**cut, "past_target": spans[:, :k], "past_cov": cov.transpose(0, 2, 1),
+            "future_target": spans[:, k:]}
+
+
+def _batch(episodes: Sequence[Episode], cuts: list[dict]) -> WindowBatch:
+    """Concatenate the episodes' cuts, in order, into one WindowBatch."""
+    counts = [c["origin_t"].size for c in cuts]
+    return WindowBatch(
+        static=np.repeat([ep.scenario.unit_values() for ep in episodes], counts, axis=0),
+        **{name: np.concatenate([c[name] for c in cuts])
+           for name in ("past_target", "past_cov", "future_target", "origin_t")},
+        denorm=np.repeat([c["denorm"] for c in cuts], counts, axis=0),
+        episode_ids=np.repeat([ep.id for ep in episodes], counts),
+        scenarios={ep.id: ep.scenario for ep in episodes},
     )
-    first = max(s0 - 1, k - 1)
-    last = s1 - 1 - h
-    samples = []
-    for t in range(first, last + 1, stride):
-        samples.append(
-            WindowSample(
-                scenario=episode.scenario,
-                past_target=metric_n[t - k + 1 : t + 1],
-                past_covariates=cov_n[t - k + 1 : t + 1],
-                future_target=metric_n[t + 1 : t + 1 + h],
-                denorm=(mean, std),
-                episode_id=episode.id,
-                origin_t=t,
-            )
-        )
-    return samples
+
+
+def make_windows(
+    episode: Episode,
+    segment: tuple[int, int],
+    wc: WindowConfig,
+    norm: NormStats,
+    target: str | None = None,
+    stride: int = 1,
+) -> WindowBatch:
+    """Rolling-origin windows whose h targets lie inside the segment.
+
+    The k-step lookback ends at the origin and may reach backward past the
+    segment start (earlier observations are legitimately in the past), but
+    never before the episode start. The batch is empty when the segment is
+    too short.
+    """
+    return _batch([episode], [_cut(episode, segment, wc, norm, target, stride)])
 
 
 def windows_for_phase(
@@ -340,16 +364,20 @@ def windows_for_phase(
     phase: str,
     target: str | None = None,
     stride: int = 1,
-) -> list[WindowSample]:
-    """Pool windows of one phase across episodes; warn when an episode yields none."""
-    out = []
+) -> WindowBatch:
+    """One phase's windows of every episode, in episode order, as one WindowBatch.
+
+    Warns for each episode that yields none.
+    """
+    if not episodes:
+        raise DatasetError("no episodes to cut windows from")
+    cuts = []
     for ep in episodes:
         seg = split.by_episode[ep.id].segment(phase)
-        samples = make_windows(ep, seg, wc, norm, target=target, stride=stride)
-        if not samples:
+        cuts.append(_cut(ep, seg, wc, norm, target, stride))
+        if not cuts[-1]["origin_t"].size:
             logger.warning(
                 "episode %s: %s segment %s too short for windows (k=%d, h=%d); excluded",
                 ep.id, phase, seg, wc.k, wc.h,
             )
-        out.extend(samples)
-    return out
+    return _batch(episodes, cuts)

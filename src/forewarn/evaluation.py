@@ -25,14 +25,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample, derived_seed
+from .core import (
+    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, derived_seed,
+)
 from .data import NormStats, build_split, fit_norm, windows_for_phase
 from .forecasters import (
-    SAMPLING_FAMILIES,
     ForecasterSpec,
     TrainedForecaster,
+    future_target_original,
     predict_quantiles,
     predict_quantiles_batch,
+    stack_windows,
 )
 from .training import TrainConfig, TrainingDivergedError, fit
 
@@ -231,12 +234,12 @@ class ModelEval:
     per_q: dict[float, dict]
     decisions: np.ndarray  # (N, |Q|) in {-1, +1}
     truths: np.ndarray  # (N,) in {-1, +1}
-    episode_ids: tuple[str, ...]
+    episode_ids: np.ndarray  # (N,) str, the episode each window was cut from
 
 
 def evaluate_model(
     model: TrainedForecaster,
-    test_windows: Sequence[WindowSample],
+    test_windows: WindowBatch | Sequence[WindowSample],
     mc_seed: int | None = None,
     n_paths: int = 100,
 ) -> ModelEval:
@@ -244,7 +247,7 @@ def evaluate_model(
     if not test_windows:
         raise ValidationError("evaluate_model needs test windows")
     preds = predict_quantiles_batch(model, test_windows, mc_seed=mc_seed, n_paths=n_paths)
-    y_true = np.stack([s.future_target_original() for s in test_windows])
+    y_true = future_target_original(stack_windows(test_windows))
     truths = np.where(y_true.max(axis=1) >= 0.0, 1, -1)
     decisions = np.where(preds.max(axis=1) >= 0.0, 1, -1)  # (N, |Q|)
     per_q: dict[float, dict] = {}
@@ -262,7 +265,10 @@ def evaluate_model(
         per_q=per_q,
         decisions=decisions,
         truths=truths,
-        episode_ids=tuple(s.episode_id for s in test_windows),
+        episode_ids=(
+            test_windows.episode_ids if isinstance(test_windows, WindowBatch)
+            else np.array([s.episode_id for s in test_windows])
+        ),
     )
 
 
@@ -297,9 +303,9 @@ class EvalReport:
 def evaluate(
     spec: ForecasterSpec,
     base_cfg: TrainConfig,
-    train_windows: Sequence[WindowSample],
-    val_windows: Sequence[WindowSample],
-    test_windows: Sequence[WindowSample],
+    train_windows: WindowBatch | Sequence[WindowSample],
+    val_windows: WindowBatch | Sequence[WindowSample],
+    test_windows: WindowBatch | Sequence[WindowSample],
     repetitions: int = 30,
     grid: QuantileGrid = QuantileGrid(),
     norm: NormStats | None = None,
@@ -325,7 +331,6 @@ def evaluate(
         model_evals.append(
             evaluate_model(model, test_windows, mc_seed=derived_seed(seed, 7), n_paths=n_paths)
         )
-    wc = WindowConfig(h=test_windows[0].h, cm=test_windows[0].k // test_windows[0].h)
     per_q: dict[float, dict[str, MetricSummary]] = {}
     for q in grid.qs:
         per_q[q] = {
@@ -334,8 +339,8 @@ def evaluate(
         }
     return EvalReport(
         family=spec.family,
-        h=wc.h,
-        cm=wc.cm,
+        h=model.wc.h,
+        cm=model.wc.cm,
         repetitions=repetitions,
         quantiles=grid.qs,
         per_q=per_q,
@@ -452,21 +457,14 @@ def bench(
         t0 = time.perf_counter()
         call()
         times[i] = time.perf_counter() - t0
-    try:
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-        if not was_tracing:
-            tracemalloc.stop()
-        peak_bytes, source = int(peak), "tracemalloc"
-    except Exception:  # pragma: no cover - tracemalloc is stdlib, belt and braces
-        k, h, nq = model.wc.k, model.wc.h, len(model.grid)
-        paths = n_paths if model.spec.family in SAMPLING_FAMILIES else 1
-        peak_bytes = model.parameter_bytes + 8 * paths * (k + h) * max(nq, 8) * 4
-        source = "analytic"
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    call()
+    _, peak = tracemalloc.get_traced_memory()
+    if not was_tracing:
+        tracemalloc.stop()
     ms = times * 1e3
     return BenchReport(
         family=model.spec.family,
@@ -478,8 +476,8 @@ def bench(
         p99_ms=float(np.percentile(ms, 99)),
         parameter_count=model.parameter_count,
         parameter_bytes=model.parameter_bytes,
-        peak_alloc_bytes=peak_bytes,
-        peak_alloc_source=source,
+        peak_alloc_bytes=int(peak),
+        peak_alloc_source="tracemalloc",
     )
 
 

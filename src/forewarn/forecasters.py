@@ -1,7 +1,8 @@
 """The forecaster families and their prediction/serialization contracts.
 
-Five families share one interface (train on WindowSamples, emit original-scale
-quantile forecasts):
+Five families share one interface (train on a WindowBatch or a list of
+WindowSamples, stacked once into the forward arrays by stack_windows; emit
+original-scale quantile forecasts):
 
 * ``persistence``   last observed value, copied to every (lead, quantile) cell
 * ``seq2seq``       MLP encoder over [static; flattened lookback] -> MLP
@@ -38,6 +39,7 @@ from .core import (
     QuantileForecast,
     QuantileGrid,
     ValidationError,
+    WindowBatch,
     WindowConfig,
     WindowSample,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "TrainedForecaster",
     "init_params",
     "stack_windows",
+    "future_target_original",
     "forward_quantiles",
     "forward_gaussian",
     "sample_paths",
@@ -161,17 +164,39 @@ class TrainedForecaster:
 # ----------------------------------------------------------------- helpers
 
 
-def stack_windows(samples: Sequence[WindowSample]) -> dict[str, np.ndarray]:
-    """Stack WindowSamples into batch arrays for the forward passes."""
-    if not samples:
+_SAMPLE_COLUMNS = (  # (column, what its shape carries, the WindowSample field)
+    ("static", "scenario dims", lambda s: s.scenario.unit_values()),
+    ("past_target", "lookback k", lambda s: s.past_target),
+    ("past_cov", "covariate channels", lambda s: s.past_covariates),
+    ("future_target", "horizon h", lambda s: s.future_target),
+)
+
+
+def stack_windows(windows: WindowBatch | Sequence[WindowSample]) -> dict[str, np.ndarray]:
+    """The batch arrays the forward passes take, from a WindowBatch or WindowSamples.
+
+    A WindowBatch hands over its columns unchanged. Samples are stacked; samples
+    that differ in k, h, covariate or scenario width raise a ValidationError.
+    """
+    if not len(windows):
         raise ValidationError("empty window batch")
-    return {
-        "static": np.stack([s.scenario.unit_values() for s in samples]),
-        "past_target": np.stack([s.past_target for s in samples]),
-        "past_cov": np.stack([s.past_covariates for s in samples]),
-        "future_target": np.stack([s.future_target for s in samples]),
-        "denorm": np.array([s.denorm for s in samples]),
-    }
+    if isinstance(windows, WindowBatch):
+        return windows.columns()
+    arrays = {}
+    for name, what, get in _SAMPLE_COLUMNS:
+        parts = [get(s) for s in windows]
+        try:
+            arrays[name] = np.stack(parts)
+        except ValueError:
+            shapes = sorted({p.shape for p in parts})
+            raise ValidationError(f"windows differ in {what}: shapes {shapes}") from None
+    arrays["denorm"] = np.array([s.denorm for s in windows])
+    return arrays
+
+
+def future_target_original(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """(N, h) future targets of stacked windows on the original scale."""
+    return arrays["future_target"] * arrays["denorm"][:, 1:] + arrays["denorm"][:, :1]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -482,20 +507,15 @@ def sample_paths(
 # ----------------------------------------------------------------- prediction
 
 
-def _check_sample(model: TrainedForecaster, sample: WindowSample) -> None:
-    if sample.k != model.wc.k:
-        raise ValidationError(f"sample lookback {sample.k} != model lookback {model.wc.k}")
-    if sample.h != model.wc.h:
-        raise ValidationError(f"sample horizon {sample.h} != model horizon {model.wc.h}")
-    if sample.past_covariates.shape[1] != len(model.lc_names):
-        raise ValidationError(
-            f"sample has {sample.past_covariates.shape[1]} covariate channels, "
-            f"model expects {len(model.lc_names)}"
-        )
-    if len(sample.scenario.dims) != model.n_static:
-        raise ValidationError(
-            f"sample has {len(sample.scenario.dims)} scenario dims, model expects {model.n_static}"
-        )
+def _check_fits(model: TrainedForecaster, arrays: dict[str, np.ndarray]) -> None:
+    for what, n, n_model in (
+        ("lookback", arrays["past_target"].shape[1], model.wc.k),
+        ("horizon", arrays["future_target"].shape[1], model.wc.h),
+        ("covariate channels", arrays["past_cov"].shape[2], len(model.lc_names)),
+        ("scenario dims", arrays["static"].shape[1], model.n_static),
+    ):
+        if n != n_model:
+            raise ValidationError(f"windows have {what} {n}, model expects {n_model}")
 
 
 def _path_quantiles(paths: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -521,14 +541,14 @@ def _path_quantiles(paths: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 def predict_quantiles_batch(
     model: TrainedForecaster,
-    samples: Sequence[WindowSample],
+    windows: WindowBatch | Sequence[WindowSample],
     mc_seed: int | None = None,
     n_paths: int = 100,
 ) -> np.ndarray:
-    """Original-scale forecasts for many samples at once: (N, h, |Q|), rows sorted."""
-    for s in samples:
-        _check_sample(model, s)
-    return predict_stacked(model, stack_windows(samples), mc_seed=mc_seed, n_paths=n_paths)
+    """Original-scale forecasts for many windows at once: (N, h, |Q|), rows sorted."""
+    arrays = stack_windows(windows)
+    _check_fits(model, arrays)
+    return predict_stacked(model, arrays, mc_seed=mc_seed, n_paths=n_paths)
 
 
 def predict_stacked(
@@ -539,7 +559,7 @@ def predict_stacked(
 ) -> np.ndarray:
     """predict_quantiles_batch on stack_windows-shaped arrays already fit to the model.
 
-    The caller vouches for what _check_sample and WindowSample would check:
+    The caller vouches for what _check_fits and WindowBatch would check:
     shapes that match the model, finite normalized inputs, finite denorm
     with std > 0.
     """
@@ -617,8 +637,8 @@ def load_checkpoint(path) -> TrainedForecaster:
 
     The header must parse and hold every key save_checkpoint writes, its
     tensor list must be exactly the names and shapes init_params gives the
-    stored family and sizes, and norm must cover the target and every
-    learned-component channel.
+    stored family and sizes, every tensor value must be finite, and norm must
+    cover the target and every learned-component channel.
     """
     with open(path, "rb") as f:
         magic = f.readline()
@@ -663,7 +683,10 @@ def load_checkpoint(path) -> TrainedForecaster:
             buf = f.read(want.nbytes)
             if len(buf) != want.nbytes:
                 raise ValidationError(f"checkpoint truncated at tensor {n_!r}")
-            model.params[n_] = np.frombuffer(buf, dtype="<f8").reshape(want.shape).copy()
+            tensor = np.frombuffer(buf, dtype="<f8").reshape(want.shape)
+            if not np.isfinite(tensor).all():
+                raise ValidationError(f"checkpoint tensor {n_!r} has non-finite values")
+            model.params[n_] = tensor.copy()
         if f.read(1):
             raise ValidationError("trailing bytes after checkpoint tensors")
     missing = [c for c in (model.target, *model.lc_names) if c not in model.norm.channels]

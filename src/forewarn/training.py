@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, log, mean, relu, square
-from .core import QuantileGrid, ValidationError, WindowConfig, WindowSample, derived_seed
+from .core import (
+    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, derived_seed,
+)
 from .data import NormStats
 from .forecasters import (
     ForecasterSpec,
@@ -180,8 +182,8 @@ def adam_step(
 # ----------------------------------------------------------------- fitting
 
 
-def _infer_window_config(samples: Sequence[WindowSample]) -> WindowConfig:
-    k, h = samples[0].k, samples[0].h
+def _infer_window_config(arrays: dict[str, np.ndarray]) -> WindowConfig:
+    k, h = arrays["past_target"].shape[1], arrays["future_target"].shape[1]
     if h < 1 or k < 1 or k % h != 0:
         raise ValidationError(f"windows with k={k}, h={h} do not fit a (h, cm) config")
     return WindowConfig(h=h, cm=k // h)
@@ -204,8 +206,8 @@ def _eval_loss(spec, params, arrays, grid) -> float:
 
 def fit(
     spec: ForecasterSpec,
-    train_windows: Sequence[WindowSample],
-    val_windows: Sequence[WindowSample],
+    train_windows: WindowBatch | Sequence[WindowSample],
+    val_windows: WindowBatch | Sequence[WindowSample],
     cfg: TrainConfig,
     grid: QuantileGrid = QuantileGrid(),
     norm: NormStats | None = None,
@@ -224,13 +226,15 @@ def fit(
     """
     if not train_windows or not val_windows:
         raise ValidationError("fit needs non-empty train and val window sets")
-    wc = _infer_window_config(train_windows)
-    n_cov = train_windows[0].past_covariates.shape[1]
-    n_static = len(train_windows[0].scenario.dims)
+    train_arrays = stack_windows(train_windows)
+    wc = _infer_window_config(train_arrays)
+    n_cov = train_arrays["past_cov"].shape[2]
+    n_static = train_arrays["static"].shape[1]
     if lc_names is None:
         lc_names = tuple(f"cov{j}" for j in range(n_cov))
     if norm is None:
-        norm = NormStats({**dict.fromkeys(lc_names, (0.0, 1.0)), target: train_windows[0].denorm})
+        denorm = tuple(train_arrays["denorm"][0].tolist())
+        norm = NormStats({**dict.fromkeys(lc_names, (0.0, 1.0)), target: denorm})
 
     if spec.family == "persistence":
         return TrainedForecaster(
@@ -239,7 +243,6 @@ def fit(
             training_log={"note": "persistence baseline needs no training", "seed": cfg.seed},
         )
 
-    train_arrays = stack_windows(train_windows)
     val_arrays = stack_windows(val_windows)
     params = init_params(
         spec, wc, len(grid), n_cov, n_static, seed=np.random.SeedSequence((cfg.seed, 1))
@@ -318,8 +321,8 @@ class TuneResult:
 def grid_tune(
     family: str,
     axes: dict[str, Sequence],
-    train_windows: Sequence[WindowSample],
-    val_windows: Sequence[WindowSample],
+    train_windows: WindowBatch | Sequence[WindowSample],
+    val_windows: WindowBatch | Sequence[WindowSample],
     base_cfg: TrainConfig,
     repetitions: int = 5,
     grid: QuantileGrid = QuantileGrid(),
@@ -339,7 +342,7 @@ def grid_tune(
 
     from itertools import product
 
-    from .forecasters import GRIDS, predict_quantiles_batch
+    from .forecasters import GRIDS, future_target_original, predict_quantiles_batch
 
     if repetitions < 1:
         raise ValidationError("repetitions must be >= 1")
@@ -354,7 +357,7 @@ def grid_tune(
     rows: list[dict] = []
     scores: list[float] = []
     configs: list[tuple[ForecasterSpec, TrainConfig]] = []
-    y_true = np.stack([s.future_target_original() for s in val_windows])
+    y_true = future_target_original(stack_windows(val_windows))
     for ci, combo in enumerate(combos):
         chosen = dict(zip(keys, combo))
         spec = ForecasterSpec(family, {k: chosen[k] for k in model_keys})

@@ -379,6 +379,7 @@ MALFORMED_CHECKPOINTS = {
     "channel_std_negative": _edit_model(
         lambda m: m.norm.channels.update({m.lc_names[0]: (0.0, -1.0)})
     ),
+    "tensor_nan": _edit_model(lambda m: m.params["head.b"].__setitem__(0, np.nan)),
 }
 
 

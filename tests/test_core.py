@@ -10,6 +10,7 @@ from forewarn.core import (
     Scenario,
     ScenarioDim,
     ValidationError,
+    WindowBatch,
     WindowConfig,
     WindowSample,
     first_violation_index,
@@ -276,3 +277,33 @@ def test_window_sample_validation():
             future_target=np.zeros(3),
             denorm=(0.0, 0.0),
         )
+
+
+def test_window_batch_is_checked_once_as_a_whole():
+    scen = Scenario((0.5, 0.5, 0.0, 0.0), DIMS)
+
+    def batch(n=3, ids=3, std=1.0, cov=None):
+        return WindowBatch(
+            static=np.zeros((n, 4)),
+            past_target=np.zeros((n, 9)),
+            past_cov=np.zeros((n, 9, 2)) if cov is None else cov,
+            future_target=np.zeros((n, 3)),
+            denorm=np.tile([0.0, std], (n, 1)),
+            episode_ids=np.full(ids, "ep0"),
+            origin_t=np.arange(n),
+            scenarios={"ep0": scen},
+        )
+
+    ok = batch()
+    assert len(ok) == 3 and ok[1].origin_t == 1 and ok[1].scenario == scen
+    assert isinstance(ok[::2], WindowBatch) and len(ok[::2]) == 2
+    with pytest.raises(ValidationError, match="disagree"):
+        batch(ids=2)
+    with pytest.raises(ValidationError, match="disagree"):
+        batch(cov=np.zeros((3, 8, 2)))
+    with pytest.raises(ValidationError, match="std"):
+        batch(std=0.0)
+    cov = np.zeros((3, 9, 2))
+    cov[2, 4, 1] = np.nan
+    with pytest.raises(ValidationError, match="past_cov contains non-finite"):
+        batch(cov=cov)

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forewarn.core import Episode, Scenario, ScenarioDim, WindowConfig
+from forewarn.core import Episode, Scenario, ScenarioDim, WindowBatch, WindowConfig, WindowSample
 from forewarn.data import (
     DatasetError,
     STD_EPSILON,
@@ -255,7 +259,7 @@ def test_window_minimal_segment():
 def test_window_segment_too_short_yields_empty():
     ep = make_episode(t=100)
     norm = fit_norm([ep], build_split([ep]))
-    assert make_windows(ep, (50, 52), WindowConfig(h=3, cm=3), norm) == []
+    assert len(make_windows(ep, (50, 52), WindowConfig(h=3, cm=3), norm)) == 0
 
 
 def test_window_lookback_never_crosses_episode_start():
@@ -300,6 +304,90 @@ def test_window_contents_match_enumeration_oracle():
             )
 
 
+def _enumerated_windows(ep, segment, wc, norm, target, stride):
+    """The per-window reference: one WindowSample per valid origin, in order."""
+    k, h = wc.k, wc.h
+    mean, std = norm.channels[target]
+    metric_n = (ep.metric(target) - mean) / std
+    cov_n = np.column_stack(
+        [norm.apply(ep.lc_outputs[:, j], name) for j, name in enumerate(ep.lc_names)]
+    )
+    return [
+        WindowSample(
+            scenario=ep.scenario,
+            past_target=metric_n[t - k + 1 : t + 1],
+            past_covariates=cov_n[t - k + 1 : t + 1],
+            future_target=metric_n[t + 1 : t + 1 + h],
+            denorm=(mean, std),
+            episode_id=ep.id,
+            origin_t=t,
+        )
+        for t in range(max(segment[0] - 1, k - 1), segment[1] - h, stride)
+    ]
+
+
+def _assert_batch_equals_samples(batch, samples, k, h, n_cov, n_static):
+    want = {
+        "static": np.array([s.scenario.unit_values() for s in samples]).reshape(-1, n_static),
+        "past_target": np.array([s.past_target for s in samples]).reshape(-1, k),
+        "past_cov": np.array([s.past_covariates for s in samples]).reshape(-1, k, n_cov),
+        "future_target": np.array([s.future_target for s in samples]).reshape(-1, h),
+        "denorm": np.array([s.denorm for s in samples]).reshape(-1, 2),
+        "episode_ids": np.array([s.episode_id for s in samples], dtype=str),
+        "origin_t": np.array([s.origin_t for s in samples], dtype=int),
+    }
+    assert isinstance(batch, WindowBatch) and len(batch) == len(samples)
+    for name, arr in want.items():
+        got = getattr(batch, name)
+        assert got.shape == arr.shape and np.array_equal(got, arr), name
+
+
+@st.composite
+def _episode_cuts(draw):
+    """(T, segment, stride, h, cm); the segment may be too short for any window."""
+    t_len = draw(st.integers(10, 60))
+    s1 = t_len - draw(st.integers(0, t_len))  # the simplest draws cut the whole episode
+    s0 = draw(st.integers(0, s1))
+    return t_len, (s0, s1), draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cuts=_episode_cuts(), seed=st.integers(0, 2**16))
+def test_columnar_windows_equal_per_window_enumeration(cuts, seed):
+    t_len, segment, stride, h, cm = cuts
+    ep = make_episode(t=t_len, seed=seed)
+    norm = fit_norm([ep], build_split([ep]))
+    wc = WindowConfig(h=h, cm=cm)
+    want = _enumerated_windows(ep, segment, wc, norm, "margin_he", stride)
+    batch = make_windows(ep, segment, wc, norm, target="margin_he", stride=stride)
+    _assert_batch_equals_samples(batch, want, wc.k, h, n_cov=2, n_static=len(DIMS))
+    _assert_batch_equals_samples(batch[1::2], want[1::2], wc.k, h, n_cov=2, n_static=len(DIMS))
+    for got, ref in zip(batch, want):  # int indexing gives the per-window WindowSample
+        assert got.scenario == ref.scenario and got.denorm == ref.denorm
+        assert (got.episode_id, got.origin_t) == (ref.episode_id, ref.origin_t)
+        assert np.array_equal(got.past_target, ref.past_target)
+        assert np.array_equal(got.past_covariates, ref.past_covariates)
+        assert np.array_equal(got.future_target, ref.future_target)
+
+
+def test_windows_for_phase_concatenates_episode_batches_in_order():
+    eps = [
+        replace(make_episode(t=90, seed=s, eid=f"e{s}"),
+                scenario=Scenario((0.1 * s, 0.5, 0.0, s), DIMS))
+        for s in range(3)
+    ]
+    split = build_split(eps)
+    norm = fit_norm(eps, split)
+    wc = WindowConfig(h=2, cm=3)
+    pooled = windows_for_phase(eps, split, wc, norm, "val", stride=2)
+    parts = [make_windows(ep, split.by_episode[ep.id].val, wc, norm, stride=2) for ep in eps]
+    for name in (*WindowBatch.COLUMNS, "episode_ids", "origin_t"):
+        assert np.array_equal(getattr(pooled, name), np.concatenate([getattr(p, name) for p in parts]))
+    for ep, part in zip(eps, parts):
+        assert np.array_equal(part.static, np.tile(ep.scenario.unit_values(), (len(part), 1)))
+        assert set(part.episode_ids) == {ep.id}
+
+
 def test_windows_for_phase_pools_and_warns(caplog):
     eps = [make_episode(t=200, seed=s, eid=f"e{s}") for s in range(3)]
     split = build_split(eps)
@@ -313,5 +401,5 @@ def test_windows_for_phase_pools_and_warns(caplog):
     big = WindowConfig(h=21, cm=1)
     with caplog.at_level("WARNING"):
         none = windows_for_phase(eps, split, big, norm, "val")
-    assert none == []
+    assert len(none) == 0
     assert "excluded" in caplog.text

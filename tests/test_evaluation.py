@@ -8,6 +8,7 @@ import scipy.stats
 
 from _synth import make_episode, make_learnable_windows, make_model, make_sample
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
+from forewarn.data import build_split, fit_norm, windows_for_phase
 from forewarn.evaluation import (
     BenchReport,
     Confusion,
@@ -227,6 +228,21 @@ def test_evaluate_model_exact_confusion_and_qrisk():
         assert not row["degenerate_precision"]
         pred = np.stack([np.full(WC.h, w.past_target[-1]) for w in windows])
         assert abs(row["q_risk"] - brute_q_risk(y_true, pred, q)) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
+def test_evaluate_model_on_a_window_batch_equals_it_on_its_samples(family):
+    rng = np.random.default_rng(8)
+    eps = [make_episode(rng, t_len=60, eid=f"ep{i}") for i in range(3)]
+    split = build_split(eps)
+    batch = windows_for_phase(eps, split, WC, fit_norm(eps, split), "test", target="m")
+    model = make_model(family, wc=WC)
+    on_batch = evaluate_model(model, batch, mc_seed=4, n_paths=20)
+    on_samples = evaluate_model(model, list(batch), mc_seed=4, n_paths=20)
+    assert np.array_equal(on_batch.decisions, on_samples.decisions)
+    assert np.array_equal(on_batch.truths, on_samples.truths)
+    assert np.array_equal(on_batch.episode_ids, on_samples.episode_ids)
+    assert on_batch.per_q == on_samples.per_q
 
 
 def test_evaluate_model_counts_are_monotone_across_quantiles():

@@ -320,6 +320,27 @@ def test_prediction_rejects_mismatched_samples():
         stack_windows([])
 
 
+@pytest.mark.parametrize(
+    "odd, names",
+    [
+        ({"wc": WindowConfig(h=2, cm=3)}, "lookback k"),
+        ({"wc": WindowConfig(h=4, cm=1)}, "horizon h"),
+        ({"n_cov": 5}, "covariate channels"),
+        ({"n_static": 2}, "scenario dims"),
+    ],
+)
+def test_stacking_samples_of_different_shapes_names_the_mismatch(odd, names):
+    from forewarn.training import TrainConfig, fit
+
+    rng = np.random.default_rng(12)
+    mixed = batch_of(rng, 3) + [make_sample(rng, **{"wc": WC, **odd})]
+    with pytest.raises(ValidationError, match=names):
+        stack_windows(mixed)
+    with pytest.raises(ValidationError, match=names):
+        fit(ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"]), mixed, batch_of(rng, 2),
+            TrainConfig(epochs=1))
+
+
 # ------------------------------------------------------------------ checkpoints
 
 
