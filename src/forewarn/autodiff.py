@@ -16,11 +16,18 @@ new, copied when it is a view or another node's), and later ones add into it.
 The op set is exactly what the forecaster families need. Gradients are
 verified against central finite differences in the test suite.
 
+Each elementwise op is defined once, in the op table after the class: a
+unary op as f plus its derivative (_elementwise), a binary one as f plus one
+gradient per operand (_binary). The table's functions are the Tensor methods
+and operators themselves (Tensor.tanh is tanh, Tensor.__mul__ is the multiply
+op), so there is one place to change an op.
+
 The module functions (sigmoid, tanh, relu, softplus, exp, log, square, mean,
 softmax, concat) take a Tensor or a plain ndarray: a Tensor records the op on
 the tape, an ndarray gets the same numpy expression and no tape, so a forward
 pass or a loss written once runs on either and gives the same bits. An ndarray
-on the left of an arithmetic operator defers to the Tensor on its right.
+or scalar operand of an arithmetic operator is wrapped as a constant leaf, on
+either side of the Tensor.
 """
 
 from __future__ import annotations
@@ -129,66 +136,7 @@ class Tensor:
         else:
             self.grad += g
 
-    # ------------------------------------------------------------- arithmetic
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        out = Tensor(self.data + other.data, (self, other))
-
-        def bw(g):
-            self._acc(_unbroadcast(g, self.data.shape))
-            other._acc(_unbroadcast(g, other.data.shape))
-
-        out._bw = bw
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Tensor(-self.data, (self,))
-        out._bw = lambda g: self._acc(-g, fresh=True)
-        return out
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        out = Tensor(self.data - other.data, (self, other))
-
-        def bw(g):
-            self._acc(_unbroadcast(g, self.data.shape))
-            other._acc(_unbroadcast(-g, other.data.shape), fresh=True)
-
-        out._bw = bw
-        return out
-
-    def __rsub__(self, other):
-        return self._wrap(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = self._wrap(other)
-        out = Tensor(self.data * other.data, (self, other))
-
-        def bw(g):
-            self._acc(_unbroadcast(g * other.data, self.data.shape), fresh=True)
-            other._acc(_unbroadcast(g * self.data, other.data.shape), fresh=True)
-
-        out._bw = bw
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        out = Tensor(self.data / other.data, (self, other))
-
-        def bw(g):
-            self._acc(_unbroadcast(g / other.data, self.data.shape), fresh=True)
-            other._acc(_unbroadcast(-g * self.data / other.data**2, other.data.shape), fresh=True)
-
-        out._bw = bw
-        return out
-
-    def __rtruediv__(self, other):
-        return self._wrap(other).__truediv__(self)
+    # ------------------------------------------------------------- matmul and indexing
 
     def __matmul__(self, other):
         other = self._wrap(other)
@@ -265,76 +213,66 @@ class Tensor:
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
-    # ------------------------------------------------------------- nonlinear
 
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = Tensor(y, (self,))
-        out._bw = lambda g: self._acc(g * (1.0 - y * y), fresh=True)
+# ----------------------------------------------------------------- the op table
+
+
+def _elementwise(f, df):
+    """A unary op: f on an ndarray; on a Tensor, f on its data and g -> df(g, x, y) back."""
+
+    def op(x):
+        if not isinstance(x, Tensor):
+            return f(x)
+        y = f(x.data)
+        out = Tensor(y, (x,))
+        out._bw = lambda g: x._acc(df(g, x.data, y), fresh=True)
         return out
 
-    def sigmoid(self):
-        y = _sigmoid(self.data)
-        out = Tensor(y, (self,))
-        out._bw = lambda g: self._acc(g * y * (1.0 - y), fresh=True)
+    return op
+
+
+def _binary(f, da, db):
+    """A Tensor op on two operands (one may be an ndarray or scalar, wrapped).
+
+    da and db map (g, a, b) to each operand's gradient before unbroadcasting;
+    None is the identity, whose g is copied, where a computed one is adopted.
+    """
+
+    def op(a, b):
+        a, b = Tensor._wrap(a), Tensor._wrap(b)
+        out = Tensor(f(a.data, b.data), (a, b))
+
+        def bw(g):
+            for t, d in ((a, da), (b, db)):
+                grad = g if d is None else d(g, a.data, b.data)
+                t._acc(_unbroadcast(grad, t.data.shape), fresh=d is not None)
+
+        out._bw = bw
         return out
 
-    def relu(self):
-        out = Tensor(_relu(self.data), (self,))
-        out._bw = lambda g: self._acc(g * (self.data > 0), fresh=True)
-        return out
-
-    def softplus(self):
-        out = Tensor(np.logaddexp(0.0, self.data), (self,))
-        out._bw = lambda g: self._acc(g * _sigmoid(self.data), fresh=True)
-        return out
-
-    def exp(self):
-        y = np.exp(self.data)
-        out = Tensor(y, (self,))
-        out._bw = lambda g: self._acc(g * y, fresh=True)
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        out._bw = lambda g: self._acc(g / self.data, fresh=True)
-        return out
-
-    def square(self):
-        out = Tensor(self.data * self.data, (self,))
-        out._bw = lambda g: self._acc(2.0 * g * self.data, fresh=True)
-        return out
-
-    def softmax(self, axis: int = -1):
-        return softmax(self, axis)
+    return op
 
 
-def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x)
+tanh = _elementwise(np.tanh, lambda g, x, y: g * (1.0 - y * y))
+sigmoid = _elementwise(_sigmoid, lambda g, x, y: g * y * (1.0 - y))
+relu = _elementwise(_relu, lambda g, x, y: g * (x > 0))
+softplus = _elementwise(lambda x: np.logaddexp(0.0, x), lambda g, x, y: g * _sigmoid(x))
+exp = _elementwise(np.exp, lambda g, x, y: g * y)
+log = _elementwise(np.log, lambda g, x, y: g / x)
+square = _elementwise(lambda x: x * x, lambda g, x, y: 2.0 * g * x)
+_neg = _elementwise(np.negative, lambda g, x, y: -g)
+_add = _binary(np.add, None, None)
+_sub = _binary(np.subtract, None, lambda g, a, b: -g)
+_mul = _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+_div = _binary(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / b**2)
 
-
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
-
-
-def relu(x):
-    return x.relu() if isinstance(x, Tensor) else _relu(x)
-
-
-def softplus(x):
-    return x.softplus() if isinstance(x, Tensor) else np.logaddexp(0.0, x)
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
-
-
-def square(x):
-    return x.square() if isinstance(x, Tensor) else x * x
+Tensor.tanh, Tensor.sigmoid, Tensor.relu, Tensor.softplus = tanh, sigmoid, relu, softplus
+Tensor.exp, Tensor.log, Tensor.square, Tensor.__neg__ = exp, log, square, _neg
+Tensor.__add__ = Tensor.__radd__ = _add  # reflected too, the Tensor is the first parent
+Tensor.__mul__ = Tensor.__rmul__ = _mul
+Tensor.__sub__, Tensor.__truediv__ = _sub, _div
+Tensor.__rsub__ = lambda self, other: _sub(other, self)
+Tensor.__rtruediv__ = lambda self, other: _div(other, self)
 
 
 def mean(x):
@@ -347,6 +285,9 @@ def softmax(x, axis: int = -1):
     data = x.data if isinstance(x, Tensor) else x
     e = exp(x - data.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
+
+
+Tensor.softmax = softmax
 
 
 def concat(tensors: Sequence, axis: int = 0):

@@ -29,7 +29,6 @@ from .core import (
     Episode,
     Scenario,
     ScenarioDim,
-    ValidationError,
     WindowBatch,
     WindowConfig,
 )

@@ -37,7 +37,7 @@ from .forecasters import (
     predict_quantiles_batch,
     stack_windows,
 )
-from .training import TrainConfig, TrainingDivergedError, fit
+from .training import TrainConfig, fit
 
 __all__ = [
     "q_risk",

@@ -20,13 +20,15 @@ original-scale quantile forecasts):
 Each family's forward pass is written once over the autodiff module functions.
 Training hands it Tensor parameters and gets a tape to differentiate;
 prediction hands it the plain parameter arrays and gets plain arrays back, the
-same bits without the tape. Forecast rows are projected to non-crossing by
-sorting each lead time's quantiles ascending (on the original scale).
+same bits without the tape. The input batch stays plain arrays on both paths:
+slicing, reshaping and joining inputs records nothing, and an input joins the
+tape only as the constant operand of an op with a parameter. Forecast rows are
+projected to non-crossing by sorting each lead time's quantiles ascending (on
+the original scale).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -213,17 +215,21 @@ def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) 
     return x * mask
 
 
-def _lift(p: dict, *arrays: np.ndarray) -> list:
-    """The input arrays, as Tensors when the params are, so they join the tape."""
-    on_tape = isinstance(next(iter(p.values())), Tensor)
-    return [Tensor(a) if on_tape else a for a in arrays]
-
-
 def _gru_step(p: dict, pre: str, x, state, n: int):
     rz = sigmoid(x @ p[pre + "W_rz"] + state @ p[pre + "U_rz"] + p[pre + "b_rz"])
     r, z = rz[:, :n], rz[:, n:]
     cand = tanh(x @ p[pre + "W_n"] + r * (state @ p[pre + "U_n"]) + p[pre + "b_n"])
     return (1.0 - z) * cand + z * state
+
+
+def _gru_params(p: dict, rng: np.random.Generator, pre: str, d_in: int, n: int) -> None:
+    """The parameters _gru_step reads, glorot weights and zero biases, into p."""
+    p[pre + "W_rz"] = _glorot(rng, d_in, 2 * n)
+    p[pre + "U_rz"] = _glorot(rng, n, 2 * n)
+    p[pre + "b_rz"] = np.zeros(2 * n)
+    p[pre + "W_n"] = _glorot(rng, d_in, n)
+    p[pre + "U_n"] = _glorot(rng, n, n)
+    p[pre + "b_n"] = np.zeros(n)
 
 
 def _lstm_step(p: dict, pre: str, x, state, n: int):
@@ -286,15 +292,10 @@ def init_params(
         n = spec.get("nodes")
         d_in = 1 + n_static
         if spec.get("cell") == "gru":
-            p["cell.W_rz"] = _glorot(rng, d_in, 2 * n, shape=(d_in, 2 * n))
-            p["cell.U_rz"] = _glorot(rng, n, 2 * n, shape=(n, 2 * n))
-            p["cell.b_rz"] = np.zeros(2 * n)
-            p["cell.W_n"] = _glorot(rng, d_in, n)
-            p["cell.U_n"] = _glorot(rng, n, n)
-            p["cell.b_n"] = np.zeros(n)
+            _gru_params(p, rng, "cell.", d_in, n)
         else:
-            p["cell.W"] = _glorot(rng, d_in, 4 * n, shape=(d_in, 4 * n))
-            p["cell.U"] = _glorot(rng, n, 4 * n, shape=(n, 4 * n))
+            p["cell.W"] = _glorot(rng, d_in, 4 * n)
+            p["cell.U"] = _glorot(rng, n, 4 * n)
             p["cell.b"] = np.zeros(4 * n)
         p["head.W_mu"] = _glorot(rng, n, 1)
         p["head.b_mu"] = np.zeros(1)
@@ -306,13 +307,7 @@ def init_params(
     heads = spec.get("heads")
     if d % heads != 0:
         raise ValidationError(f"attn_seq2seq: state {d} not divisible by heads {heads}")
-    d_in = 1 + n_cov
-    p["enc.W_rz"] = _glorot(rng, d_in, 2 * d, shape=(d_in, 2 * d))
-    p["enc.U_rz"] = _glorot(rng, d, 2 * d, shape=(d, 2 * d))
-    p["enc.b_rz"] = np.zeros(2 * d)
-    p["enc.W_n"] = _glorot(rng, d_in, d)
-    p["enc.U_n"] = _glorot(rng, d, d)
-    p["enc.b_n"] = np.zeros(d)
+    _gru_params(p, rng, "enc.", 1 + n_cov, d)
     p["static.W"] = _glorot(rng, n_static, d)
     p["static.b"] = np.zeros(d)
     p["pos.E"] = _glorot(rng, h + d, h + d, shape=(h, d))
@@ -363,16 +358,15 @@ def forward_quantiles(
     a Gaussian head (see forward_gaussian / sample_paths).
     """
     fam = spec.family
-    bsz, k, n_cov = batch["past_cov"].shape
+    static, past, cov = batch["static"], batch["past_target"], batch["past_cov"]
+    bsz, k, n_cov = cov.shape
     if fam == "seq2seq":
-        static, past, cov = _lift(p, batch["static"], batch["past_target"], batch["past_cov"])
         x = concat([static, past, cov.reshape(bsz, k * n_cov)], axis=1)
         enc = relu(x @ p["enc.W"] + p["enc.b"])
         out = _mlp_decoder(p, enc, spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "convseq2seq":
-        tiled = np.repeat(batch["static"][:, None, :], k, axis=1)
-        past, cov, tiled = _lift(p, batch["past_target"], batch["past_cov"], tiled)
+        tiled = np.repeat(static[:, None, :], k, axis=1)
         seq = concat([past.reshape(bsz, k, 1), cov, tiled], axis=2)
         c0 = relu(_causal_conv(p, "conv0", seq, dilation=1))
         c1 = relu(_causal_conv(p, "conv1", c0, dilation=2))
@@ -388,8 +382,8 @@ def _attn_forward(spec, p, batch, h, train, rng):
     heads = spec.get("heads")
     drop = spec.get("dropout")
     dh = d // heads
-    bsz, k, n_cov = batch["past_cov"].shape
-    static, past, cov = _lift(p, batch["static"], batch["past_target"], batch["past_cov"])
+    static, past, cov = batch["static"], batch["past_target"], batch["past_cov"]
+    bsz, k, n_cov = cov.shape
     state = np.zeros((bsz, d))
     enc_states = []
     for t in range(k):
@@ -458,7 +452,7 @@ def forward_gaussian(
     """
     if spec.family != "ar_rnn":
         raise ValidationError("forward_gaussian is only for ar_rnn")
-    static, past, future = _lift(p, batch["static"], batch["past_target"], batch["future_target"])
+    static, past, future = batch["static"], batch["past_target"], batch["future_target"]
     bsz = past.shape[0]
     state = _ar_warmup(spec, p, static, past)
     leads = []

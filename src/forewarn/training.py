@@ -232,6 +232,10 @@ def fit(
     n_static = train_arrays["static"].shape[1]
     if lc_names is None:
         lc_names = tuple(f"cov{j}" for j in range(n_cov))
+    elif len(lc_names) != n_cov:
+        raise ValidationError(
+            f"lc_names names {len(lc_names)} covariate channels, the windows have {n_cov}"
+        )
     if norm is None:
         denorm = tuple(train_arrays["denorm"][0].tolist())
         norm = NormStats({**dict.fromkeys(lc_names, (0.0, 1.0)), target: denorm})

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from forewarn.autodiff import Tensor, concat
+from forewarn.autodiff import (
+    Tensor, concat, exp, log, relu, sigmoid, softmax, softplus, square, tanh,
+)
 
 # few examples, fixed per test, and no example database written to disk
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -210,6 +212,50 @@ def test_backward_resets_grads_between_calls():
     loss.backward()
     loss.backward()
     assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+# ------------------------------------------------------------------ the op table
+
+UNARY = {
+    "tanh": tanh, "sigmoid": sigmoid, "relu": relu, "softplus": softplus, "exp": exp,
+    "log": log, "square": square, "neg": operator.neg, "softmax": softmax,
+}
+BINARY = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "truediv": operator.truediv,
+}
+
+
+def _same_bits(got: Tensor, want: np.ndarray) -> bool:
+    return got.data.shape == want.shape and got.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", UNARY)
+def test_unary_op_table_matches_ndarray_and_differences(name):
+    f = UNARY[name]
+    rng = np.random.default_rng(11)  # its own stream: RNG's sequence stays as it was
+    a = rng.normal(size=(3, 4))
+    a = np.sign(a) * (np.abs(a) + 0.2)  # off the relu kink; log gets |a|
+    if name == "log":
+        a = np.abs(a)
+    w = rng.normal(size=a.shape)
+    assert _same_bits(f(Tensor(a)), f(a))
+    check(lambda x: (f(x) * w).sum(), [a])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", BINARY)
+def test_binary_op_table_with_an_ndarray_on_either_side(name, side):
+    op = BINARY[name]
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 4))
+    b = rng.normal(size=(4,)) + 3.0  # keep the divisor away from zero
+    w = rng.normal(size=(3, 4))
+    if side == "left":  # ndarray op Tensor, gradient to the Tensor on the right
+        assert _same_bits(op(a, Tensor(b)), op(a, b))
+        check(lambda y: (op(a, y) * w).sum(), [b])
+    else:
+        assert _same_bits(op(Tensor(a), b), op(a, b))
+        check(lambda x: (op(x, b) * w).sum(), [a])
 
 
 # ------------------------------------------------------------------ properties

@@ -1,0 +1,51 @@
+"""No module in src/forewarn imports a name it never uses.
+
+No linter is installed, so this stdlib-ast scan is the gate. A name counts as
+used when it is read anywhere in the module or listed in its __all__.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "forewarn"
+
+# (module, name) pairs imported on purpose without a use in the module
+KEPT = {
+    # benchmarks/tracing.py patches monitor.predict_quantiles, so the name
+    # must stay bound on the monitor module
+    ("monitor", "predict_quantiles"),
+}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's imports that nothing in it reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_the_scan_finds_an_unused_import():
+    source = "import io\nimport json\nfrom x import a, b as c\n__all__ = ['a']\njson.dumps(1)\n"
+    assert unused_imports(source) == ["c", "io"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    unused = [n for n in unused_imports(path.read_text()) if (path.stem, n) not in KEPT]
+    assert unused == [], f"{path.name} imports {unused} without using them"

@@ -314,6 +314,16 @@ def test_fit_rejects_empty_or_malformed_windows():
         fit(ForecasterSpec("persistence"), [bad], val, TrainConfig())
 
 
+@pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
+def test_fit_rejects_lc_names_of_another_width(family):
+    # the windows carry 2 covariate channels; a model named for 1 could not
+    # forecast them, nor load from its own checkpoint
+    train, val = make_split_windows(seed=7, n_train=4, n_val=2)
+    spec = ForecasterSpec(family, TINY_HYPERS.get(family, {}))
+    with pytest.raises(ValidationError, match="1 covariate channels, the windows have 2"):
+        fit(spec, train, val, TrainConfig(epochs=1), grid=QS, lc_names=("speed",))
+
+
 def test_training_divergence_raises_and_names_the_epoch():
     train, val = make_split_windows(seed=8, n_train=24, n_val=8)
     spec = ForecasterSpec("seq2seq", {"decoder_layers": 4, "neurons": 20})
