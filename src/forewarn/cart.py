@@ -226,6 +226,8 @@ def cross_validate(
         raise ValidationError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValidationError(f"k={k} folds need at least k rows, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, k)
     rows: list[dict] = []

@@ -35,19 +35,19 @@ from .core import (
 )
 from .data import (
     DatasetError,
-    build_split,
     dataset_hash,
-    fit_norm,
+    phase_windows,
     read_episode_lines,
     read_episodes,
-    windows_for_phase,
     write_episodes,
 )
-from .evaluation import EvalReport, bench, evaluate, evaluate_model, plot_data, sweep
+from .evaluation import (
+    TRAIN_AXES, EvalReport, bench, evaluate, evaluate_model, grid_tune, plot_data, sweep,
+)
 from .forecasters import FAMILIES, ForecasterSpec, load_checkpoint, save_checkpoint
 from .monitor import MonitorConfig, SafetyMonitor
 from .simulate import SimConfig, SimulationError, generate_dataset
-from .training import TrainConfig, TrainingDivergedError, fit, grid_tune
+from .training import TrainConfig, TrainingDivergedError, fit
 
 __all__ = ["main", "build_parser"]
 
@@ -291,15 +291,21 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _echo_config(outdir: Path, cmd: str, cfg: dict) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "run_config.json", {"command": cmd, **cfg})
+def _write_outputs(cfg: dict, cmd: str, files: dict) -> None:
+    """Write each {file name: object} as JSON into --out, then run_config.json.
+
+    Writes nothing when --out is unset.
+    """
+    if cfg["out"] is None:
+        return
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, obj in {**files, "run_config.json": {"command": cmd, **cfg}}.items():
+        (out / name).write_text(_json_text(obj), encoding="utf-8")
 
 
 def _episodes(cfg: dict, cmd: str) -> list:
@@ -315,14 +321,14 @@ def _episodes(cfg: dict, cmd: str) -> list:
     return episodes
 
 
-def _phase_windows(episodes, wc: WindowConfig, target: str):
-    split = build_split(episodes)
-    norm = fit_norm(episodes, split)
-    phases = {
-        phase: windows_for_phase(episodes, split, wc, norm, phase, target=target)
-        for phase in ("train", "val", "test")
-    }
-    return norm, phases
+def _test_windows(cfg: dict, cmd: str):
+    """The --model checkpoint, the --data episodes and their non-empty test windows."""
+    model = load_checkpoint(_require(cfg, cmd, "model"))
+    episodes = _episodes(cfg, cmd)
+    _, phases = phase_windows(episodes, model.wc, model.target)
+    if not phases["test"]:
+        raise ValidationError("dataset yields no test windows for this model's window config")
+    return model, episodes, phases["test"]
 
 
 def _report_json(report: EvalReport) -> dict:
@@ -382,8 +388,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "sha256": dataset_hash(data_file),
         "violation_episodes": violations,
     }
-    _write_json(out / "manifest.json", manifest)
-    _echo_config(out, "simulate", cfg)
+    _write_outputs(cfg, "simulate", {"manifest.json": manifest})
     print(
         f"wrote {len(episodes)} episodes to {data_file} "
         f"({violations} with violations, sha256 {manifest['sha256'][:12]})"
@@ -399,7 +404,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
     grid = QuantileGrid(tuple(cfg["quantiles"]))
     target = cfg["target"] or episodes[0].metric_names[0]
-    norm, phases = _phase_windows(episodes, wc, target)
+    norm, phases = phase_windows(episodes, wc, target)
     spec = ForecasterSpec(family, cfg["params"], cfg["allow_custom"])
     model = fit(
         spec, phases["train"], phases["val"], _from_cfg(TrainConfig, cfg),
@@ -408,7 +413,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"{family}_h{wc.h}_cm{wc.cm}.ckpt"
     save_checkpoint(model, ckpt)
-    _write_json(out / "train_log.json", {
+    _write_outputs(cfg, "train", {"train_log.json": {
         "family": family,
         "h": wc.h,
         "cm": wc.cm,
@@ -417,8 +422,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "parameter_count": model.parameter_count,
         "windows": {"train": len(phases["train"]), "val": len(phases["val"])},
         "training_log": model.training_log,
-    })
-    _echo_config(out, "train", cfg)
+    }})
     log = model.training_log
     if "best_epoch" in log:
         print(
@@ -432,37 +436,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     cfg = _merged("tune", args)
-    out = Path(_require(cfg, "tune", "out"))
+    _require(cfg, "tune", "out")
     family = _require(cfg, "tune", "family")
     episodes = _episodes(cfg, "tune")
     wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
     grid = QuantileGrid(tuple(cfg["quantiles"]))
     target = cfg["target"] or episodes[0].metric_names[0]
-    norm, phases = _phase_windows(episodes, wc, target)
-    axes = {k: list(v) for k, v in cfg["axes"].items()}
+    norm, phases = phase_windows(episodes, wc, target)
     result = grid_tune(
-        family, axes, phases["train"], phases["val"], _from_cfg(TrainConfig, cfg),
+        family, cfg["axes"], phases["train"], phases["val"], _from_cfg(TrainConfig, cfg),
         repetitions=cfg["reps"], grid=grid, norm=norm, target=target,
         lc_names=episodes[0].lc_names,
     )
-    rows = []
-    for row in result.rows:
-        safe = dict(row)
-        safe["per_q"] = {f"{q:g}": v for q, v in row["per_q"].items()}
-        rows.append(safe)
-    best_train = {
-        "batch_size": result.best_cfg.batch_size,
-        "lr": result.best_cfg.lr,
-        "clip_norm": result.best_cfg.clip_norm,
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "tune.json", {
+    rows = [
+        {**row, "per_q": {f"{q:g}": v for q, v in row["per_q"].items()}} for row in result.rows
+    ]
+    best_train = {key: getattr(result.best_cfg, key) for key in TRAIN_AXES}
+    _write_outputs(cfg, "tune", {"tune.json": {
         "family": family,
         "best_params": result.best_spec.params,
         "best_train": best_train,
         "rows": rows,
-    })
-    _echo_config(out, "tune", cfg)
+    }})
     print(f"tuned {family} over {len(result.rows)} runs")
     print(f"best params: {result.best_spec.params}")
     print(f"best training knobs: {best_train}")
@@ -474,7 +469,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_checkpoint(_require(cfg, "evaluate", "model"))
     episodes = _episodes(cfg, "evaluate")
     grid = QuantileGrid(tuple(cfg["quantiles"])) if cfg["quantiles"] else model.grid
-    norm, phases = _phase_windows(episodes, model.wc, model.target)
+    norm, phases = phase_windows(episodes, model.wc, model.target)
     report = evaluate(
         model.spec, _from_cfg(TrainConfig, cfg),
         phases["train"], phases["val"], phases["test"],
@@ -482,17 +477,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         lc_names=episodes[0].lc_names, n_paths=cfg["n_paths"],
     )
     _print_report(report)
-    if cfg["out"] is not None:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "eval_summary.json", _report_json(report))
-        _echo_config(out, "evaluate", cfg)
+    _write_outputs(cfg, "evaluate", {"eval_summary.json": _report_json(report)})
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged("sweep", args)
-    out = Path(_require(cfg, "sweep", "out"))
+    _require(cfg, "sweep", "out")
     episodes = _episodes(cfg, "sweep")
     families = cfg["families"]
     for family in families:
@@ -522,29 +513,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             }
             print(line + f"q_risk_sum={row['qrisk_sum_mean']:.4f}")
         json_rows.append(keep)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "sweep.json", {"rows": json_rows})
-    _echo_config(out, "sweep", cfg)
+    _write_outputs(cfg, "sweep", {"sweep.json": {"rows": json_rows}})
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _merged("bench", args)
-    model = load_checkpoint(_require(cfg, "bench", "model"))
-    episodes = _episodes(cfg, "bench")
-    _, phases = _phase_windows(episodes, model.wc, model.target)
-    if not phases["test"]:
-        raise ValidationError("dataset yields no test windows for this model's window config")
+    model, _, test = _test_windows(cfg, "bench")
     report = bench(
-        model, phases["test"][0],
-        warmup=cfg["warmup"], iters=cfg["iters"], n_paths=cfg["n_paths"],
-    )
-    print(json.dumps(_jsonable(report.to_dict()), indent=2, sort_keys=True))
-    if cfg["out"] is not None:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "bench.json", report.to_dict())
-        _echo_config(out, "bench", cfg)
+        model, test[0], warmup=cfg["warmup"], iters=cfg["iters"], n_paths=cfg["n_paths"]
+    ).to_dict()
+    print(_json_text(report), end="")
+    _write_outputs(cfg, "bench", {"bench.json": report})
     return 0
 
 
@@ -580,14 +560,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _merged("analyze", args)
-    model = load_checkpoint(_require(cfg, "analyze", "model"))
-    episodes = _episodes(cfg, "analyze")
-    _, phases = _phase_windows(episodes, model.wc, model.target)
-    if not phases["test"]:
-        raise ValidationError("dataset yields no test windows for this model's window config")
-    ev = evaluate_model(
-        model, phases["test"], mc_seed=cfg["seed"], n_paths=cfg["n_paths"]
-    )
+    model, episodes, test = _test_windows(cfg, "analyze")
+    ev = evaluate_model(model, test, mc_seed=cfg["seed"], n_paths=cfg["n_paths"])
     q = cfg["q"]
     features, f3, names = scenario_f3_table(ev, q, episodes)
     cv = cross_validate(
@@ -602,35 +576,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     for rule in rules:
         print("  " + rule.text(names))
-    if cfg["out"] is not None:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "analysis.json", {
-            "q": q,
-            "episodes": int(features.shape[0]),
-            "feature_names": list(names),
-            "max_depth": cv.max_depth,
-            "min_samples_leaf": cv.min_samples_leaf,
-            "cv_mse": cv.cv_mse,
-            "r2": cv.r2,
-            "rules": [
-                {
-                    "text": rule.text(names),
-                    "value": rule.value,
-                    "count": rule.count,
-                    "intervals": [
-                        {
-                            "feature": names[j],
-                            "gt": lo if math.isfinite(lo) else None,
-                            "le": hi if math.isfinite(hi) else None,
-                        }
-                        for j, lo, hi in rule.intervals
-                    ],
-                }
-                for rule in rules
-            ],
-        })
-        _echo_config(out, "analyze", cfg)
+    _write_outputs(cfg, "analyze", {"analysis.json": {
+        "q": q,
+        "episodes": int(features.shape[0]),
+        "feature_names": list(names),
+        "max_depth": cv.max_depth,
+        "min_samples_leaf": cv.min_samples_leaf,
+        "cv_mse": cv.cv_mse,
+        "r2": cv.r2,
+        "rules": [
+            {
+                "text": rule.text(names),
+                "value": rule.value,
+                "count": rule.count,
+                # unbounded sides (+-inf) are written as null
+                "intervals": [
+                    {"feature": names[j], "gt": lo, "le": hi}
+                    for j, lo, hi in rule.intervals
+                ],
+            }
+            for rule in rules
+        ],
+    }})
     return 0
 
 

@@ -11,7 +11,8 @@ rolling-origin: a sample's lookback may reach backward across a split
 boundary, its targets may not leave the segment. Windows come as one
 columnar WindowBatch per episode or phase, cut as strided views of each
 episode's normalized series and copied once into the batch's arrays.
-Normalization statistics are fit on training segments only.
+Normalization statistics are fit on training segments only. phase_windows
+does the whole step once: split, fit the statistics, cut the three phases.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "build_split",
     "make_windows",
     "windows_for_phase",
+    "phase_windows",
 ]
 
 logger = logging.getLogger(__name__)
@@ -380,3 +382,15 @@ def windows_for_phase(
                 ep.id, phase, seg, wc.k, wc.h,
             )
     return _batch(episodes, cuts)
+
+
+def phase_windows(
+    episodes: Sequence[Episode], wc: WindowConfig, target: str | None = None
+) -> tuple[NormStats, dict[str, WindowBatch]]:
+    """The default split's normalization and each phase's windows, by phase name."""
+    split = build_split(episodes)
+    norm = fit_norm(episodes, split)
+    return norm, {
+        phase: windows_for_phase(episodes, split, wc, norm, phase, target=target)
+        for phase in ("train", "val", "test")
+    }

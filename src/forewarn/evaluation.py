@@ -1,4 +1,4 @@
-"""Forecast quality metrics, statistical comparisons, and benchmarking.
+"""Forecast quality metrics, statistical comparisons, tuning, and benchmarking.
 
 Metric conventions:
 
@@ -11,7 +11,10 @@ Metric conventions:
   mean +- half of the 95% CI (normal approximation, 1.96 * s / sqrt(R)).
 * Family comparisons use the Mann-Whitney U test (two-sided, normal
   approximation with tie correction) plus the Vargha-Delaney A-hat effect
-  size with the conventional 0.56 / 0.64 / 0.71 magnitude thresholds.
+  size, U / (n1 n2), with the conventional 0.56 / 0.64 / 0.71 magnitude
+  thresholds. Both reject non-finite samples.
+* Every driver scores a trained model through evaluate_model: evaluate and
+  sweep on the test windows, grid_tune on the validation windows.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +32,9 @@ import numpy as np
 from .core import (
     QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, derived_seed,
 )
-from .data import NormStats, build_split, fit_norm, windows_for_phase
+from .data import NormStats, phase_windows
 from .forecasters import (
+    GRIDS,
     ForecasterSpec,
     TrainedForecaster,
     future_target_original,
@@ -37,7 +42,7 @@ from .forecasters import (
     predict_quantiles_batch,
     stack_windows,
 )
-from .training import TrainConfig, fit
+from .training import TrainConfig, TrainingDivergedError, fit
 
 __all__ = [
     "q_risk",
@@ -55,6 +60,9 @@ __all__ = [
     "EvalReport",
     "evaluate",
     "sweep",
+    "TRAIN_AXES",
+    "TuneResult",
+    "grid_tune",
     "BenchReport",
     "bench",
     "plot_data",
@@ -150,20 +158,9 @@ def f_beta(precision: float, recall: float, beta: float = 3.0) -> float:
 
 def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Average ranks (1-based) and the tie-correction term sum(t^3 - t)."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    tie_term = 0.0
-    i = 0
-    sx = x[order]
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        t = j - i + 1
-        tie_term += t**3 - t
-        i = j + 1
-    return ranks, tie_term
+    _, group, t = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
+    # a tie group ending at rank e holds ranks e - t + 1 .. e
+    return (np.cumsum(t) - 0.5 * (t - 1))[group], float((t**3 - t).sum())
 
 
 def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
@@ -176,6 +173,8 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValidationError("mann_whitney_u needs non-empty samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("mann_whitney_u needs finite samples")
     n1, n2 = a.size, b.size
     n = n1 + n2
     ranks, tie_term = _average_ranks(np.concatenate([a, b]))
@@ -191,18 +190,9 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float
 
 
 def vargha_delaney(a: Sequence[float], b: Sequence[float]) -> float:
-    """A-hat: P(a > b) + 0.5 P(a = b) over all pairs, computed exactly."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValidationError("vargha_delaney needs non-empty samples")
-    wins = ties = 0.0
-    chunk = max(1, 2_000_000 // max(1, b.size))
-    for i in range(0, a.size, chunk):
-        block = a[i : i + chunk, None]
-        wins += float((block > b[None, :]).sum())
-        ties += float((block == b[None, :]).sum())
-    return (wins + 0.5 * ties) / (a.size * b.size)
+    """A-hat: P(a > b) + 0.5 P(a = b) over all pairs, exactly U / (n1 n2)."""
+    u, _ = mann_whitney_u(a, b)
+    return u / (np.size(a) * np.size(b))
 
 
 def effect_magnitude(a_hat: float) -> str:
@@ -367,8 +357,6 @@ def sweep(
     Configs whose windows do not fit any phase of the split are emitted as
     skipped rows with a warning. total_window = h * (1 + cm).
     """
-    split = build_split(episodes)
-    norm = fit_norm(episodes, split)
     lc_names = episodes[0].lc_names
     target = target if target is not None else episodes[0].metric_names[0]
     rows: list[dict] = []
@@ -378,11 +366,8 @@ def sweep(
             row: dict = {
                 "h": h, "cm": cm, "lookback": wc.k, "total_window": wc.total,
             }
-            phase_windows = {
-                phase: windows_for_phase(episodes, split, wc, norm, phase, target=target)
-                for phase in ("train", "val", "test")
-            }
-            empty = [p for p, w in phase_windows.items() if not w]
+            norm, phases = phase_windows(episodes, wc, target)
+            empty = [p for p, w in phases.items() if not w]
             if empty:
                 logger.warning(
                     "sweep: skipping h=%d cm=%d (total window %d): no %s windows",
@@ -395,7 +380,7 @@ def sweep(
             for family in families:
                 report = evaluate(
                     ForecasterSpec(family), base_cfg,
-                    phase_windows["train"], phase_windows["val"], phase_windows["test"],
+                    phases["train"], phases["val"], phases["test"],
                     repetitions=repetitions, grid=grid, norm=norm, target=target,
                     lc_names=lc_names, n_paths=n_paths,
                 )
@@ -409,6 +394,87 @@ def sweep(
                     "report": report,
                 })
     return rows
+
+
+# ----------------------------------------------------------------- tuning
+
+TRAIN_AXES = ("batch_size", "lr", "clip_norm")
+
+
+@dataclass(frozen=True)
+class TuneResult:
+    best_spec: ForecasterSpec
+    best_cfg: TrainConfig
+    rows: list[dict]
+
+
+def grid_tune(
+    family: str,
+    axes: dict[str, Sequence],
+    train_windows: WindowBatch | Sequence[WindowSample],
+    val_windows: WindowBatch | Sequence[WindowSample],
+    base_cfg: TrainConfig,
+    repetitions: int = 5,
+    grid: QuantileGrid = QuantileGrid(),
+    norm: NormStats | None = None,
+    target: str = "target",
+    lc_names: tuple[str, ...] | None = None,
+) -> TuneResult:
+    """Exhaustive sweep over `axes` with `repetitions` seeds per configuration.
+
+    Axes may name model hyperparameters (the family's grid) or training knobs
+    (batch_size, lr, clip_norm); each takes a non-empty list or tuple of
+    values. Configurations are ranked by the mean over repetitions of the
+    validation q-Risk summed over the quantile grid, computed on the original
+    scale by evaluate_model. Diverged runs score infinity, so any
+    configuration that ever diverges ranks behind every stable one.
+    """
+    if repetitions < 1:
+        raise ValidationError("repetitions must be >= 1")
+    model_keys = sorted(k for k in axes if k in GRIDS[family])
+    train_keys = sorted(k for k in axes if k in TRAIN_AXES)
+    unknown = set(axes) - set(model_keys) - set(train_keys)
+    if unknown:
+        raise ValidationError(f"unknown tuning axes {sorted(unknown)} for family {family!r}")
+    for key, values in axes.items():
+        if not (isinstance(values, (list, tuple)) and values):
+            raise ValidationError(
+                f"tuning axis {key!r} needs a non-empty list of values, got {values!r}"
+            )
+    keys = model_keys + train_keys
+
+    rows: list[dict] = []
+    scores: list[float] = []
+    configs: list[tuple[ForecasterSpec, TrainConfig]] = []
+    for ci, combo in enumerate(product(*(axes[k] for k in keys))):
+        chosen = dict(zip(keys, combo))
+        spec = ForecasterSpec(family, {k: chosen[k] for k in model_keys})
+        cfg = replace(base_cfg, **{k: chosen[k] for k in train_keys})
+        configs.append((spec, cfg))
+        rep_scores = []
+        for rep in range(repetitions):
+            seed = derived_seed(base_cfg.seed, ci, rep)
+            row = {
+                "family": family, "config_index": ci, "params": dict(spec.params),
+                "batch_size": cfg.batch_size, "lr": cfg.lr, "clip_norm": cfg.clip_norm,
+                "rep": rep, "seed": seed, "diverged": False,
+                "val_qrisk_sum": math.inf, "per_q": {},
+            }
+            try:
+                model = fit(
+                    spec, train_windows, val_windows, replace(cfg, seed=seed),
+                    grid=grid, norm=norm, target=target, lc_names=lc_names,
+                )
+                ev = evaluate_model(model, val_windows, mc_seed=seed + 1)
+                row["per_q"] = {q: ev.per_q[q]["q_risk"] for q in grid.qs}
+                row["val_qrisk_sum"] = float(sum(row["per_q"].values()))
+            except TrainingDivergedError:
+                row["diverged"] = True
+            rows.append(row)
+            rep_scores.append(row["val_qrisk_sum"])
+        scores.append(float(np.mean(rep_scores)))
+    best_spec, best_cfg = configs[int(np.argmin(scores))]
+    return TuneResult(best_spec=best_spec, best_cfg=best_cfg, rows=rows)
 
 
 # ----------------------------------------------------------------- bench

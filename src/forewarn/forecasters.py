@@ -565,8 +565,8 @@ def predict_stacked(
         normalized = np.repeat(last[:, None, None], h, axis=1)
         normalized = np.repeat(normalized, len(qs), axis=2)
     elif fam in SAMPLING_FAMILIES:
-        if mc_seed is None:
-            raise ValidationError(f"{fam} prediction requires an explicit mc_seed")
+        if mc_seed is None or mc_seed < 0:
+            raise ValidationError(f"{fam} prediction requires an explicit mc_seed >= 0")
         if n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
         rng = np.random.default_rng(mc_seed)

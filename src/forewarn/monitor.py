@@ -61,6 +61,8 @@ class MonitorConfig:
             raise ValidationError(f"hysteresis must be an int >= 0, got {self.hysteresis!r}")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,8 @@ class SimConfig:
             raise ValidationError("dt_seconds must be > 0")
         if self.u_max_deg_s <= 0:
             raise ValidationError("u_max_deg_s must be > 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name in ("noise_base", "noise_cloud_gain", "noise_tod_gain"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")

@@ -7,21 +7,20 @@ bias-corrected and gradients are clipped to a global norm *before* the step.
 
 Everything is deterministic given TrainConfig.seed: parameter init, batch
 shuffling, and dropout masks all derive from it, so two fits on the same data
-produce byte-identical parameters.
+produce byte-identical parameters. Tuning over many fits (grid_tune) lives in
+evaluation, which scores each fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, log, mean, relu, square
-from .core import (
-    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, derived_seed,
-)
+from .core import QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample
 from .data import NormStats
 from .forecasters import (
     ForecasterSpec,
@@ -42,8 +41,6 @@ __all__ = [
     "init_adam_state",
     "adam_step",
     "fit",
-    "grid_tune",
-    "TuneResult",
 ]
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -71,6 +68,8 @@ class TrainConfig:
             raise ValidationError("lr and clip_norm must be > 0")
         if self.patience < 0:
             raise ValidationError("patience must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 # ----------------------------------------------------------------- losses
@@ -308,92 +307,3 @@ def fit(
             "clip_fraction": clip_fractions,
         },
     )
-
-
-# ----------------------------------------------------------------- tuning
-
-TRAIN_AXES = ("batch_size", "lr", "clip_norm")
-
-
-@dataclass(frozen=True)
-class TuneResult:
-    best_spec: ForecasterSpec
-    best_cfg: TrainConfig
-    rows: list[dict]
-
-
-def grid_tune(
-    family: str,
-    axes: dict[str, Sequence],
-    train_windows: WindowBatch | Sequence[WindowSample],
-    val_windows: WindowBatch | Sequence[WindowSample],
-    base_cfg: TrainConfig,
-    repetitions: int = 5,
-    grid: QuantileGrid = QuantileGrid(),
-    norm: NormStats | None = None,
-    target: str = "target",
-    lc_names: tuple[str, ...] | None = None,
-) -> TuneResult:
-    """Exhaustive sweep over `axes` with `repetitions` seeds per configuration.
-
-    Axes may name model hyperparameters (the family's grid) or training knobs
-    (batch_size, lr, clip_norm). Configurations are ranked by the mean over
-    repetitions of the validation q-Risk summed over the quantile grid,
-    computed on the original scale. Diverged runs score infinity, so any
-    configuration that ever diverges ranks behind every stable one.
-    """
-    from .evaluation import q_risk  # late import; evaluation also imports training
-
-    from itertools import product
-
-    from .forecasters import GRIDS, future_target_original, predict_quantiles_batch
-
-    if repetitions < 1:
-        raise ValidationError("repetitions must be >= 1")
-    model_keys = sorted(k for k in axes if k in GRIDS[family])
-    train_keys = sorted(k for k in axes if k in TRAIN_AXES)
-    unknown = set(axes) - set(model_keys) - set(train_keys)
-    if unknown:
-        raise ValidationError(f"unknown tuning axes {sorted(unknown)} for family {family!r}")
-    keys = model_keys + train_keys
-    combos = list(product(*(list(axes[k]) for k in keys))) if keys else [()]
-
-    rows: list[dict] = []
-    scores: list[float] = []
-    configs: list[tuple[ForecasterSpec, TrainConfig]] = []
-    y_true = future_target_original(stack_windows(val_windows))
-    for ci, combo in enumerate(combos):
-        chosen = dict(zip(keys, combo))
-        spec = ForecasterSpec(family, {k: chosen[k] for k in model_keys})
-        cfg = replace(base_cfg, **{k: chosen[k] for k in train_keys})
-        configs.append((spec, cfg))
-        rep_scores = []
-        for rep in range(repetitions):
-            seed = derived_seed(base_cfg.seed, ci, rep)
-            row = {
-                "family": family, "config_index": ci, "params": dict(spec.params),
-                "batch_size": cfg.batch_size, "lr": cfg.lr, "clip_norm": cfg.clip_norm,
-                "rep": rep, "seed": seed, "diverged": False,
-                "val_qrisk_sum": math.inf, "per_q": {},
-            }
-            try:
-                model = fit(
-                    spec, train_windows, val_windows, replace(cfg, seed=seed),
-                    grid=grid, norm=norm, target=target, lc_names=lc_names,
-                )
-                preds = predict_quantiles_batch(
-                    model, val_windows, mc_seed=seed + 1, n_paths=100
-                )
-                per_q = {
-                    q: q_risk(y_true, preds[:, :, j], q) for j, q in enumerate(grid.qs)
-                }
-                row["per_q"] = per_q
-                row["val_qrisk_sum"] = float(sum(per_q.values()))
-            except TrainingDivergedError:
-                row["diverged"] = True
-            rows.append(row)
-            rep_scores.append(row["val_qrisk_sum"])
-        scores.append(float(np.mean(rep_scores)))
-    best_index = int(np.argmin(scores))
-    best_spec, best_cfg = configs[best_index]
-    return TuneResult(best_spec=best_spec, best_cfg=best_cfg, rows=rows)

@@ -419,3 +419,109 @@ def test_analyze_prints_rules_and_writes_json(workdir, tmp_path, capsys):
         )
     ]
     assert len(hits) == 1  # rules partition the scenario box
+
+
+# ----------------------------------------------------------------- outputs
+
+
+def _small_run(workdir, cmd):
+    """Flags, without --out, of a small run of `cmd` on the module's dataset."""
+    data = ["--data", str(workdir / "data")]
+    return {
+        "simulate": ["--scenarios", "3", "--episode-len", "30"],
+        "train": ["--family", "persistence", "--h", "3", "--cm", "2", *data],
+        "tune": ["--family", "persistence", "--h", "3", "--cm", "2", "--reps", "1", *data],
+        "evaluate": ["--model", _ckpt(workdir), "--reps", "2", *data],
+        "sweep": ["--families", "persistence", "--h-values", "3", "--cm-values", "1", *data],
+        "bench": ["--model", _ckpt(workdir), "--iters", "2", "--warmup", "0", *data],
+        "analyze": [
+            "--model", _ckpt(workdir), "--folds", "3", "--depths", "1", "--leaves", "2", *data,
+        ],
+    }[cmd]
+
+
+RESULT_FILES = {
+    "simulate": "manifest.json",
+    "train": "train_log.json",
+    "tune": "tune.json",
+    "evaluate": "eval_summary.json",
+    "sweep": "sweep.json",
+    "bench": "bench.json",
+    "analyze": "analysis.json",
+}
+
+
+@pytest.mark.parametrize("cmd", RESULT_FILES)
+def test_run_config_names_the_command_and_replays_the_result(workdir, tmp_path, capsys, cmd):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([cmd, *_small_run(workdir, cmd), "--out", str(first)]) == 0
+    assert json.loads((first / "run_config.json").read_text())["command"] == cmd
+    assert main([cmd, "--config", str(first / "run_config.json"), "--out", str(again)]) == 0
+    result = (first / RESULT_FILES[cmd]).read_bytes()
+    replayed = (again / RESULT_FILES[cmd]).read_bytes()
+    if cmd == "bench":  # timings differ from run to run
+        assert json.loads(replayed).keys() == json.loads(result).keys()
+    else:
+        assert replayed == result
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "bench", "analyze"])
+def test_without_out_nothing_is_written(workdir, tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(workdir.rglob("*"))
+    assert main([cmd, *_small_run(workdir, cmd)]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(workdir.rglob("*")) == before
+
+
+# ----------------------------------------------------------------- bad values
+
+
+@pytest.fixture(scope="module")
+def ar_rnn_ckpt(workdir):
+    out = workdir / "ar_rnn"
+    assert main([
+        "train", "--family", "ar_rnn", "--h", "3", "--cm", "2", "--epochs", "1",
+        "--params", '{"nodes": 40}', "--data", str(workdir / "data"), "--out", str(out),
+    ]) == 0
+    return str(out / "ar_rnn_h3_cm2.ckpt")
+
+
+@pytest.mark.parametrize("case", [
+    "simulate", "train", "tune", "evaluate", "sweep", "analyze", "analyze_ar_rnn", "monitor_ar_rnn",
+])
+def test_negative_seed_exits_1_with_named_error(
+    workdir, ar_rnn_ckpt, tmp_path, capsys, monkeypatch, case
+):
+    data = ["--data", str(workdir / "data")]
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "simulate": ["simulate", "--scenarios", "2", "--episode-len", "20", *out],
+        "train": ["train", "--family", "seq2seq", "--epochs", "1", *data, *out],
+        "tune": ["tune", "--family", "persistence", *data, *out],
+        "evaluate": ["evaluate", "--model", _ckpt(workdir), *data, *out],
+        "sweep": ["sweep", "--families", "persistence", *data, *out],
+        "analyze": ["analyze", "--model", _ckpt(workdir), "--folds", "3", *data, *out],
+        "analyze_ar_rnn": ["analyze", "--model", ar_rnn_ckpt, "--folds", "3", *data, *out],
+        "monitor_ar_rnn": ["monitor", "--model", ar_rnn_ckpt],
+    }[case]
+    first = (workdir / "data" / "dataset.jsonl").read_text().splitlines(keepends=True)[0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(first))  # read by monitor only
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", [20, [], "20"], ids=["number", "empty", "string"])
+def test_tune_axis_values_must_be_a_non_empty_list(workdir, tmp_path, capsys, values):
+    code = main([
+        "tune", "--family", "seq2seq", "--axes", json.dumps({"neurons": values}),
+        "--data", str(workdir / "data"), "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: tuning axis 'neurons'") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -13,6 +13,7 @@ from forewarn.data import (
     dataset_hash,
     fit_norm,
     make_windows,
+    phase_windows,
     read_episodes,
     split_episode,
     windows_for_phase,
@@ -403,3 +404,16 @@ def test_windows_for_phase_pools_and_warns(caplog):
         none = windows_for_phase(eps, split, big, norm, "val")
     assert len(none) == 0
     assert "excluded" in caplog.text
+
+
+def test_phase_windows_is_the_default_split_its_norm_and_each_phase():
+    episodes = [make_episode(t=40, seed=i, eid=f"ep{i}") for i in range(3)]
+    wc = WindowConfig(h=3, cm=2)
+    norm, phases = phase_windows(episodes, wc, "margin_cte")
+    split = build_split(episodes)
+    assert norm == fit_norm(episodes, split)
+    assert list(phases) == ["train", "val", "test"]
+    for phase, batch in phases.items():
+        want = windows_for_phase(episodes, split, wc, norm, phase, target="margin_cte")
+        for name in ("origin_t", "episode_ids", *WindowBatch.COLUMNS):
+            assert np.array_equal(getattr(batch, name), getattr(want, name)), (phase, name)

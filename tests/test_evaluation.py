@@ -176,6 +176,16 @@ def test_vargha_delaney_hand_and_scipy_cross_check():
         assert abs(vargha_delaney(a, b) - ref) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stat", [mann_whitney_u, vargha_delaney])
+def test_rank_statistics_reject_non_finite_samples(stat, bad):
+    # NaN compares false both ways, so no rank or pair count means anything for it
+    with pytest.raises(ValidationError, match="finite"):
+        stat([1.0, bad, 2.0], [2.0, 0.5])
+    with pytest.raises(ValidationError, match="finite"):
+        stat([2.0, 0.5], [1.0, bad])
+
+
 def test_effect_magnitude_thresholds():
     assert effect_magnitude(0.5) == "negligible"
     assert effect_magnitude(0.559) == "negligible"

@@ -1,7 +1,9 @@
-"""No module in src/forewarn imports a name it never uses.
+"""No module in src/forewarn imports a name it never uses, or imports inside a function.
 
-No linter is installed, so this stdlib-ast scan is the gate. A name counts as
-used when it is read anywhere in the module or listed in its __all__.
+No linter is installed, so these stdlib-ast scans are the gate. A name counts
+as used when it is read anywhere in the module or listed in its __all__. An
+import inside a function hides a dependency (often a cycle) from the module's
+header, so every import sits at module level.
 """
 
 import ast
@@ -49,3 +51,25 @@ def test_the_scan_finds_an_unused_import():
 def test_no_unused_imports(path):
     unused = [n for n in unused_imports(path.read_text()) if (path.stem, n) not in KEPT]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def imports_in_functions(source: str) -> list[int]:
+    """Line numbers of the imports inside a function body."""
+    return sorted({
+        node.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_the_scan_finds_an_import_in_a_function():
+    source = "import io\ndef f():\n    def g():\n        from x import y\n    import json\n"
+    assert imports_in_functions(source) == [4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_imports_inside_functions(path):
+    lines = imports_in_functions(path.read_text())
+    assert lines == [], f"{path.name} imports inside a function at lines {lines}"

@@ -8,17 +8,16 @@ import pytest
 from _synth import make_learnable_windows, make_sample
 from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
+from forewarn.evaluation import TuneResult, grid_tune
 from forewarn.forecasters import ForecasterSpec, init_params, stack_windows
 from forewarn.training import (
     TrainConfig,
     TrainingDivergedError,
-    TuneResult,
     _eval_loss,
     adam_step,
     clip_global_norm,
     fit,
     gaussian_nll,
-    grid_tune,
     init_adam_state,
     loss_and_grads,
     pinball_loss,
