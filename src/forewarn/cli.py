@@ -32,6 +32,7 @@ from .core import (
     ValidationError,
     WindowConfig,
     first_violation_index,
+    violation_sign,
 )
 from .data import (
     DatasetError,
@@ -45,11 +46,11 @@ from .evaluation import (
     TRAIN_AXES, EvalReport, bench, evaluate, evaluate_model, grid_tune, plot_data, sweep,
 )
 from .forecasters import FAMILIES, ForecasterSpec, load_checkpoint, save_checkpoint
-from .monitor import MonitorConfig, SafetyMonitor
+from .monitor import MonitorConfig, decisions
 from .simulate import SimConfig, SimulationError, generate_dataset
 from .training import TrainConfig, TrainingDivergedError, fit
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "UsageError"]
 
 
 class UsageError(Exception):
@@ -77,32 +78,22 @@ def _from_cfg(cls, cfg: dict, rename: dict[str, str] | None = None, **extra):
 # SimConfig fields that keep their shorter historical CLI key
 _SIM_KEYS = {"n_scenarios": "scenarios", "dt_seconds": "dt"}
 
+# the settings of train and tune: which windows to fit, how, and to what grid
+_FIT = {
+    "data": None,
+    "out": None,
+    "family": None,
+    "h": 3,
+    "cm": 3,
+    **_defaults(TrainConfig),
+    "quantiles": list(DEFAULT_QUANTILES),
+    "target": None,
+}
+
 DEFAULTS: dict[str, dict] = {
     "simulate": {"out": None, **_defaults(SimConfig, _SIM_KEYS)},
-    "train": {
-        "data": None,
-        "out": None,
-        "family": None,
-        "h": 3,
-        "cm": 3,
-        **_defaults(TrainConfig),
-        "quantiles": list(DEFAULT_QUANTILES),
-        "target": None,
-        "params": {},
-        "allow_custom": False,
-    },
-    "tune": {
-        "data": None,
-        "out": None,
-        "family": None,
-        "h": 3,
-        "cm": 3,
-        **_defaults(TrainConfig),
-        "quantiles": list(DEFAULT_QUANTILES),
-        "target": None,
-        "axes": {},
-        "reps": 5,
-    },
+    "train": {**_FIT, "params": {}, "allow_custom": False},
+    "tune": {**_FIT, "axes": {}, "reps": 5},
     "evaluate": {
         "model": None,
         "data": None,
@@ -321,6 +312,21 @@ def _episodes(cfg: dict, cmd: str) -> list:
     return episodes
 
 
+def _fit_inputs(cfg: dict, cmd: str) -> tuple[dict, dict]:
+    """The --data phase windows, and the grid/norm/target/lc_names keywords of fit."""
+    episodes = _episodes(cfg, cmd)
+    wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
+    grid = QuantileGrid(tuple(cfg["quantiles"]))
+    target = cfg["target"] or episodes[0].metric_names[0]
+    norm, phases = phase_windows(episodes, wc, target)
+    return phases, {
+        "grid": grid,
+        "norm": norm,
+        "target": target,
+        "lc_names": episodes[0].lc_names,
+    }
+
+
 def _test_windows(cfg: dict, cmd: str):
     """The --model checkpoint, the --data episodes and their non-empty test windows."""
     model = load_checkpoint(_require(cfg, cmd, "model"))
@@ -370,15 +376,14 @@ def _print_report(report: EvalReport) -> None:
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged("simulate", args)
+def _cmd_simulate(cfg: dict) -> int:
     out = Path(_require(cfg, "simulate", "out"))
     sim_cfg = _from_cfg(SimConfig, cfg, _SIM_KEYS)
     episodes = generate_dataset(sim_cfg)
     out.mkdir(parents=True, exist_ok=True)
     data_file = out / "dataset.jsonl"
     write_episodes(data_file, episodes)
-    violations = sum(1 for ep in episodes if bool(np.any(ep.safety_metric >= 0.0)))
+    violations = sum(violation_sign(ep.safety_metric) == 1 for ep in episodes)
     manifest = {
         "file": data_file.name,
         "episodes": len(episodes),
@@ -396,28 +401,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merged("train", args)
+def _cmd_train(cfg: dict) -> int:
     out = Path(_require(cfg, "train", "out"))
     family = _require(cfg, "train", "family")
-    episodes = _episodes(cfg, "train")
-    wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
-    grid = QuantileGrid(tuple(cfg["quantiles"]))
-    target = cfg["target"] or episodes[0].metric_names[0]
-    norm, phases = phase_windows(episodes, wc, target)
+    phases, fit_kw = _fit_inputs(cfg, "train")
     spec = ForecasterSpec(family, cfg["params"], cfg["allow_custom"])
-    model = fit(
-        spec, phases["train"], phases["val"], _from_cfg(TrainConfig, cfg),
-        grid=grid, norm=norm, target=target, lc_names=episodes[0].lc_names,
-    )
+    model = fit(spec, phases["train"], phases["val"], _from_cfg(TrainConfig, cfg), **fit_kw)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / f"{family}_h{wc.h}_cm{wc.cm}.ckpt"
+    ckpt = out / f"{family}_h{model.wc.h}_cm{model.wc.cm}.ckpt"
     save_checkpoint(model, ckpt)
     _write_outputs(cfg, "train", {"train_log.json": {
         "family": family,
-        "h": wc.h,
-        "cm": wc.cm,
-        "target": target,
+        "h": model.wc.h,
+        "cm": model.wc.cm,
+        "target": model.target,
         "checkpoint": ckpt.name,
         "parameter_count": model.parameter_count,
         "windows": {"train": len(phases["train"]), "val": len(phases["val"])},
@@ -434,19 +431,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _merged("tune", args)
+def _cmd_tune(cfg: dict) -> int:
     _require(cfg, "tune", "out")
     family = _require(cfg, "tune", "family")
-    episodes = _episodes(cfg, "tune")
-    wc = WindowConfig(h=cfg["h"], cm=cfg["cm"])
-    grid = QuantileGrid(tuple(cfg["quantiles"]))
-    target = cfg["target"] or episodes[0].metric_names[0]
-    norm, phases = phase_windows(episodes, wc, target)
+    phases, fit_kw = _fit_inputs(cfg, "tune")
     result = grid_tune(
         family, cfg["axes"], phases["train"], phases["val"], _from_cfg(TrainConfig, cfg),
-        repetitions=cfg["reps"], grid=grid, norm=norm, target=target,
-        lc_names=episodes[0].lc_names,
+        repetitions=cfg["reps"], **fit_kw,
     )
     rows = [
         {**row, "per_q": {f"{q:g}": v for q, v in row["per_q"].items()}} for row in result.rows
@@ -464,8 +455,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _merged("evaluate", args)
+def _cmd_evaluate(cfg: dict) -> int:
     model = load_checkpoint(_require(cfg, "evaluate", "model"))
     episodes = _episodes(cfg, "evaluate")
     grid = QuantileGrid(tuple(cfg["quantiles"])) if cfg["quantiles"] else model.grid
@@ -481,16 +471,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _merged("sweep", args)
+def _cmd_sweep(cfg: dict) -> int:
     _require(cfg, "sweep", "out")
-    episodes = _episodes(cfg, "sweep")
-    families = cfg["families"]
-    for family in families:
-        if family not in FAMILIES:
-            raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
     rows = sweep(
-        episodes, families, _from_cfg(TrainConfig, cfg),
+        _episodes(cfg, "sweep"), cfg["families"], _from_cfg(TrainConfig, cfg),
         h_values=cfg["h_values"], cm_values=cfg["cm_values"],
         repetitions=cfg["reps"], grid=QuantileGrid(tuple(cfg["quantiles"])),
         target=cfg["target"], n_paths=cfg["n_paths"],
@@ -517,8 +501,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _merged("bench", args)
+def _cmd_bench(cfg: dict) -> int:
     model, _, test = _test_windows(cfg, "bench")
     report = bench(
         model, test[0], warmup=cfg["warmup"], iters=cfg["iters"], n_paths=cfg["n_paths"]
@@ -528,38 +511,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
+def _cmd_monitor(cfg: dict) -> int:
     """Stream episodes from stdin; one JSON line per decision to stdout."""
-    cfg = _merged("monitor", args)
     model = load_checkpoint(_require(cfg, "monitor", "model"))
     mon_cfg = _from_cfg(MonitorConfig, cfg, model=model)
     # one line at a time: a line's decisions go out before the next is parsed
     for ep in read_episode_lines(sys.stdin):
-        if ep.lc_names != model.lc_names:
-            raise ValidationError(
-                f"episode {ep.id}: channels {ep.lc_names} do not match model {model.lc_names}"
-            )
-        y = ep.metric(model.target)
-        monitor = SafetyMonitor(mon_cfg, ep.scenario)
-        for t in range(ep.length):
-            monitor.push(ep.lc_outputs[t], float(y[t]))
-            if monitor.last_decision is None:
-                continue
-            column = monitor.last_forecast.column(mon_cfg.decision_quantile)
+        for t, decision, _, forecast in decisions(ep, mon_cfg):
+            column = forecast.column(mon_cfg.decision_quantile)
             # flush per line: downstream consumers act on decisions as they
             # happen, and a closed pipe must surface here, not at shutdown
             print(json.dumps({
                 "t": t,
                 "q": mon_cfg.decision_quantile,
                 "max_forecast": float(column.max()),
-                "decision": monitor.last_decision,
-                "ttv": first_violation_index(column) if monitor.last_decision == 1 else None,
+                "decision": decision,
+                "ttv": first_violation_index(column) if decision == 1 else None,
             }), flush=True)
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _merged("analyze", args)
+def _cmd_analyze(cfg: dict) -> int:
     model, episodes, test = _test_windows(cfg, "analyze")
     ev = evaluate_model(model, test, mc_seed=cfg["seed"], n_paths=cfg["n_paths"])
     q = cfg["q"]
@@ -645,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merged(args.cmd, args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -156,8 +156,8 @@ class Episode:
     metric_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("episode needs an id")
+        if not (isinstance(self.id, str) and self.id):
+            raise ValidationError(f"episode id must be a non-empty string, got {self.id!r}")
         if not (np.isfinite(self.dt_seconds) and self.dt_seconds > 0):
             raise ValidationError(f"episode {self.id!r}: dt_seconds must be > 0")
         object.__setattr__(self, "lc_outputs", _as_float_array(self.lc_outputs, "lc_outputs", 2))
@@ -443,15 +443,18 @@ def safety_metric_fn(actual: float, threshold: float) -> float:
     return abs(float(actual)) - float(threshold)
 
 
-def violation_sign(values: Sequence[float]) -> int:
+def violation_sign(values: Sequence[float], axis: int | None = None):
     """Verdict over a horizon of metric values: +1 if any value >= 0, else -1.
 
-    sign(0) is +1: touching the threshold counts as a violation.
+    sign(0) is +1: touching the threshold counts as a violation. With `axis`,
+    an int array of verdicts, one per horizon laid along that axis.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValidationError("empty horizon")
-    return 1 if float(arr.max()) >= 0.0 else -1
+    if axis is None:
+        return 1 if float(arr.max()) >= 0.0 else -1
+    return np.where(arr.max(axis=axis) >= 0.0, 1, -1)
 
 
 def first_violation_index(values: Sequence[float]) -> Optional[int]:

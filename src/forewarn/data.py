@@ -38,9 +38,9 @@ __all__ = [
     "DatasetError",
     "NormStats",
     "EpisodeSplit",
-    "SplitSpec",
     "STD_EPSILON",
     "write_episodes",
+    "read_episode_lines",
     "read_episodes",
     "dataset_hash",
     "fit_norm",
@@ -209,7 +209,7 @@ class NormStats:
             raise DatasetError(f"no normalization stats for channel {channel!r}") from None
 
 
-def fit_norm(episodes: Sequence[Episode], split: "SplitSpec") -> NormStats:
+def fit_norm(episodes: Sequence[Episode], split: dict[str, EpisodeSplit]) -> NormStats:
     """Mean/std per learned-component and metric channel over train segments.
 
     Population std (ddof=0). Channels with std below STD_EPSILON are clamped
@@ -220,7 +220,7 @@ def fit_norm(episodes: Sequence[Episode], split: "SplitSpec") -> NormStats:
         raise DatasetError("no episodes to fit normalization on")
     pools: dict[str, list[np.ndarray]] = {}
     for ep in episodes:
-        seg = split.by_episode[ep.id].train
+        seg = split[ep.id].train
         for names, arr in ((ep.lc_names, ep.lc_outputs), (ep.metric_names, ep.safety_metric)):
             for j, name in enumerate(names):
                 pools.setdefault(name, []).append(arr[seg[0] : seg[1], j])
@@ -253,12 +253,6 @@ class EpisodeSplit:
         return getattr(self, phase)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple[float, float, float]
-    by_episode: dict[str, EpisodeSplit]
-
-
 def split_episode(
     episode: Episode, fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
 ) -> EpisodeSplit:
@@ -282,8 +276,14 @@ def split_episode(
 
 def build_split(
     episodes: Sequence[Episode], fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-) -> SplitSpec:
-    return SplitSpec(fractions, {ep.id: split_episode(ep, fractions) for ep in episodes})
+) -> dict[str, EpisodeSplit]:
+    """Each episode's split, by episode id; the ids must be unique."""
+    split: dict[str, EpisodeSplit] = {}
+    for ep in episodes:
+        if ep.id in split:
+            raise DatasetError(f"duplicate episode id {ep.id!r}")
+        split[ep.id] = split_episode(ep, fractions)
+    return split
 
 
 # --------------------------------------------------------------- windows
@@ -359,7 +359,7 @@ def make_windows(
 
 def windows_for_phase(
     episodes: Sequence[Episode],
-    split: SplitSpec,
+    split: dict[str, EpisodeSplit],
     wc: WindowConfig,
     norm: NormStats,
     phase: str,
@@ -374,7 +374,7 @@ def windows_for_phase(
         raise DatasetError("no episodes to cut windows from")
     cuts = []
     for ep in episodes:
-        seg = split.by_episode[ep.id].segment(phase)
+        seg = split[ep.id].segment(phase)
         cuts.append(_cut(ep, seg, wc, norm, target, stride))
         if not cuts[-1]["origin_t"].size:
             logger.warning(

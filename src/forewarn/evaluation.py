@@ -23,7 +23,7 @@ import logging
 import math
 import time
 import tracemalloc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import (
     QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, derived_seed,
+    violation_sign,
 )
 from .data import NormStats, phase_windows
 from .forecasters import (
@@ -238,8 +239,8 @@ def evaluate_model(
         raise ValidationError("evaluate_model needs test windows")
     preds = predict_quantiles_batch(model, test_windows, mc_seed=mc_seed, n_paths=n_paths)
     y_true = future_target_original(stack_windows(test_windows))
-    truths = np.where(y_true.max(axis=1) >= 0.0, 1, -1)
-    decisions = np.where(preds.max(axis=1) >= 0.0, 1, -1)  # (N, |Q|)
+    truths = violation_sign(y_true, axis=1)
+    decisions = violation_sign(preds, axis=1)  # (N, |Q|)
     per_q: dict[float, dict] = {}
     for j, q in enumerate(model.grid.qs):
         c = confusion(decisions[:, j], truths)
@@ -287,7 +288,6 @@ class EvalReport:
     repetitions: int
     quantiles: tuple[float, ...]
     per_q: dict[float, dict[str, MetricSummary]]
-    reps: tuple[ModelEval, ...] = field(repr=False, default=())
 
 
 def evaluate(
@@ -334,7 +334,6 @@ def evaluate(
         repetitions=repetitions,
         quantiles=grid.qs,
         per_q=per_q,
-        reps=tuple(model_evals),
     )
 
 
@@ -355,8 +354,10 @@ def sweep(
     """Evaluate each family across the (h, cm) grid; one row per config.
 
     Configs whose windows do not fit any phase of the split are emitted as
-    skipped rows with a warning. total_window = h * (1 + cm).
+    skipped rows with a warning. total_window = h * (1 + cm). Every family
+    is checked before any work, also when every config is skipped.
     """
+    specs = [ForecasterSpec(family) for family in families]
     lc_names = episodes[0].lc_names
     target = target if target is not None else episodes[0].metric_names[0]
     rows: list[dict] = []
@@ -377,16 +378,16 @@ def sweep(
                     rows.append({**row, "family": family, "skipped": True,
                                  "skipped_reason": f"no {'/'.join(empty)} windows"})
                 continue
-            for family in families:
+            for spec in specs:
                 report = evaluate(
-                    ForecasterSpec(family), base_cfg,
+                    spec, base_cfg,
                     phases["train"], phases["val"], phases["test"],
                     repetitions=repetitions, grid=grid, norm=norm, target=target,
                     lc_names=lc_names, n_paths=n_paths,
                 )
                 rows.append({
                     **row,
-                    "family": family,
+                    "family": spec.family,
                     "skipped": False,
                     "qrisk_sum_mean": float(
                         sum(report.per_q[q]["q_risk"].mean for q in grid.qs)

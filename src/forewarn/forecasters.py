@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +98,10 @@ GRIDS: dict[str, dict[str, tuple]] = {
     },
 }
 
+_KINDS = {int: Integral, float: Real, str: str}
+# [low, high) of the numeric hyperparameters that may be 0; every other one counts
+_RANGES = {"decoder_layers": (0, math.inf), "dropout": (0.0, 1.0)}
+
 DEFAULT_HYPERS: dict[str, dict] = {
     "persistence": {},
     "seq2seq": {"decoder_layers": 2, "neurons": 80},
@@ -110,8 +115,8 @@ DEFAULT_HYPERS: dict[str, dict] = {
 class ForecasterSpec:
     """A family name plus model hyperparameters, checked against the grid.
 
-    Pass allow_custom=True to use values outside the tuning grid (unknown
-    keys are always rejected).
+    Pass allow_custom=True to use values outside the tuning grid; unknown keys,
+    values of another type than the grid's and out-of-range values always fail.
     """
 
     family: str
@@ -128,6 +133,12 @@ class ForecasterSpec:
                 raise ValidationError(
                     f"{self.family}: unknown hyperparameter {key!r} (grid has {sorted(grid)})"
                 )
+            kind = type(grid[key][0])  # a bool is no int
+            if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+                raise ValidationError(f"{self.family}: {key}={value!r} is no {kind.__name__}")
+            low, high = _RANGES.get(key, (1, math.inf))
+            if kind is not str and not low <= value < high:
+                raise ValidationError(f"{self.family}: {key}={value!r} outside [{low}, {high})")
             if not self.allow_custom and value not in grid[key]:
                 raise ValidationError(
                     f"{self.family}: {key}={value!r} not in grid {grid[key]} "

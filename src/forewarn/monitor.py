@@ -17,12 +17,15 @@ n_paths sample paths) and the QuantileForecast, never anything proportional
 to stream length. Only families that sample draw a Monte-Carlo seed.
 The monitor consumes measured safety-metric values for its lookback; it never
 feeds its own forecasts back in.
+
+`decisions` yields (t, decision, alarm, forecast) as each push of one episode
+through a fresh monitor returns; `replay` collects its (t, decision, alarm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .core import (
 # predict_quantiles is not called here; benchmarks/tracing.py wraps monitor.predict_quantiles
 from .forecasters import SAMPLING_FAMILIES, TrainedForecaster, predict_quantiles, predict_stacked
 
-__all__ = ["MonitorConfig", "Alarm", "SafetyMonitor", "replay"]
+__all__ = ["MonitorConfig", "Alarm", "SafetyMonitor", "decisions", "replay"]
 
 
 @dataclass(frozen=True)
@@ -163,22 +166,28 @@ class SafetyMonitor:
         return alarm
 
 
-def replay(episode: Episode, cfg: MonitorConfig) -> list[tuple[int, int, Optional[Alarm]]]:
-    """Feed one episode through a fresh monitor; one (t, decision, alarm) per t >= k.
+def decisions(
+    episode: Episode, cfg: MonitorConfig
+) -> Iterator[tuple[int, int, Optional[Alarm], QuantileForecast]]:
+    """Feed one episode through a fresh monitor, yielding each decision as it is made.
 
-    The episode must carry the model's target metric and exactly its
+    One (t, decision, alarm, forecast) per t >= k, as soon as that push
+    returns. The episode must carry the model's target metric and exactly its
     learned-component channels (same names, same order).
     """
     model = cfg.model
     if episode.lc_names != model.lc_names:
         raise ValidationError(
-            f"episode channels {episode.lc_names} do not match model {model.lc_names}"
+            f"episode {episode.id}: channels {episode.lc_names} do not match model {model.lc_names}"
         )
     y = episode.metric(model.target)
     monitor = SafetyMonitor(cfg, episode.scenario)
-    out: list[tuple[int, int, Optional[Alarm]]] = []
     for t in range(episode.length):
         alarm = monitor.push(episode.lc_outputs[t], y[t])
         if monitor.last_decision is not None:
-            out.append((t, monitor.last_decision, alarm))
-    return out
+            yield t, monitor.last_decision, alarm, monitor.last_forecast
+
+
+def replay(episode: Episode, cfg: MonitorConfig) -> list[tuple[int, int, Optional[Alarm]]]:
+    """The (t, decision, alarm) of every decision of `decisions(episode, cfg)`."""
+    return [(t, decision, alarm) for t, decision, alarm, _ in decisions(episode, cfg)]

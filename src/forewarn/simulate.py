@@ -132,7 +132,6 @@ def simulate_episode(
     cfg: SimConfig,
     requirements: Sequence[SafetyRequirement] = DEFAULT_REQUIREMENTS,
     index: int = 0,
-    episode_id: str | None = None,
 ) -> Episode:
     """Run the closed loop for cfg.episode_len steps from one scenario point.
 
@@ -181,7 +180,7 @@ def simulate_episode(
         j = state_names.index(req.channel)
         metric_cols.append(np.abs(state[:, j]) - req.threshold)
     return Episode(
-        id=episode_id if episode_id is not None else f"ep{index:04d}",
+        id=f"ep{index:04d}",
         scenario=scenario,
         dt_seconds=cfg.dt_seconds,
         lc_outputs=est,

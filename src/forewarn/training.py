@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -62,14 +63,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch_size must be >= 1")
-        if not (self.lr > 0 and self.clip_norm > 0):
-            raise ValidationError("lr and clip_norm must be > 0")
-        if self.patience < 0:
-            raise ValidationError("patience must be >= 0")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for key, value in vars(self).items():
+            real = key in ("lr", "clip_norm")  # the others are ints; a bool is neither
+            if isinstance(value, bool) or not isinstance(value, Real if real else Integral):
+                raise ValidationError(f"{key}={value!r} is no {'number' if real else 'int'}")
+            least = 1 if key in ("epochs", "batch_size") else 0
+            if not (value > 0 if real else value >= least):
+                bound = "> 0" if real else f">= {least}"
+                raise ValidationError(f"{key} must be {bound}, got {value!r}")
 
 
 # ----------------------------------------------------------------- losses

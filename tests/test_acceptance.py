@@ -143,7 +143,7 @@ def test_02_oracle_equivalence():
             got = windows_for_phase(eps, split, wc, norm, phase, target=target)
             want = []
             for ep in eps:
-                s0, s1 = split.by_episode[ep.id].segment(phase)
+                s0, s1 = split[ep.id].segment(phase)
                 for t in range(ep.length):
                     lookback_fits = t - (wc.k - 1) >= 0
                     future_inside = t + 1 >= s0 and t + h <= s1 - 1

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from forewarn.cli import DEFAULTS, build_parser, main
-from forewarn.core import ValidationError
-from forewarn.data import dataset_hash
+from forewarn.core import ValidationError, first_violation_index
+from forewarn.data import dataset_hash, read_episodes
 from forewarn.forecasters import load_checkpoint, save_checkpoint
+from forewarn.monitor import MonitorConfig, decisions
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +339,28 @@ def test_monitor_decides_each_line_before_reading_the_next(workdir, capsys, monk
     assert "line 2" in captured.err
 
 
+def test_monitor_prints_the_records_of_the_decision_stream(workdir, capsys, monkeypatch):
+    data = workdir / "data" / "dataset.jsonl"
+    monkeypatch.setattr("sys.stdin", io.StringIO(data.read_text()))
+    assert main(["monitor", "--model", _ckpt(workdir), "--hysteresis", "3"]) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    cfg = MonitorConfig(load_checkpoint(_ckpt(workdir)), hysteresis=3)
+    stream = [step for ep in read_episodes(data) for step in decisions(ep, cfg)]
+    expected = []
+    for t, decision, _, forecast in stream:
+        column = forecast.column(0.995)
+        expected.append({
+            "t": t,
+            "q": 0.995,
+            "max_forecast": float(column.max()),
+            "decision": decision,
+            "ttv": first_violation_index(column) if decision == 1 else None,
+        })
+    assert printed == expected
+    # a positive decision still short of the hysteresis prints its ttv too
+    assert any(decision == 1 and alarm is None for _, decision, alarm, _ in stream)
+
+
 @pytest.fixture(scope="module")
 def seq2seq_ckpt(workdir):
     out = workdir / "seq2seq"
@@ -525,3 +548,56 @@ def test_tune_axis_values_must_be_a_non_empty_list(workdir, tmp_path, capsys, va
     assert code == 1
     assert err.startswith("error: tuning axis 'neurons'") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["tune", "--family", "seq2seq", "--axes", '{"lr": ["x"]}'], "lr"),
+    (["tune", "--family", "seq2seq", "--axes", '{"batch_size": [1.5]}'], "batch_size"),
+    (["tune", "--family", "seq2seq", "--axes", '{"batch_size": [true]}'], "batch_size"),
+    (["tune", "--family", "seq2seq", "--axes", '{"neurons": [20.0]}'], "neurons"),
+    (["tune", "--family", "attn_seq2seq", "--axes", '{"heads": [4.0]}'], "heads"),
+    (["train", "--family", "seq2seq", "--params", '{"neurons": 20.0}'], "neurons"),
+    (["train", "--family", "seq2seq", "--allow-custom", "--params", '{"neurons": -1}'], "neurons"),
+    (["train", "--family", "seq2seq", "--allow-custom", "--params", '{"neurons": 0}'], "neurons"),
+    (
+        ["train", "--family", "seq2seq", "--allow-custom", "--params", '{"decoder_layers": -2}'],
+        "decoder_layers",
+    ),
+], ids=[
+    "lr_str", "batch_size_float", "batch_size_bool", "neurons_float", "heads_float",
+    "params_neurons_float", "custom_neurons_negative", "custom_neurons_zero",
+    "custom_decoder_layers_negative",
+])
+def test_mistyped_or_out_of_range_hyperparameter_exits_1_naming_it(
+    workdir, tmp_path, capsys, argv, key
+):
+    code = main([
+        *argv, "--epochs", "1", "--data", str(workdir / "data"), "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _with_ids(workdir, tmp_path, ids):
+    """The module's dataset with its episode ids replaced by `ids`, in order."""
+    lines = (workdir / "data" / "dataset.jsonl").read_text().splitlines()
+    records = [{**json.loads(line), "id": eid} for line, eid in zip(lines, ids)]
+    path = tmp_path / "ids.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([[0]] + [f"ep{i}" for i in range(1, 8)], "episode id must be a non-empty string"),
+    (list(range(1, 9)), "episode id must be a non-empty string"),
+    (["same"] * 8, "duplicate episode id 'same'"),
+], ids=["list", "int", "duplicate"])
+@pytest.mark.parametrize("cmd", ["evaluate", "bench", "analyze"])
+def test_bad_episode_ids_exit_1_with_named_error(workdir, tmp_path, capsys, ids, message, cmd):
+    data = str(_with_ids(workdir, tmp_path, ids))
+    code = main([cmd, *_small_run(workdir, cmd)[:-2], "--data", data])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err and "Traceback" not in err

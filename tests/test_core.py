@@ -89,6 +89,14 @@ def test_violation_sign_matches_naive_scan():
         assert violation_sign(vals) == naive
 
 
+def test_violation_sign_along_an_axis_is_the_verdict_of_each_row():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(200, 5)) - 1.0
+    assert violation_sign(x, axis=1).tolist() == [violation_sign(row) for row in x]
+    assert violation_sign(x, axis=0).tolist() == [violation_sign(col) for col in x.T]
+    assert type(violation_sign(x)) is int and type(violation_sign(x[0])) is int
+
+
 def test_first_violation_index_hand_values():
     assert first_violation_index([-1.0, 0.2, 0.5]) == 2
     assert first_violation_index([0.0, -1.0, -1.0]) == 1

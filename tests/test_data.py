@@ -277,7 +277,7 @@ def test_window_contents_match_enumeration_oracle():
     split = build_split([ep])
     norm = fit_norm([ep], split)
     wc = WindowConfig(h=4, cm=2)  # k = 8
-    seg = split.by_episode[ep.id].test
+    seg = split[ep.id].test
     samples = make_windows(ep, seg, wc, norm, target="margin_he")
     # oracle: enumerate every origin and test validity from first principles
     metric = ep.metric("margin_he")
@@ -381,7 +381,7 @@ def test_windows_for_phase_concatenates_episode_batches_in_order():
     norm = fit_norm(eps, split)
     wc = WindowConfig(h=2, cm=3)
     pooled = windows_for_phase(eps, split, wc, norm, "val", stride=2)
-    parts = [make_windows(ep, split.by_episode[ep.id].val, wc, norm, stride=2) for ep in eps]
+    parts = [make_windows(ep, split[ep.id].val, wc, norm, stride=2) for ep in eps]
     for name in (*WindowBatch.COLUMNS, "episode_ids", "origin_t"):
         assert np.array_equal(getattr(pooled, name), np.concatenate([getattr(p, name) for p in parts]))
     for ep, part in zip(eps, parts):

@@ -357,6 +357,16 @@ def test_sweep_total_window_column():
     assert not any(r["skipped"] for r in rows)
 
 
+def test_sweep_rejects_an_unknown_family_even_when_every_config_is_skipped():
+    rng = np.random.default_rng(11)
+    episodes = [make_episode(rng, t_len=20, eid=f"ep{i}") for i in range(2)]
+    with pytest.raises(ValidationError, match="unknown family 'bogus'"):
+        sweep(
+            episodes, ["persistence", "bogus"], TrainConfig(epochs=1),
+            h_values=(40,), cm_values=(1,),
+        )
+
+
 # ------------------------------------------------------------------ bench
 
 

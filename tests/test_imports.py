@@ -3,7 +3,8 @@
 No linter is installed, so these stdlib-ast scans are the gate. A name counts
 as used when it is read anywhere in the module or listed in its __all__. An
 import inside a function hides a dependency (often a cycle) from the module's
-header, so every import sits at module level.
+header, so every import sits at module level. Each module's __all__ lists
+every public top-level function and class, and only names the module binds.
 """
 
 import ast
@@ -73,3 +74,35 @@ def test_the_scan_finds_an_import_in_a_function():
 def test_no_imports_inside_functions(path):
     lines = imports_in_functions(path.read_text())
     assert lines == [], f"{path.name} imports inside a function at lines {lines}"
+
+
+def public_names(source: str) -> tuple[set[str], set[str], set[str]]:
+    """(public top-level functions and classes, names bound at top level, __all__)."""
+    tree = ast.parse(source)
+    public, bound, listed = set(), set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                listed.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return public, bound, listed
+
+
+def test_the_scan_finds_unlisted_and_undefined_names():
+    source = "__all__ = ['f', 'G', 'gone']\ndef f(): pass\nclass G: pass\ndef h(): pass\n"
+    public, bound, listed = public_names(source)
+    assert public - listed == {"h"} and listed - bound == {"gone"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_all_lists_every_public_definition_and_only_bound_names(path):
+    public, bound, listed = public_names(path.read_text())
+    assert public - listed == set(), f"{path.name} leaves {public - listed} out of __all__"
+    assert listed - bound == set(), f"{path.name} lists undefined {listed - bound} in __all__"
