@@ -36,10 +36,12 @@ from .core import (
 )
 from .data import (
     DatasetError,
+    build_split,
     dataset_hash,
     phase_windows,
     read_episode_lines,
     read_episodes,
+    windows_for_phase,
     write_episodes,
 )
 from .evaluation import (
@@ -328,13 +330,21 @@ def _fit_inputs(cfg: dict, cmd: str) -> tuple[dict, dict]:
 
 
 def _test_windows(cfg: dict, cmd: str):
-    """The --model checkpoint, the --data episodes and their non-empty test windows."""
+    """The --model checkpoint, the --data episodes and their non-empty test windows.
+
+    The windows are the model's inputs as the monitor reads them: episodes with
+    the model's channels, cut with its window config, target and normalization.
+    """
     model = load_checkpoint(_require(cfg, cmd, "model"))
     episodes = _episodes(cfg, cmd)
-    _, phases = phase_windows(episodes, model.wc, model.target)
-    if not phases["test"]:
+    for ep in episodes:
+        model.check_channels(ep)
+    test = windows_for_phase(
+        episodes, build_split(episodes), model.wc, model.norm, "test", target=model.target
+    )
+    if not test:
         raise ValidationError("dataset yields no test windows for this model's window config")
-    return model, episodes, phases["test"]
+    return model, episodes, test
 
 
 def _report_json(report: EvalReport) -> dict:

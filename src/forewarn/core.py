@@ -12,13 +12,16 @@ speaks in these types. Two conventions hold package-wide:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "ValidationError",
+    "check_setting",
     "ScenarioDim",
     "Scenario",
     "SafetyRequirement",
@@ -38,6 +41,22 @@ __all__ = [
 
 class ValidationError(ValueError):
     """A value violates a structural contract of a core type."""
+
+
+def check_setting(name: str, value, kind: type = int, low=0, high=math.inf, above=False):
+    """`value` if it is a `kind` in [low, high), or (low, high) with `above`.
+
+    int means numbers.Integral and float numbers.Real; a bool is neither. The
+    type is checked before the range, and either failure is a ValidationError
+    naming the setting, its value and the bound. An int comes back as a
+    builtin int, a float unchanged.
+    """
+    typed = isinstance(value, Real if kind is float else Integral) and not isinstance(value, bool)
+    if not (typed and (value > low if above else value >= low) and value < high):
+        bound = f"{'>' if above else '>='} {low}" + (f" and < {high}" if high < math.inf else "")
+        what = "a finite number" if kind is float else "an int"
+        raise ValidationError(f"{name} must be {what} {bound}, got {value!r}")
+    return value if kind is float else int(value)
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
@@ -233,10 +252,8 @@ class WindowConfig:
     cm: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.h, int) and self.h >= 1):
-            raise ValidationError(f"h must be an int >= 1, got {self.h!r}")
-        if not (isinstance(self.cm, int) and self.cm >= 1):
-            raise ValidationError(f"cm must be an int >= 1, got {self.cm!r}")
+        for name in ("h", "cm"):
+            object.__setattr__(self, name, check_setting(name, getattr(self, name), low=1))
 
     @property
     def k(self) -> int:

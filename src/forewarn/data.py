@@ -195,14 +195,15 @@ class NormStats:
                 )
 
     def apply(self, x, channel: str):
-        mean, std = self._get(channel)
+        mean, std = self.stats(channel)
         return (np.asarray(x, dtype=np.float64) - mean) / std
 
     def invert(self, z, channel: str):
-        mean, std = self._get(channel)
+        mean, std = self.stats(channel)
         return np.asarray(z, dtype=np.float64) * std + mean
 
-    def _get(self, channel: str) -> tuple[float, float]:
+    def stats(self, channel: str) -> tuple[float, float]:
+        """The channel's (mean, std); DatasetError when it has none."""
         try:
             return self.channels[channel]
         except KeyError:
@@ -309,9 +310,9 @@ def _cut(
     if target is None:
         target = episode.metric_names[0]
     k, h = wc.k, wc.h
-    mean, std = norm._get(target)
+    mean, std = norm.stats(target)
     metric_n = (episode.metric(target) - mean) / std
-    cov_mean, cov_std = np.array([norm._get(name) for name in episode.lc_names]).T
+    cov_mean, cov_std = np.array([norm.stats(name) for name in episode.lc_names]).T
     cov_n = (episode.lc_outputs - cov_mean) / cov_std
     origins = np.arange(max(s0 - 1, k - 1), s1 - h, stride)
     cut = {"origin_t": origins, "denorm": (mean, std)}

@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, derived_seed,
-    violation_sign,
+    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, check_setting,
+    derived_seed, violation_sign,
 )
 from .data import NormStats, phase_windows
 from .forecasters import (
@@ -308,8 +308,7 @@ def evaluate(
     Each repetition derives its training seed and its Monte-Carlo seed from
     (base_cfg.seed, repetition), so the whole report is reproducible.
     """
-    if repetitions < 1:
-        raise ValidationError("repetitions must be >= 1")
+    repetitions = check_setting("repetitions", repetitions, low=1)
 
     model_evals = []
     for rep in range(repetitions):
@@ -430,8 +429,7 @@ def grid_tune(
     scale by evaluate_model. Diverged runs score infinity, so any
     configuration that ever diverges ranks behind every stable one.
     """
-    if repetitions < 1:
-        raise ValidationError("repetitions must be >= 1")
+    repetitions = check_setting("repetitions", repetitions, low=1)
     model_keys = sorted(k for k in axes if k in GRIDS[family])
     train_keys = sorted(k for k in axes if k in TRAIN_AXES)
     unknown = set(axes) - set(model_keys) - set(train_keys)
@@ -511,8 +509,8 @@ def bench(
     Timing excludes the tracemalloc pass (the hook slows allocation); the
     peak is measured on one representative call afterwards.
     """
-    if warmup < 0 or iters < 1:
-        raise ValidationError("bench needs warmup >= 0 and iters >= 1")
+    warmup = check_setting("warmup", warmup)
+    iters = check_setting("iters", iters, low=1)
 
     def call():
         return predict_quantiles(model, sample, mc_seed=0, n_paths=n_paths)

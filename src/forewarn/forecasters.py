@@ -32,19 +32,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, concat, relu, sigmoid, softmax, softplus, tanh
 from .core import (
+    Episode,
     QuantileForecast,
     QuantileGrid,
     ValidationError,
     WindowBatch,
     WindowConfig,
     WindowSample,
+    check_setting,
 )
 from .data import NormStats
 
@@ -98,7 +99,6 @@ GRIDS: dict[str, dict[str, tuple]] = {
     },
 }
 
-_KINDS = {int: Integral, float: Real, str: str}
 # [low, high) of the numeric hyperparameters that may be 0; every other one counts
 _RANGES = {"decoder_layers": (0, math.inf), "dropout": (0.0, 1.0)}
 
@@ -115,8 +115,9 @@ DEFAULT_HYPERS: dict[str, dict] = {
 class ForecasterSpec:
     """A family name plus model hyperparameters, checked against the grid.
 
-    Pass allow_custom=True to use values outside the tuning grid; unknown keys,
-    values of another type than the grid's and out-of-range values always fail.
+    Pass allow_custom=True to use numbers outside the tuning grid; unknown
+    keys, values of another type than the grid's, out-of-range numbers and
+    strings outside the grid always fail. Ints are stored as builtin ints.
     """
 
     family: str
@@ -133,12 +134,15 @@ class ForecasterSpec:
                 raise ValidationError(
                     f"{self.family}: unknown hyperparameter {key!r} (grid has {sorted(grid)})"
                 )
-            kind = type(grid[key][0])  # a bool is no int
-            if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
-                raise ValidationError(f"{self.family}: {key}={value!r} is no {kind.__name__}")
-            low, high = _RANGES.get(key, (1, math.inf))
-            if kind is not str and not low <= value < high:
-                raise ValidationError(f"{self.family}: {key}={value!r} outside [{low}, {high})")
+            kind = type(grid[key][0])
+            if kind is str:  # a choice, such as the cell type: custom values have no code
+                if value not in grid[key]:
+                    raise ValidationError(
+                        f"{self.family}: {key}={value!r} not in grid {grid[key]}"
+                    )
+            else:
+                low, high = _RANGES.get(key, (1, math.inf))
+                value = check_setting(f"{self.family}: {key}", value, kind, low, high)
             if not self.allow_custom and value not in grid[key]:
                 raise ValidationError(
                     f"{self.family}: {key}={value!r} not in grid {grid[key]} "
@@ -172,6 +176,17 @@ class TrainedForecaster:
     @property
     def parameter_bytes(self) -> int:
         return int(sum(p.nbytes for p in self.params.values()))
+
+    def check_channels(self, episode: Episode) -> None:
+        """ValidationError unless the episode's learned-component channels are the model's.
+
+        Same names in the same order: the model reads its inputs by position.
+        """
+        if episode.lc_names != self.lc_names:
+            raise ValidationError(
+                f"episode {episode.id}: channels {episode.lc_names} do not match model "
+                f"{self.lc_names}"
+            )
 
 
 # ----------------------------------------------------------------- helpers
@@ -302,12 +317,12 @@ def init_params(
     if fam == "ar_rnn":
         n = spec.get("nodes")
         d_in = 1 + n_static
-        if spec.get("cell") == "gru":
-            _gru_params(p, rng, "cell.", d_in, n)
-        else:
+        if spec.get("cell") == "lstm":
             p["cell.W"] = _glorot(rng, d_in, 4 * n)
             p["cell.U"] = _glorot(rng, n, 4 * n)
             p["cell.b"] = np.zeros(4 * n)
+        else:
+            _gru_params(p, rng, "cell.", d_in, n)
         p["head.W_mu"] = _glorot(rng, n, 1)
         p["head.b_mu"] = np.zeros(1)
         p["head.W_sigma"] = _glorot(rng, n, 1)
@@ -576,10 +591,8 @@ def predict_stacked(
         normalized = np.repeat(last[:, None, None], h, axis=1)
         normalized = np.repeat(normalized, len(qs), axis=2)
     elif fam in SAMPLING_FAMILIES:
-        if mc_seed is None or mc_seed < 0:
-            raise ValidationError(f"{fam} prediction requires an explicit mc_seed >= 0")
-        if n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
+        mc_seed = check_setting(f"{fam} prediction mc_seed", mc_seed)
+        n_paths = check_setting("n_paths", n_paths, low=1)
         rng = np.random.default_rng(mc_seed)
         per_chunk = max(1, _CHUNK_ROWS // n_paths)
         pieces = []

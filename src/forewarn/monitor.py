@@ -34,6 +34,7 @@ from .core import (
     QuantileForecast,
     Scenario,
     ValidationError,
+    check_setting,
     derived_seed,
     first_violation_index,
     violation_sign,
@@ -60,12 +61,9 @@ class MonitorConfig:
 
     def __post_init__(self) -> None:
         self.model.grid.index(self.decision_quantile)  # must be a grid level
-        if not (isinstance(self.hysteresis, int) and self.hysteresis >= 0):
-            raise ValidationError(f"hysteresis must be an int >= 0, got {self.hysteresis!r}")
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_setting("hysteresis", self.hysteresis)
+        check_setting("seed", self.seed)
+        check_setting("n_paths", self.n_paths, low=1)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class SafetyMonitor:
             )
         # fail at construction, not mid-stream, if the stats are incomplete;
         # NormStats has already checked them finite with std > 0
-        stats = np.array([model.norm._get(c) for c in (model.target, *model.lc_names)])
+        stats = np.array([model.norm.stats(c) for c in (model.target, *model.lc_names)])
         self._mean, self._std = stats.T.copy()
         self.cfg = cfg
         self.scenario = scenario
@@ -175,12 +173,8 @@ def decisions(
     returns. The episode must carry the model's target metric and exactly its
     learned-component channels (same names, same order).
     """
-    model = cfg.model
-    if episode.lc_names != model.lc_names:
-        raise ValidationError(
-            f"episode {episode.id}: channels {episode.lc_names} do not match model {model.lc_names}"
-        )
-    y = episode.metric(model.target)
+    cfg.model.check_channels(episode)
+    y = episode.metric(cfg.model.target)
     monitor = SafetyMonitor(cfg, episode.scenario)
     for t in range(episode.length):
         alarm = monitor.push(episode.lc_outputs[t], y[t])

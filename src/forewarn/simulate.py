@@ -25,6 +25,7 @@ from .core import (
     Scenario,
     ScenarioDim,
     ValidationError,
+    check_setting,
 )
 
 __all__ = [
@@ -78,19 +79,13 @@ class SimConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.n_scenarios < 1:
-            raise ValidationError("n_scenarios must be >= 1")
-        if self.episode_len < 1:
-            raise ValidationError("episode_len must be >= 1")
-        if self.dt_seconds <= 0:
-            raise ValidationError("dt_seconds must be > 0")
-        if self.u_max_deg_s <= 0:
-            raise ValidationError("u_max_deg_s must be > 0")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name in ("n_scenarios", "episode_len"):
+            check_setting(name, getattr(self, name), low=1)
+        check_setting("seed", self.seed)
+        for name in ("dt_seconds", "u_max_deg_s"):
+            check_setting(name, getattr(self, name), float, above=True)
         for name in ("noise_base", "noise_cloud_gain", "noise_tod_gain"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            check_setting(name, getattr(self, name), float)
 
 
 def lhs_sample(n: int, dims: Sequence[ScenarioDim], seed: int) -> list[Scenario]:
@@ -100,8 +95,7 @@ def lhs_sample(n: int, dims: Sequence[ScenarioDim], seed: int) -> list[Scenario]
     sample lands in each stratum, and strata are paired across dimensions by
     independent random permutations. Deterministic for a given seed.
     """
-    if n < 1:
-        raise ValidationError("need n >= 1 samples")
+    n = check_setting("n", n, low=1)
     dims = tuple(dims)
     rng = np.random.default_rng(seed)
     cols = []

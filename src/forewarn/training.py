@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, log, mean, relu, square
-from .core import QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample
+from .core import (
+    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, check_setting,
+)
 from .data import NormStats
 from .forecasters import (
     ForecasterSpec,
@@ -64,13 +65,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for key, value in vars(self).items():
-            real = key in ("lr", "clip_norm")  # the others are ints; a bool is neither
-            if isinstance(value, bool) or not isinstance(value, Real if real else Integral):
-                raise ValidationError(f"{key}={value!r} is no {'number' if real else 'int'}")
-            least = 1 if key in ("epochs", "batch_size") else 0
-            if not (value > 0 if real else value >= least):
-                bound = "> 0" if real else f">= {least}"
-                raise ValidationError(f"{key} must be {bound}, got {value!r}")
+            if key in ("lr", "clip_norm"):
+                check_setting(key, value, float, above=True)
+            else:
+                low = 1 if key in ("epochs", "batch_size") else 0
+                object.__setattr__(self, key, check_setting(key, value, low=low))
 
 
 # ----------------------------------------------------------------- losses

@@ -1,16 +1,18 @@
 """End-to-end checks of the command-line pipeline on a tiny dataset."""
 
 import argparse
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+from forewarn import cli
 from forewarn.cli import DEFAULTS, build_parser, main
 from forewarn.core import ValidationError, first_violation_index
-from forewarn.data import dataset_hash, read_episodes
-from forewarn.forecasters import load_checkpoint, save_checkpoint
+from forewarn.data import dataset_hash, read_episodes, write_episodes
+from forewarn.forecasters import load_checkpoint, predict_quantiles_batch, save_checkpoint
 from forewarn.monitor import MonitorConfig, decisions
 
 
@@ -563,10 +565,11 @@ def test_tune_axis_values_must_be_a_non_empty_list(workdir, tmp_path, capsys, va
         ["train", "--family", "seq2seq", "--allow-custom", "--params", '{"decoder_layers": -2}'],
         "decoder_layers",
     ),
+    (["train", "--family", "ar_rnn", "--allow-custom", "--params", '{"cell": "foo"}'], "cell"),
 ], ids=[
     "lr_str", "batch_size_float", "batch_size_bool", "neurons_float", "heads_float",
     "params_neurons_float", "custom_neurons_negative", "custom_neurons_zero",
-    "custom_decoder_layers_negative",
+    "custom_decoder_layers_negative", "custom_cell_unknown",
 ])
 def test_mistyped_or_out_of_range_hyperparameter_exits_1_naming_it(
     workdir, tmp_path, capsys, argv, key
@@ -601,3 +604,54 @@ def test_bad_episode_ids_exit_1_with_named_error(workdir, tmp_path, capsys, ids,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+# ----------------------------------------------------------------- checkpoint inputs
+
+
+def test_analyze_scores_the_windows_the_monitor_forecasts(workdir, tmp_path, monkeypatch):
+    """On another dataset, analyze normalizes with the checkpoint's stats, as the monitor does."""
+    assert main([
+        "simulate", "--scenarios", "8", "--episode-len", "40", "--seed", "4",
+        "--noise-base", "0.9", "--out", str(tmp_path / "other"),
+    ]) == 0
+    assert main([
+        "train", "--family", "seq2seq", "--h", "3", "--cm", "2", "--epochs", "1",
+        "--data", str(workdir / "data"), "--out", str(tmp_path / "models"),
+    ]) == 0
+    ckpt = str(tmp_path / "models" / "seq2seq_h3_cm2.ckpt")
+    scored, evaluate_model = [], cli.evaluate_model
+
+    def recording(model, test, **kw):
+        scored.append(test)
+        return evaluate_model(model, test, **kw)
+
+    monkeypatch.setattr(cli, "evaluate_model", recording)
+    assert main([
+        "analyze", "--model", ckpt, "--data", str(tmp_path / "other"),
+        "--folds", "3", "--depths", "1", "--leaves", "2",
+    ]) == 0
+    (test,) = scored
+    model = load_checkpoint(ckpt)
+    preds = predict_quantiles_batch(model, test)
+    cfg = MonitorConfig(model)
+    monitored = {
+        (ep.id, t): forecast.values
+        for ep in read_episodes(tmp_path / "other" / "dataset.jsonl")
+        for t, _, _, forecast in decisions(ep, cfg)
+    }
+    want = np.array([monitored[str(e), int(t)] for e, t in zip(test.episode_ids, test.origin_t)])
+    np.testing.assert_allclose(preds, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("cmd", ["bench", "analyze"])
+def test_swapped_channels_exit_1_naming_them(workdir, tmp_path, capsys, cmd):
+    episodes = [
+        dataclasses.replace(ep, lc_outputs=ep.lc_outputs[:, ::-1], lc_names=ep.lc_names[::-1])
+        for ep in read_episodes(workdir / "data" / "dataset.jsonl")
+    ]
+    write_episodes(tmp_path / "swapped.jsonl", episodes)
+    code = main([cmd, *_small_run(workdir, cmd)[:-2], "--data", str(tmp_path / "swapped.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "channels" in err and "Traceback" not in err

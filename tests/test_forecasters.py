@@ -79,6 +79,13 @@ def test_spec_rejects_off_grid_value_without_allow_custom():
     assert spec.params["neurons"] == 33
 
 
+@pytest.mark.parametrize("cell", ["foo", 1])
+def test_a_choice_stays_in_its_grid_even_with_allow_custom(cell):
+    with pytest.raises(ValidationError, match=f"cell={cell!r} not in grid") as info:
+        ForecasterSpec("ar_rnn", {"cell": cell}, allow_custom=True)
+    assert "allow_custom" not in str(info.value)
+
+
 def test_spec_merges_defaults():
     spec = ForecasterSpec("seq2seq")
     assert spec.params == {"decoder_layers": 2, "neurons": 80}

@@ -5,6 +5,7 @@ as used when it is read anywhere in the module or listed in its __all__. An
 import inside a function hides a dependency (often a cycle) from the module's
 header, so every import sits at module level. Each module's __all__ lists
 every public top-level function and class, and only names the module binds.
+No module reads a `_private` attribute that it does not define itself.
 """
 
 import ast
@@ -106,3 +107,37 @@ def test_all_lists_every_public_definition_and_only_bound_names(path):
     public, bound, listed = public_names(path.read_text())
     assert public - listed == set(), f"{path.name} leaves {public - listed} out of __all__"
     assert listed - bound == set(), f"{path.name} lists undefined {listed - bound} in __all__"
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """`_private` attributes the module reads but defines nowhere itself.
+
+    A module defines an attribute by assigning it or by a def or class of that
+    name; reading another module's private name couples to its internals.
+    """
+    defined, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif not node.attr.startswith("__"):
+                read.add(node.attr)
+    return sorted(read - defined)
+
+
+def test_the_scan_finds_a_private_attribute_defined_elsewhere():
+    source = (
+        "class A:\n    _n: int = 0\n    def _f(self):\n        self._x = 1\n"
+        "        return self._x, self._f(), self._n, other._y, mod._z.__doc__\n"
+    )
+    assert foreign_private_reads(source) == ["_y", "_z"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_a_private_attribute_it_does_not_define(path):
+    foreign = foreign_private_reads(path.read_text())
+    assert foreign == [], f"{path.name} reads private attributes {foreign} defined elsewhere"

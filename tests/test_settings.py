@@ -1,0 +1,120 @@
+"""Every count and rate setting is checked by core.check_setting, with one rule.
+
+An int setting takes any integral number but a bool, a float setting any real
+number but a bool; the type is checked before the range, and a failure is a
+ValidationError naming the setting.
+"""
+
+import numpy as np
+import pytest
+
+from _synth import make_model, make_sample
+from forewarn.cart import cross_validate, fit_cart
+from forewarn.core import ValidationError, WindowConfig, check_setting
+from forewarn.evaluation import bench, evaluate, grid_tune
+from forewarn.forecasters import (
+    ForecasterSpec, load_checkpoint, predict_stacked, save_checkpoint, stack_windows,
+)
+from forewarn.monitor import MonitorConfig
+from forewarn.simulate import DEFAULT_DIMS, SimConfig, lhs_sample
+from forewarn.training import TrainConfig
+
+WC = WindowConfig(h=2, cm=2)
+ROWS = np.random.default_rng(0).random((20, 2))
+
+
+def _predict(**kw):
+    batch = stack_windows([make_sample(np.random.default_rng(1), WC)])
+    return predict_stacked(make_model("ar_rnn", wc=WC), batch, **{"mc_seed": 0, **kw})
+
+
+def _spec(family, key):
+    return lambda v: ForecasterSpec(family, {key: v}, allow_custom=True)
+
+
+# id -> (call with the value, the key its error names, kind, a value below the bound)
+SITES = {
+    "WindowConfig.h": (lambda v: WindowConfig(h=v, cm=1), "h", int, 0),
+    "WindowConfig.cm": (lambda v: WindowConfig(h=1, cm=v), "cm", int, 0),
+    **{
+        f"SimConfig.{key}": (lambda v, key=key: SimConfig(**{key: v}), key, kind, below)
+        for key, kind, below in (
+            ("n_scenarios", int, 0), ("episode_len", int, 0), ("seed", int, -1),
+            ("dt_seconds", float, 0.0), ("u_max_deg_s", float, 0.0),
+            ("noise_base", float, -0.1), ("noise_cloud_gain", float, -0.1),
+            ("noise_tod_gain", float, -0.1),
+        )
+    },
+    "lhs_sample.n": (lambda v: lhs_sample(v, DEFAULT_DIMS, 0), "n", int, 0),
+    **{
+        f"MonitorConfig.{key}": (
+            lambda v, key=key: MonitorConfig(make_model(), **{key: v}), key, int, below
+        )
+        for key, below in (("hysteresis", -1), ("seed", -1), ("n_paths", 0))
+    },
+    **{
+        f"TrainConfig.{key}": (lambda v, key=key: TrainConfig(**{key: v}), key, kind, below)
+        for key, kind, below in (
+            ("epochs", int, 0), ("batch_size", int, 0), ("patience", int, -1),
+            ("seed", int, -1), ("lr", float, 0.0), ("clip_norm", float, 0.0),
+        )
+    },
+    **{
+        f"ForecasterSpec.{family}.{key}": (_spec(family, key), key, kind, below)
+        for family, key, kind, below in (
+            ("seq2seq", "neurons", int, 0), ("seq2seq", "decoder_layers", int, -1),
+            ("convseq2seq", "channels", int, 0), ("ar_rnn", "nodes", int, 0),
+            ("ar_rnn", "dropout", float, -0.1), ("attn_seq2seq", "state", int, 0),
+            ("attn_seq2seq", "heads", int, 0),
+        )
+    },
+    "predict_stacked.mc_seed": (lambda v: _predict(mc_seed=v), "mc_seed", int, -1),
+    "predict_stacked.n_paths": (lambda v: _predict(n_paths=v), "n_paths", int, 0),
+    "evaluate.repetitions": (
+        lambda v: evaluate(ForecasterSpec("persistence"), TrainConfig(), [], [], [], v),
+        "repetitions", int, 0,
+    ),
+    "grid_tune.repetitions": (
+        lambda v: grid_tune("persistence", {}, [], [], TrainConfig(), v), "repetitions", int, 0,
+    ),
+    "bench.warmup": (lambda v: bench(None, None, warmup=v), "warmup", int, -1),
+    "bench.iters": (lambda v: bench(None, None, iters=v), "iters", int, 0),
+    "fit_cart.max_depth": (
+        lambda v: fit_cart(ROWS, ROWS[:, 0], max_depth=v), "max_depth", int, -1,
+    ),
+    "fit_cart.min_samples_leaf": (
+        lambda v: fit_cart(ROWS, ROWS[:, 0], min_samples_leaf=v), "min_samples_leaf", int, 0,
+    ),
+    "cross_validate.k": (lambda v: cross_validate(ROWS, ROWS[:, 0], k=v), "k", int, 1),
+    "cross_validate.seed": (lambda v: cross_validate(ROWS, ROWS[:, 0], seed=v), "seed", int, -1),
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "mistyped", "below"])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_every_setting_rejects_a_bool_a_wrong_type_and_a_value_below_its_bound(site, bad):
+    call, key, kind, below = SITES[site]
+    value = {"bool": True, "mistyped": 2.5 if kind is int else "2.5", "below": below}[bad]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert f"{key} must be " in str(info.value) and f"got {value!r}" in str(info.value)
+
+
+def test_check_setting_returns_builtin_ints_and_floats_unchanged():
+    value = check_setting("n", np.int64(3), low=1)
+    assert value == 3 and type(value) is int
+    assert type(check_setting("lr", 1, float, above=True)) is int
+    with pytest.raises(ValidationError, match=r"dropout must be a finite number >= 0 and < 1"):
+        check_setting("dropout", 1, float, 0, 1)
+    with pytest.raises(ValidationError, match="lr must be a finite number > 0, got inf"):
+        check_setting("lr", float("inf"), float, above=True)
+
+
+def test_numpy_int_sizes_are_stored_as_ints_and_the_checkpoint_saves(tmp_path):
+    wc = WindowConfig(h=np.int64(2), cm=np.int64(2))
+    model = make_model("seq2seq", wc=wc, neurons=np.int64(20), decoder_layers=np.int64(1))
+    assert type(wc.h) is int and type(model.spec.params["neurons"]) is int
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert loaded.spec == model.spec and loaded.wc == wc
+    assert all(np.array_equal(loaded.params[n], p) for n, p in model.params.items())
