@@ -65,27 +65,6 @@ class RegressionTree:
             out[i] = node.value
         return out
 
-    def depth(self) -> int:
-        def walk(node: Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
-    def leaves(self) -> list[Node]:
-        out: list[Node] = []
-
-        def walk(node: Node) -> None:
-            if node.is_leaf:
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
-
     def mse(self, features: np.ndarray, targets: np.ndarray) -> float:
         y = np.asarray(targets, dtype=np.float64)
         return float(np.mean((self.predict(features) - y) ** 2))
@@ -272,9 +251,6 @@ class Rule:
     intervals: tuple[tuple[int, float, float], ...]  # (feature, lo, hi), lo exclusive
     value: float
     count: int
-
-    def matches(self, row: Sequence[float]) -> bool:
-        return all(lo < row[j] <= hi for j, lo, hi in self.intervals)
 
     def text(self, feature_names: Sequence[str] | None = None) -> str:
         def name(j: int) -> str:

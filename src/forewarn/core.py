@@ -33,7 +33,6 @@ __all__ = [
     "WindowSample",
     "WindowBatch",
     "derived_seed",
-    "safety_metric_fn",
     "violation_sign",
     "first_violation_index",
 ]
@@ -159,9 +158,6 @@ class Episode:
     * ``lc_outputs``   (T, D_o)  learned-component estimates (model inputs)
     * ``raw_state``    (T, D_s)  ground-truth plant state (never a model input)
     * ``safety_metric``(T, R)    one margin column per safety requirement
-
-    The metric columns are ingestion-checked against :func:`safety_metric_fn`
-    whenever requirements are supplied (see :meth:`check_metrics`).
     """
 
     id: str
@@ -216,32 +212,6 @@ class Episode:
                 f"episode {self.id!r} has no metric {name!r} (has {self.metric_names})"
             ) from None
         return self.safety_metric[:, j]
-
-    def state(self, name: str) -> np.ndarray:
-        try:
-            j = self.state_names.index(name)
-        except ValueError:
-            raise ValidationError(
-                f"episode {self.id!r} has no state channel {name!r}"
-            ) from None
-        return self.raw_state[:, j]
-
-    def check_metrics(self, requirements: Sequence[SafetyRequirement]) -> None:
-        """Verify every metric column equals safety_metric_fn of its requirement.
-
-        Raises ValidationError on the first mismatch. Exact comparison: the
-        metric is defined pointwise from the raw state, not approximated.
-        """
-        for req in requirements:
-            got = self.metric(req.name)
-            want = np.abs(self.state(req.channel)) - req.threshold
-            bad = np.nonzero(got != want)[0]
-            if bad.size:
-                t = int(bad[0])
-                raise ValidationError(
-                    f"episode {self.id!r}: metric {req.name!r} at t={t} is "
-                    f"{got[t]!r}, expected {want[t]!r} from channel {req.channel!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -317,10 +287,6 @@ class QuantileForecast:
         if np.any(np.diff(self.values, axis=1) < 0):
             raise ValidationError("quantile forecast rows must be non-decreasing")
 
-    @property
-    def h(self) -> int:
-        return self.values.shape[0]
-
     def column(self, q: float) -> np.ndarray:
         """The length-h forecast series at one quantile level."""
         return self.values[:, self.grid.index(q)]
@@ -358,18 +324,6 @@ class WindowSample:
         if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
             raise ValidationError(f"denorm (mean, std) must be finite with std > 0, got {self.denorm}")
         object.__setattr__(self, "denorm", (float(mean), float(std)))
-
-    @property
-    def k(self) -> int:
-        return self.past_target.shape[0]
-
-    @property
-    def h(self) -> int:
-        return self.future_target.shape[0]
-
-    def future_target_original(self) -> np.ndarray:
-        mean, std = self.denorm
-        return self.future_target * std + mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,16 +402,6 @@ class WindowBatch:
 def derived_seed(*key: int) -> int:
     """A 32-bit seed drawn from the integer tuple `key` (one SeedSequence word)."""
     return int(np.random.SeedSequence(key).generate_state(1)[0])
-
-
-def safety_metric_fn(actual: float, threshold: float) -> float:
-    """Margin of one raw-state value against its requirement: |actual| - threshold.
-
-    >= 0 means the requirement is violated. threshold must be positive.
-    """
-    if not threshold > 0:
-        raise ValidationError(f"threshold must be > 0, got {threshold}")
-    return abs(float(actual)) - float(threshold)
 
 
 def violation_sign(values: Sequence[float], axis: int | None = None):

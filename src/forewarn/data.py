@@ -5,12 +5,13 @@ with 17 significant digits, which round-trips IEEE doubles exactly, and the
 writer emits keys in a fixed order, so identical inputs produce identical
 bytes (dataset hashes are stable).
 
-Splits are time-based per episode: the first 70% of steps train, the next 10%
-validate, the rest test (floors, remainder to test). Window extraction is
-rolling-origin: a sample's lookback may reach backward across a split
-boundary, its targets may not leave the segment. Windows come as one
-columnar WindowBatch per episode or phase, cut as strided views of each
-episode's normalized series and copied once into the batch's arrays.
+Splits are time-based per episode, with fixed fractions: the first
+floor(0.7*T) steps train, the next floor(0.1*T) validate, the rest test; an
+episode needs T >= 10. Window extraction is rolling-origin with one window
+per origin: a window's lookback may reach backward across a split boundary,
+its targets may not leave the segment. Windows come as one columnar
+WindowBatch per episode or phase, cut as strided views of each episode's
+normalized series and copied once into the batch's arrays.
 Normalization statistics are fit on training segments only. phase_windows
 does the whole step once: split, fit the statistics, cut the three phases.
 """
@@ -194,14 +195,6 @@ class NormStats:
                     f"with std > 0, got ({mean}, {std})"
                 )
 
-    def apply(self, x, channel: str):
-        mean, std = self.stats(channel)
-        return (np.asarray(x, dtype=np.float64) - mean) / std
-
-    def invert(self, z, channel: str):
-        mean, std = self.stats(channel)
-        return np.asarray(z, dtype=np.float64) * std + mean
-
     def stats(self, channel: str) -> tuple[float, float]:
         """The channel's (mean, std); DatasetError when it has none."""
         try:
@@ -254,20 +247,14 @@ class EpisodeSplit:
         return getattr(self, phase)
 
 
-def split_episode(
-    episode: Episode, fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-) -> EpisodeSplit:
-    """Time-based split: floor(f_train*T), floor(f_val*T), remainder to test."""
-    f_train, f_val, f_test = fractions
-    if min(fractions) <= 0 or abs(f_train + f_val + f_test - 1.0) > 1e-9:
-        raise DatasetError(f"fractions must be positive and sum to 1, got {fractions}")
+def split_episode(episode: Episode) -> EpisodeSplit:
+    """Time-based split: floor(0.7*T) train, floor(0.1*T) val, remainder to test."""
     t = episode.length
     if t < 10:
         raise DatasetError(f"episode {episode.id!r} too short to split: T={t} < 10")
-    n_train = int(f_train * t)
-    n_val = int(f_val * t)
-    if n_train < 1 or n_val < 1 or t - n_train - n_val < 1:
-        raise DatasetError(f"episode {episode.id!r}: degenerate split for T={t}")
+    # T >= 10 gives every phase at least one step: val floor(0.1*T) >= 1, test >= 0.2*T
+    n_train = int(0.7 * t)
+    n_val = int(0.1 * t)
     return EpisodeSplit(
         train=(0, n_train),
         val=(n_train, n_train + n_val),
@@ -275,15 +262,13 @@ def split_episode(
     )
 
 
-def build_split(
-    episodes: Sequence[Episode], fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-) -> dict[str, EpisodeSplit]:
+def build_split(episodes: Sequence[Episode]) -> dict[str, EpisodeSplit]:
     """Each episode's split, by episode id; the ids must be unique."""
     split: dict[str, EpisodeSplit] = {}
     for ep in episodes:
         if ep.id in split:
             raise DatasetError(f"duplicate episode id {ep.id!r}")
-        split[ep.id] = split_episode(ep, fractions)
+        split[ep.id] = split_episode(ep)
     return split
 
 
@@ -296,14 +281,11 @@ def _cut(
     wc: WindowConfig,
     norm: NormStats,
     target: str | None,
-    stride: int,
 ) -> dict:
     """One episode's window origins, target (mean, std) and per-window columns.
 
     The columns are strided views into the episode's normalized series.
     """
-    if stride < 1:
-        raise DatasetError(f"stride must be >= 1, got {stride}")
     s0, s1 = segment
     if not (0 <= s0 <= s1 <= episode.length):
         raise DatasetError(f"segment {segment} out of bounds for T={episode.length}")
@@ -314,13 +296,13 @@ def _cut(
     metric_n = (episode.metric(target) - mean) / std
     cov_mean, cov_std = np.array([norm.stats(name) for name in episode.lc_names]).T
     cov_n = (episode.lc_outputs - cov_mean) / cov_std
-    origins = np.arange(max(s0 - 1, k - 1), s1 - h, stride)
+    origins = np.arange(max(s0 - 1, k - 1), s1 - h)
     cut = {"origin_t": origins, "denorm": (mean, std)}
     if not origins.size:
         return {**cut, "past_target": np.empty((0, k)),
                 "past_cov": np.empty((0, k, cov_n.shape[1])), "future_target": np.empty((0, h))}
     # window i starts at origins[i] - k + 1: its lookback, then its horizon
-    rows = slice(origins[0] - k + 1, origins[-1] - k + 2, stride)
+    rows = slice(origins[0] - k + 1, origins[-1] - k + 2)
     spans = np.lib.stride_tricks.sliding_window_view(metric_n, k + h)[rows]
     cov = np.lib.stride_tricks.sliding_window_view(cov_n, k, axis=0)[rows]
     return {**cut, "past_target": spans[:, :k], "past_cov": cov.transpose(0, 2, 1),
@@ -346,7 +328,6 @@ def make_windows(
     wc: WindowConfig,
     norm: NormStats,
     target: str | None = None,
-    stride: int = 1,
 ) -> WindowBatch:
     """Rolling-origin windows whose h targets lie inside the segment.
 
@@ -355,7 +336,7 @@ def make_windows(
     never before the episode start. The batch is empty when the segment is
     too short.
     """
-    return _batch([episode], [_cut(episode, segment, wc, norm, target, stride)])
+    return _batch([episode], [_cut(episode, segment, wc, norm, target)])
 
 
 def windows_for_phase(
@@ -365,7 +346,6 @@ def windows_for_phase(
     norm: NormStats,
     phase: str,
     target: str | None = None,
-    stride: int = 1,
 ) -> WindowBatch:
     """One phase's windows of every episode, in episode order, as one WindowBatch.
 
@@ -376,7 +356,7 @@ def windows_for_phase(
     cuts = []
     for ep in episodes:
         seg = split[ep.id].segment(phase)
-        cuts.append(_cut(ep, seg, wc, norm, target, stride))
+        cuts.append(_cut(ep, seg, wc, norm, target))
         if not cuts[-1]["origin_t"].size:
             logger.warning(
                 "episode %s: %s segment %s too short for windows (k=%d, h=%d); excluded",

@@ -103,10 +103,6 @@ class Confusion:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(decisions: np.ndarray, truths: np.ndarray) -> Confusion:
     """Count outcomes for +-1 labeled decisions vs truths (+1 = violation)."""
@@ -298,9 +294,10 @@ def evaluate(
     test_windows: WindowBatch | Sequence[WindowSample],
     repetitions: int = 30,
     grid: QuantileGrid = QuantileGrid(),
-    norm: NormStats | None = None,
-    target: str = "target",
-    lc_names: tuple[str, ...] | None = None,
+    *,
+    norm: NormStats,
+    target: str,
+    lc_names: tuple[str, ...],
     n_paths: int = 100,
 ) -> EvalReport:
     """Retrain `repetitions` times (fresh seed each) and aggregate test metrics.
@@ -416,9 +413,10 @@ def grid_tune(
     base_cfg: TrainConfig,
     repetitions: int = 5,
     grid: QuantileGrid = QuantileGrid(),
-    norm: NormStats | None = None,
-    target: str = "target",
-    lc_names: tuple[str, ...] | None = None,
+    *,
+    norm: NormStats,
+    target: str,
+    lc_names: tuple[str, ...],
 ) -> TuneResult:
     """Exhaustive sweep over `axes` with `repetitions` seeds per configuration.
 

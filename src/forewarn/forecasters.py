@@ -157,7 +157,11 @@ class ForecasterSpec:
 
 @dataclass
 class TrainedForecaster:
-    """Immutable-by-convention bundle of everything prediction needs."""
+    """Immutable-by-convention bundle of everything prediction needs.
+
+    `norm` must cover the target and every learned-component channel, so a
+    model that trains is a model the monitor can run.
+    """
 
     spec: ForecasterSpec
     wc: WindowConfig
@@ -168,6 +172,11 @@ class TrainedForecaster:
     norm: NormStats
     params: dict[str, np.ndarray]
     training_log: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        missing = [c for c in (self.target, *self.lc_names) if c not in self.norm.channels]
+        if missing:
+            raise ValidationError(f"norm has no stats for channels {missing}")
 
     @property
     def parameter_count(self) -> int:
@@ -707,7 +716,4 @@ def load_checkpoint(path) -> TrainedForecaster:
             model.params[n_] = tensor.copy()
         if f.read(1):
             raise ValidationError("trailing bytes after checkpoint tensors")
-    missing = [c for c in (model.target, *model.lc_names) if c not in model.norm.channels]
-    if missing:
-        raise ValidationError(f"checkpoint norm has no stats for channels {missing}")
     return model

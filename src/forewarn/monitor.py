@@ -84,8 +84,8 @@ class SafetyMonitor:
             raise ValidationError(
                 f"scenario has {len(scenario.dims)} dims, model expects {model.n_static}"
             )
-        # fail at construction, not mid-stream, if the stats are incomplete;
-        # NormStats has already checked them finite with std > 0
+        # TrainedForecaster has checked that the stats cover every channel,
+        # NormStats that they are finite with std > 0
         stats = np.array([model.norm.stats(c) for c in (model.target, *model.lc_names)])
         self._mean, self._std = stats.T.copy()
         self.cfg = cfg
@@ -104,11 +104,6 @@ class SafetyMonitor:
         self._streak = 0
         self.last_decision: Optional[int] = None
         self.last_forecast: Optional[QuantileForecast] = None
-
-    @property
-    def t(self) -> int:
-        """0-based index of the next observation to be pushed."""
-        return self._count
 
     def push(self, lc_row: Sequence[float], metric_value: float) -> Optional[Alarm]:
         """Ingest one observation; returns an Alarm when one is raised.

@@ -96,6 +96,7 @@ def lhs_sample(n: int, dims: Sequence[ScenarioDim], seed: int) -> list[Scenario]
     independent random permutations. Deterministic for a given seed.
     """
     n = check_setting("n", n, low=1)
+    seed = check_setting("seed", seed)
     dims = tuple(dims)
     rng = np.random.default_rng(seed)
     cols = []

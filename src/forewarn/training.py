@@ -36,8 +36,6 @@ from .forecasters import (
 __all__ = [
     "TrainingDivergedError",
     "TrainConfig",
-    "pinball_loss",
-    "gaussian_nll",
     "loss_and_grads",
     "clip_global_norm",
     "init_adam_state",
@@ -75,28 +73,11 @@ class TrainConfig:
 # ----------------------------------------------------------------- losses
 
 
-def pinball_loss(y: float, y_hat: float, q: float) -> float:
-    """q * (y - y_hat)_+ + (1 - q) * (y_hat - y)_+ for one observation."""
-    if not (0.0 < q < 1.0):
-        raise ValidationError(f"quantile level {q} outside (0, 1)")
-    diff = float(y) - float(y_hat)
-    return q * max(diff, 0.0) + (1.0 - q) * max(-diff, 0.0)
-
-
 def _pinball_mean(pred, y: np.ndarray, qs: np.ndarray):
     """Mean pinball over a (B, h, |Q|) prediction block, a Tensor or an ndarray."""
     diff = y[:, :, None] - pred
     q = qs.reshape(1, 1, -1)
     return mean(relu(diff) * q + relu(-diff) * (1.0 - q))
-
-
-def gaussian_nll(y: float, mu: float, sigma: float) -> float:
-    """Pointwise Gaussian negative log-likelihood with a 1e-6 sigma floor."""
-    if sigma <= 0.0:
-        raise ValidationError(f"sigma must be > 0, got {sigma}")
-    sigma = max(float(sigma), 1e-6)
-    z = (float(y) - float(mu)) / sigma
-    return HALF_LOG_2PI + math.log(sigma) + 0.5 * z * z
 
 
 def _gaussian_nll_mean(mu, sigma, y: np.ndarray):
@@ -209,15 +190,17 @@ def fit(
     val_windows: WindowBatch | Sequence[WindowSample],
     cfg: TrainConfig,
     grid: QuantileGrid = QuantileGrid(),
-    norm: NormStats | None = None,
-    target: str = "target",
-    lc_names: tuple[str, ...] | None = None,
+    *,
+    norm: NormStats,
+    target: str,
+    lc_names: tuple[str, ...],
 ) -> TrainedForecaster:
     """Train one forecaster; returns the best-validation-epoch parameters.
 
-    persistence is a no-op baseline. For runtime (monitor) use, pass the full
-    NormStats and real channel names so the checkpoint is self-describing;
-    otherwise the windows' target stats and identity covariate stats are stored.
+    persistence is a no-op baseline. `norm` is the normalization the windows
+    were cut with, and `target` and `lc_names` name their channels; the model
+    stores all three, so its checkpoint is self-describing and the monitor
+    normalizes its inputs exactly as the windows were.
 
     training_log holds one entry per epoch run for the train and val loss and
     for the steps' raw gradient norms (before clipping): their median, their
@@ -229,22 +212,19 @@ def fit(
     wc = _infer_window_config(train_arrays)
     n_cov = train_arrays["past_cov"].shape[2]
     n_static = train_arrays["static"].shape[1]
-    if lc_names is None:
-        lc_names = tuple(f"cov{j}" for j in range(n_cov))
-    elif len(lc_names) != n_cov:
+    if len(lc_names) != n_cov:
         raise ValidationError(
             f"lc_names names {len(lc_names)} covariate channels, the windows have {n_cov}"
         )
-    if norm is None:
-        denorm = tuple(train_arrays["denorm"][0].tolist())
-        norm = NormStats({**dict.fromkeys(lc_names, (0.0, 1.0)), target: denorm})
 
+    # built first, so a norm missing a channel fails before any training
+    model = TrainedForecaster(
+        spec=spec, wc=wc, grid=grid, target=target, lc_names=lc_names,
+        n_static=n_static, norm=norm, params={},
+        training_log={"note": "persistence baseline needs no training", "seed": cfg.seed},
+    )
     if spec.family == "persistence":
-        return TrainedForecaster(
-            spec=spec, wc=wc, grid=grid, target=target, lc_names=lc_names,
-            n_static=n_static, norm=norm, params={},
-            training_log={"note": "persistence baseline needs no training", "seed": cfg.seed},
-        )
+        return model
 
     val_arrays = stack_windows(val_windows)
     params = init_params(
@@ -292,18 +272,16 @@ def fit(
             since_improve += 1
             if since_improve >= cfg.patience:
                 break
-    return TrainedForecaster(
-        spec=spec, wc=wc, grid=grid, target=target, lc_names=lc_names,
-        n_static=n_static, norm=norm, params=best_params,
-        training_log={
-            "seed": cfg.seed,
-            "train_loss": train_losses,
-            "val_loss": val_losses,
-            "best_epoch": best_epoch,
-            "best_val_loss": best_val,
-            "stopped_epoch": len(val_losses),
-            "grad_norm_median": norm_medians,
-            "grad_norm_max": norm_maxes,
-            "clip_fraction": clip_fractions,
-        },
-    )
+    model.params = best_params
+    model.training_log = {
+        "seed": cfg.seed,
+        "train_loss": train_losses,
+        "val_loss": val_losses,
+        "best_epoch": best_epoch,
+        "best_val_loss": best_val,
+        "stopped_epoch": len(val_losses),
+        "grad_norm_median": norm_medians,
+        "grad_norm_max": norm_maxes,
+        "clip_fraction": clip_fractions,
+    }
+    return model

@@ -7,6 +7,15 @@ from forewarn.data import NormStats
 from forewarn.forecasters import ForecasterSpec, TrainedForecaster, init_params
 
 
+def identity_norm(n_cov=2, target="m"):
+    """Pass-through (0, 1) stats for the target and the covariates c0, c1, ..."""
+    return NormStats({target: (0.0, 1.0), **{f"c{i}": (0.0, 1.0) for i in range(n_cov)}})
+
+
+# fit's channel keywords for windows of the default two covariates
+FIT_KW = {"norm": identity_norm(), "target": "m", "lc_names": ("c0", "c1")}
+
+
 def unit_dims(n):
     return tuple(ScenarioDim(f"s{i}", 0.0, 1.0) for i in range(n))
 
@@ -69,10 +78,6 @@ def make_model(
     params = init_params(spec, wc, len(grid), n_cov, n_static, seed)
     if zero:
         params = {k: np.zeros_like(v) for k, v in params.items()}
-    if norm is None:
-        channels = {target: (0.0, 1.0)}
-        channels.update({f"c{i}": (0.0, 1.0) for i in range(n_cov)})
-        norm = NormStats(channels)
     return TrainedForecaster(
         spec=spec,
         wc=wc,
@@ -80,7 +85,7 @@ def make_model(
         target=target,
         lc_names=tuple(f"c{i}" for i in range(n_cov)),
         n_static=n_static,
-        norm=norm,
+        norm=norm if norm is not None else identity_norm(n_cov, target),
         params=params,
     )
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import rule_matches, tree_depth, tree_leaves
 from _synth import make_model, make_sample
 from forewarn.cart import (
     CVResult,
@@ -30,7 +31,7 @@ def planted_data(seed=0, n=200, d=3):
 def test_planted_step_is_recovered_exactly():
     x, y = planted_data()
     tree = fit_cart(x, y, max_depth=3, min_samples_leaf=5)
-    assert tree.depth() == 1  # one split separates the classes perfectly
+    assert tree_depth(tree) == 1  # one split separates the classes perfectly
     assert tree.root.feature == 0
     assert abs(tree.root.threshold - 0.5) < 0.1
     assert tree.mse(x, y) == 0.0
@@ -70,8 +71,8 @@ def test_leaf_count_and_depth_limits_hold():
     y = rng.standard_normal(120)
     for max_depth, min_leaf in ((2, 5), (4, 10), (6, 3)):
         tree = fit_cart(x, y, max_depth=max_depth, min_samples_leaf=min_leaf)
-        assert tree.depth() <= max_depth
-        assert all(leaf.count >= min_leaf for leaf in tree.leaves())
+        assert tree_depth(tree) <= max_depth
+        assert all(leaf.count >= min_leaf for leaf in tree_leaves(tree))
 
 
 def test_tie_breaks_prefer_lower_feature_then_lower_threshold():
@@ -178,16 +179,16 @@ def test_rules_partition_and_replay_leaf_means():
     y = np.sin(4 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(150)
     tree = fit_cart(x, y, max_depth=4, min_samples_leaf=5)
     rules = extract_rules(tree)
-    assert len(rules) == len(tree.leaves())
+    assert len(rules) == len(tree_leaves(tree))
 
     probes = rng.random((10_000, 3))
     hits = np.zeros(10_000, dtype=int)
     for rule in rules:
-        hits += np.array([rule.matches(row) for row in probes], dtype=int)
+        hits += np.array([rule_matches(rule, row) for row in probes], dtype=int)
     assert np.all(hits == 1)  # every point matches exactly one rule
 
     for rule in rules:
-        mask = np.array([rule.matches(row) for row in x])
+        mask = np.array([rule_matches(rule, row) for row in x])
         assert mask.sum() == rule.count
         assert np.mean(y[mask]) == rule.value  # same rows, same mean, exactly
         assert np.all(tree.predict(x[mask]) == rule.value)

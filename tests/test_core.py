@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from _oracles import safety_metric_fn
 from forewarn.core import (
     DEFAULT_QUANTILES,
     Episode,
     QuantileForecast,
     QuantileGrid,
-    SafetyRequirement,
     Scenario,
     ScenarioDim,
     ValidationError,
@@ -14,7 +14,6 @@ from forewarn.core import (
     WindowConfig,
     WindowSample,
     first_violation_index,
-    safety_metric_fn,
     violation_sign,
 )
 
@@ -159,30 +158,6 @@ def test_episode_lengths_must_agree():
         )
 
 
-def test_episode_metric_ingestion_check():
-    ep = make_episode()
-    reqs = [
-        SafetyRequirement("margin_cte", "cte_act", 5.0),
-        SafetyRequirement("margin_he", "he_act", 5.0),
-    ]
-    ep.check_metrics(reqs)  # consistent by construction
-    corrupted = ep.safety_metric.copy()
-    corrupted[3, 0] += 1e-9
-    bad = Episode(
-        id="bad",
-        scenario=ep.scenario,
-        dt_seconds=1.0,
-        lc_outputs=ep.lc_outputs,
-        raw_state=ep.raw_state,
-        safety_metric=corrupted,
-        lc_names=ep.lc_names,
-        state_names=ep.state_names,
-        metric_names=ep.metric_names,
-    )
-    with pytest.raises(ValidationError, match="t=3"):
-        bad.check_metrics(reqs)
-
-
 def test_episode_unknown_metric_name():
     ep = make_episode()
     with pytest.raises(ValidationError):
@@ -252,7 +227,6 @@ def test_quantile_forecast_non_crossing_enforced():
 def test_quantile_forecast_column():
     g = QuantileGrid((0.1, 0.9))
     f = QuantileForecast(np.array([[0.0, 1.0], [2.0, 3.0]]), g)
-    assert f.h == 2
     assert f.column(0.9) == pytest.approx([1.0, 3.0])
 
 
@@ -267,8 +241,7 @@ def test_window_sample_validation():
         episode_id="ep0",
         origin_t=10,
     )
-    assert s.k == 9 and s.h == 3
-    assert s.future_target_original() == pytest.approx([1.5, 1.5, 1.5])
+    assert s.denorm == (1.5, 2.0)
     with pytest.raises(ValidationError):
         WindowSample(
             scenario=scen,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from _synth import make_episode, make_learnable_windows, make_model, make_sample
+from _synth import FIT_KW, make_episode, make_learnable_windows, make_model, make_sample
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
 from forewarn.data import build_split, fit_norm, windows_for_phase
 from forewarn.evaluation import (
@@ -80,7 +80,6 @@ def test_confusion_hand_counts():
     t = np.array([1, -1, 1, -1, 1])
     c = confusion(d, t)
     assert (c.tp, c.fp, c.fn, c.tn) == (2, 1, 1, 1)
-    assert c.total == 5
 
 
 def test_confusion_matches_naive_scan():
@@ -283,8 +282,12 @@ def test_evaluate_repetitions_and_determinism():
     test = make_learnable_windows(rng, 10, WC)
     cfg = TrainConfig(epochs=1, batch_size=8, seed=9)
     grid = QuantileGrid((0.1, 0.5, 0.9))
-    rep_a = evaluate(ForecasterSpec("persistence"), cfg, train, val, test, repetitions=3, grid=grid)
-    rep_b = evaluate(ForecasterSpec("persistence"), cfg, train, val, test, repetitions=3, grid=grid)
+    rep_a = evaluate(
+        ForecasterSpec("persistence"), cfg, train, val, test, repetitions=3, grid=grid, **FIT_KW
+    )
+    rep_b = evaluate(
+        ForecasterSpec("persistence"), cfg, train, val, test, repetitions=3, grid=grid, **FIT_KW
+    )
     assert rep_a.repetitions == 3 and rep_a.family == "persistence"
     assert rep_a.h == WC.h and rep_a.cm == WC.cm
     for q in grid.qs:
@@ -294,7 +297,10 @@ def test_evaluate_repetitions_and_determinism():
             # persistence has no training variance: all repetitions identical
             assert summary.half_ci == 0.0
     with pytest.raises(ValidationError):
-        evaluate(ForecasterSpec("persistence"), cfg, train, val, test, repetitions=0, grid=grid)
+        evaluate(
+            ForecasterSpec("persistence"), cfg, train, val, test, repetitions=0, grid=grid,
+            **FIT_KW,
+        )
 
 
 def test_evaluate_trains_neural_families_per_repetition():
@@ -305,7 +311,7 @@ def test_evaluate_trains_neural_families_per_repetition():
     grid = QuantileGrid((0.2, 0.8))
     cfg = TrainConfig(epochs=2, batch_size=8, seed=1)
     spec = ForecasterSpec("seq2seq", {"decoder_layers": 1, "neurons": 20})
-    report = evaluate(spec, cfg, train, val, test, repetitions=2, grid=grid)
+    report = evaluate(spec, cfg, train, val, test, repetitions=2, grid=grid, **FIT_KW)
     for q in grid.qs:
         assert len(report.per_q[q]["q_risk"].values) == 2
         assert all(math.isfinite(v) for v in report.per_q[q]["q_risk"].values)

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from _synth import make_sample
+from _synth import FIT_KW, identity_norm, make_sample
 from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig
-from forewarn.data import NormStats
 from forewarn.forecasters import (
     FAMILIES,
     NEURAL_FAMILIES,
@@ -49,7 +48,7 @@ def tiny_model(family, wc=WC, n_cov=2, n_static=3, qs=QS, seed=0, zero=False, **
         target="m",
         lc_names=tuple(f"c{i}" for i in range(n_cov)),
         n_static=n_static,
-        norm=NormStats({"m": (0.0, 1.0), **{f"c{i}": (0.0, 1.0) for i in range(n_cov)}}),
+        norm=identity_norm(n_cov),
         params=params,
         training_log={"seed": seed},
     )
@@ -345,7 +344,7 @@ def test_stacking_samples_of_different_shapes_names_the_mismatch(odd, names):
         stack_windows(mixed)
     with pytest.raises(ValidationError, match=names):
         fit(ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"]), mixed, batch_of(rng, 2),
-            TrainConfig(epochs=1))
+            TrainConfig(epochs=1), **FIT_KW)
 
 
 # ------------------------------------------------------------------ checkpoints

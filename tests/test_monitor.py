@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from _synth import make_episode, make_model
 from forewarn import core, forecasters, monitor as monitor_module
 from forewarn.core import ValidationError, WindowConfig, derived_seed, violation_sign
-from forewarn.data import DatasetError, NormStats, make_windows
+from forewarn.data import NormStats, make_windows
 from forewarn.forecasters import SAMPLING_FAMILIES, predict_quantiles
 from forewarn.monitor import Alarm, MonitorConfig, SafetyMonitor, replay
 
@@ -50,11 +50,9 @@ def test_config_validation():
 
 
 def test_monitor_requires_complete_norm_stats():
-    model = make_model("persistence", wc=WC, norm=NormStats({"m": (0.0, 1.0)}))
-    rng = np.random.default_rng(0)
-    scenario = make_episode(rng).scenario
-    with pytest.raises(DatasetError, match="no normalization stats"):
-        SafetyMonitor(MonitorConfig(model), scenario)
+    # a model without stats for every channel is refused before a monitor can run it
+    with pytest.raises(ValidationError, match=r"no stats for channels \['c0', 'c1'\]"):
+        make_model("persistence", wc=WC, norm=NormStats({"m": (0.0, 1.0)}))
 
 
 def test_monitor_rejects_wrong_scenario_width():

@@ -8,7 +8,7 @@ ValidationError naming the setting.
 import numpy as np
 import pytest
 
-from _synth import make_model, make_sample
+from _synth import FIT_KW, make_model, make_sample
 from forewarn.cart import cross_validate, fit_cart
 from forewarn.core import ValidationError, WindowConfig, check_setting
 from forewarn.evaluation import bench, evaluate, grid_tune
@@ -46,6 +46,7 @@ SITES = {
         )
     },
     "lhs_sample.n": (lambda v: lhs_sample(v, DEFAULT_DIMS, 0), "n", int, 0),
+    "lhs_sample.seed": (lambda v: lhs_sample(3, DEFAULT_DIMS, v), "seed", int, -1),
     **{
         f"MonitorConfig.{key}": (
             lambda v, key=key: MonitorConfig(make_model(), **{key: v}), key, int, below
@@ -71,11 +72,12 @@ SITES = {
     "predict_stacked.mc_seed": (lambda v: _predict(mc_seed=v), "mc_seed", int, -1),
     "predict_stacked.n_paths": (lambda v: _predict(n_paths=v), "n_paths", int, 0),
     "evaluate.repetitions": (
-        lambda v: evaluate(ForecasterSpec("persistence"), TrainConfig(), [], [], [], v),
+        lambda v: evaluate(ForecasterSpec("persistence"), TrainConfig(), [], [], [], v, **FIT_KW),
         "repetitions", int, 0,
     ),
     "grid_tune.repetitions": (
-        lambda v: grid_tune("persistence", {}, [], [], TrainConfig(), v), "repetitions", int, 0,
+        lambda v: grid_tune("persistence", {}, [], [], TrainConfig(), v, **FIT_KW),
+        "repetitions", int, 0,
     ),
     "bench.warmup": (lambda v: bench(None, None, warmup=v), "warmup", int, -1),
     "bench.iters": (lambda v: bench(None, None, iters=v), "iters", int, 0),

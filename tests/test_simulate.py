@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import safety_metric_fn
 from forewarn.core import Scenario, ScenarioDim, ValidationError
 from forewarn.simulate import (
     DEFAULT_DIMS,
@@ -15,6 +16,11 @@ from forewarn.simulate import (
 
 def scen(tod=0.5, cloud=0.5, cte=0.0, he=0.0):
     return Scenario((tod, cloud, cte, he), DEFAULT_DIMS)
+
+
+def state(ep, name):
+    """The raw-state series of one named channel."""
+    return ep.raw_state[:, ep.state_names.index(name)]
 
 
 QUIET = dict(noise_base=0.0, noise_cloud_gain=0.0, noise_tod_gain=0.0, bias_gain=0.0)
@@ -71,10 +77,10 @@ def test_zero_noise_zero_start_stays_on_centerline():
 def test_quiet_controller_recovers_offset_start():
     cfg = SimConfig(episode_len=100, **QUIET)
     ep = simulate_episode(scen(cte=6.0), cfg)
-    cte = ep.state("cte_act")
+    cte = state(ep, "cte_act")
     assert cte[0] == 6.0
     assert abs(cte[-1]) < 0.1  # settled back to the centerline
-    assert np.abs(ep.state("he_act")).max() <= 45.0
+    assert np.abs(state(ep, "he_act")).max() <= 45.0
 
 
 def test_estimates_are_state_plus_bias_when_noiseless():
@@ -102,9 +108,11 @@ def test_episode_deterministic_given_seed_and_index():
 def test_metric_columns_match_ingestion_check():
     cfg = SimConfig(episode_len=60)
     ep = simulate_episode(scen(cloud=0.8, cte=4.0, he=-5.0), cfg, index=3)
-    ep.check_metrics(DEFAULT_REQUIREMENTS)
+    for req in DEFAULT_REQUIREMENTS:  # exact: the metric is defined pointwise
+        want = [safety_metric_fn(x, req.threshold) for x in state(ep, req.channel)]
+        assert np.array_equal(ep.metric(req.name), want)
     assert ep.metric_names == ("margin_cte", "margin_he")
-    assert np.array_equal(ep.metric("margin_cte"), np.abs(ep.state("cte_act")) - 5.0)
+    assert np.array_equal(ep.metric("margin_cte"), np.abs(state(ep, "cte_act")) - 5.0)
 
 
 def test_diverged_plant_raises():
@@ -144,5 +152,5 @@ def test_default_dataset_violation_fraction_in_band():
 
 def test_default_dataset_heading_bounded():
     eps = generate_dataset(SimConfig())
-    worst = max(float(np.abs(ep.state("he_act")).max()) for ep in eps)
+    worst = max(float(np.abs(state(ep, "he_act")).max()) for ep in eps)
     assert worst <= 45.0

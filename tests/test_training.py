@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from _synth import make_learnable_windows, make_sample
+from _oracles import gaussian_nll, pinball_loss
+from _synth import FIT_KW, make_learnable_windows, make_sample
 from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
+from forewarn.data import NormStats
 from forewarn.evaluation import TuneResult, grid_tune
 from forewarn.forecasters import ForecasterSpec, init_params, stack_windows
 from forewarn.training import (
@@ -17,10 +19,8 @@ from forewarn.training import (
     adam_step,
     clip_global_norm,
     fit,
-    gaussian_nll,
     init_adam_state,
     loss_and_grads,
-    pinball_loss,
 )
 
 WC = WindowConfig(h=2, cm=2)
@@ -234,8 +234,8 @@ def test_fit_is_deterministic_to_the_byte():
     train, val = make_split_windows()
     spec = ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"])
     cfg = TrainConfig(epochs=3, batch_size=16, seed=5)
-    a = fit(spec, train, val, cfg, grid=QS)
-    b = fit(spec, train, val, cfg, grid=QS)
+    a = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
+    b = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
     assert sorted(a.params) == sorted(b.params)
     for name in a.params:
         assert a.params[name].tobytes() == b.params[name].tobytes()
@@ -246,7 +246,9 @@ def test_fit_is_deterministic_to_the_byte():
 def test_fit_logs_gradient_norms_per_epoch(family):
     train, val = make_split_windows(seed=8)
     cfg = TrainConfig(epochs=4, batch_size=16, clip_norm=0.5, patience=1, seed=2)
-    log = fit(ForecasterSpec(family, TINY_HYPERS[family]), train, val, cfg, grid=QS).training_log
+    log = fit(
+        ForecasterSpec(family, TINY_HYPERS[family]), train, val, cfg, grid=QS, **FIT_KW
+    ).training_log
     for key in ("grad_norm_median", "grad_norm_max", "clip_fraction"):
         assert len(log[key]) == log["stopped_epoch"], key
     assert all(0.0 <= f <= 1.0 for f in log["clip_fraction"])
@@ -258,7 +260,8 @@ def test_fit_logs_gradient_norms_per_epoch(family):
 def test_fit_restores_best_epoch_parameters():
     train, val = make_split_windows(seed=3)
     spec = ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"])
-    model = fit(spec, train, val, TrainConfig(epochs=8, batch_size=16, lr=5e-3, seed=1), grid=QS)
+    cfg = TrainConfig(epochs=8, batch_size=16, lr=5e-3, seed=1)
+    model = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
     log = model.training_log
     assert log["best_val_loss"] == min(log["val_loss"])
     assert log["val_loss"][log["best_epoch"] - 1] == log["best_val_loss"]
@@ -272,7 +275,7 @@ def test_fit_learns_a_learnable_task():
     train, val = make_split_windows(seed=4, n_train=200, n_val=60)
     spec = ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"])
     cfg = TrainConfig(epochs=25, batch_size=32, lr=1e-2, patience=25, seed=2)
-    model = fit(spec, train, val, cfg, grid=QS)
+    model = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
     log = model.training_log
     assert log["best_val_loss"] < 0.6 * log["val_loss"][0]
 
@@ -281,7 +284,7 @@ def test_fit_early_stopping_invariants():
     train, val = make_split_windows(seed=5)
     spec = ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"])
     cfg = TrainConfig(epochs=40, batch_size=16, lr=1e-2, patience=3, seed=3)
-    log = fit(spec, train, val, cfg, grid=QS).training_log
+    log = fit(spec, train, val, cfg, grid=QS, **FIT_KW).training_log
     stopped = log["stopped_epoch"]
     assert stopped <= cfg.epochs
     assert len(log["val_loss"]) == stopped and len(log["train_loss"]) == stopped
@@ -292,7 +295,7 @@ def test_fit_early_stopping_invariants():
 
 def test_fit_persistence_is_a_no_op():
     train, val = make_split_windows(seed=6, n_train=8, n_val=4)
-    model = fit(ForecasterSpec("persistence"), train, val, TrainConfig(epochs=1), grid=QS)
+    model = fit(ForecasterSpec("persistence"), train, val, TrainConfig(epochs=1), grid=QS, **FIT_KW)
     assert model.params == {}
     assert "persistence" in model.training_log["note"]
 
@@ -300,7 +303,7 @@ def test_fit_persistence_is_a_no_op():
 def test_fit_rejects_empty_or_malformed_windows():
     train, val = make_split_windows(seed=7, n_train=4, n_val=2)
     with pytest.raises(ValidationError, match="non-empty"):
-        fit(ForecasterSpec("persistence"), [], val, TrainConfig())
+        fit(ForecasterSpec("persistence"), [], val, TrainConfig(), **FIT_KW)
     rng = np.random.default_rng(0)
     bad = WindowSample(
         scenario=train[0].scenario,
@@ -310,7 +313,7 @@ def test_fit_rejects_empty_or_malformed_windows():
         denorm=(0.0, 1.0),
     )  # k=3 is not a multiple of h=2
     with pytest.raises(ValidationError, match="do not fit"):
-        fit(ForecasterSpec("persistence"), [bad], val, TrainConfig())
+        fit(ForecasterSpec("persistence"), [bad], val, TrainConfig(), **FIT_KW)
 
 
 @pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
@@ -320,7 +323,17 @@ def test_fit_rejects_lc_names_of_another_width(family):
     train, val = make_split_windows(seed=7, n_train=4, n_val=2)
     spec = ForecasterSpec(family, TINY_HYPERS.get(family, {}))
     with pytest.raises(ValidationError, match="1 covariate channels, the windows have 2"):
-        fit(spec, train, val, TrainConfig(epochs=1), grid=QS, lc_names=("speed",))
+        fit(spec, train, val, TrainConfig(epochs=1), grid=QS, **{**FIT_KW, "lc_names": ("speed",)})
+
+
+@pytest.mark.parametrize("family", ["persistence", "seq2seq"])
+def test_fit_refuses_a_norm_without_stats_for_every_channel(family):
+    # such a model would save a checkpoint that neither loads nor monitors
+    train, val = make_split_windows(seed=7, n_train=4, n_val=2)
+    spec = ForecasterSpec(family, TINY_HYPERS.get(family, {}))
+    target_only = {**FIT_KW, "norm": NormStats({"m": (0.0, 1.0)})}
+    with pytest.raises(ValidationError, match=r"no stats for channels \['c0', 'c1'\]"):
+        fit(spec, train, val, TrainConfig(epochs=1), grid=QS, **target_only)
 
 
 def test_training_divergence_raises_and_names_the_epoch():
@@ -328,7 +341,7 @@ def test_training_divergence_raises_and_names_the_epoch():
     spec = ForecasterSpec("seq2seq", {"decoder_layers": 4, "neurons": 20})
     cfg = TrainConfig(epochs=10, batch_size=16, lr=1e3, seed=4)
     with pytest.raises(TrainingDivergedError, match=r"epoch \d+"):
-        fit(spec, train, val, cfg, grid=QS)
+        fit(spec, train, val, cfg, grid=QS, **FIT_KW)
 
 
 # ------------------------------------------------------------------ tuning
@@ -345,6 +358,7 @@ def test_grid_tune_rows_and_divergence_ranking():
         base,
         repetitions=2,
         grid=QS,
+        **FIT_KW,
     )
     assert isinstance(result, TuneResult)
     assert len(result.rows) == 2 * 2  # two configs x two repetitions
@@ -360,13 +374,14 @@ def test_grid_tune_rows_and_divergence_ranking():
 def test_grid_tune_rejects_unknown_axes():
     train, val = make_split_windows(seed=10, n_train=8, n_val=4)
     with pytest.raises(ValidationError, match="unknown tuning axes"):
-        grid_tune("seq2seq", {"bogus": (1,)}, train, val, TrainConfig(), grid=QS)
+        grid_tune("seq2seq", {"bogus": (1,)}, train, val, TrainConfig(), grid=QS, **FIT_KW)
 
 
 def test_grid_tune_persistence_has_single_config():
     train, val = make_split_windows(seed=11, n_train=8, n_val=4)
     result = grid_tune(
-        "persistence", {}, train, val, TrainConfig(epochs=1, seed=0), repetitions=3, grid=QS
+        "persistence", {}, train, val, TrainConfig(epochs=1, seed=0), repetitions=3, grid=QS,
+        **FIT_KW,
     )
     assert len(result.rows) == 3
     assert result.best_spec.family == "persistence"
@@ -376,7 +391,8 @@ def test_grid_tune_persistence_has_single_config():
 def test_grid_tune_seeds_vary_per_rep():
     train, val = make_split_windows(seed=12, n_train=8, n_val=4)
     result = grid_tune(
-        "persistence", {}, train, val, TrainConfig(epochs=1, seed=0), repetitions=3, grid=QS
+        "persistence", {}, train, val, TrainConfig(epochs=1, seed=0), repetitions=3, grid=QS,
+        **FIT_KW,
     )
     seeds = [r["seed"] for r in result.rows]
     assert len(set(seeds)) == 3
