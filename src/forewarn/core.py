@@ -299,7 +299,9 @@ class WindowSample:
     ``past_target`` (k,) and ``future_target`` (h,) are the safety metric;
     ``past_covariates`` (k, D_o) are the learned-component outputs. All three
     are stored on the normalized scale; ``denorm = (mean, std)`` of the target
-    channel takes forecasts back to the original scale.
+    channel takes forecasts back to the original scale. ``origin_t`` >= 0 is
+    the episode step the window's lookback ends at; it also seeds the window's
+    Monte-Carlo draws.
     """
 
     scenario: Scenario
@@ -307,10 +309,11 @@ class WindowSample:
     past_covariates: np.ndarray
     future_target: np.ndarray
     denorm: tuple[float, float]
+    origin_t: int
     episode_id: str = ""
-    origin_t: int = -1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "origin_t", check_setting("origin_t", self.origin_t))
         object.__setattr__(self, "past_target", _as_float_array(self.past_target, "past_target", 1))
         object.__setattr__(
             self, "past_covariates", _as_float_array(self.past_covariates, "past_covariates", 2)
@@ -335,9 +338,9 @@ class WindowBatch:
     series of WindowSample, ``denorm`` (N, 2) one (mean, std) row per window.
     ``episode_ids`` and ``origin_t`` (N,) say where each window was cut, and
     ``scenarios`` maps every episode id to its Scenario. The batch is checked
-    once, as a whole: the arrays agree on N and k, every float is finite and
-    every std is > 0. ``batch[i]`` is window i as a WindowSample;
-    ``batch[a:b:c]`` is a WindowBatch.
+    once, as a whole: the arrays agree on N and k, every float is finite,
+    every std is > 0 and every origin_t is an int >= 0. ``batch[i]`` is
+    window i as a WindowSample; ``batch[a:b:c]`` is a WindowBatch.
     """
 
     static: np.ndarray
@@ -370,6 +373,12 @@ class WindowBatch:
                 )
         if not np.all(self.denorm[:, 1] > 0):
             raise ValidationError("denorm std must be > 0 in every window")
+        origin_t = np.asarray(self.origin_t)
+        if origin_t.dtype.kind not in "iu":
+            raise ValidationError(f"origin_t must be ints, got dtype {origin_t.dtype}")
+        if np.any(origin_t < 0):
+            raise ValidationError(f"origin_t must be >= 0 in every window, got {origin_t.min()}")
+        object.__setattr__(self, "origin_t", origin_t)
 
     def __len__(self) -> int:
         return self.past_target.shape[0]
@@ -395,8 +404,8 @@ class WindowBatch:
         )
 
     def columns(self) -> dict[str, np.ndarray]:
-        """The five forward arrays, by the names the forward passes read."""
-        return {name: getattr(self, name) for name in self.COLUMNS}
+        """The five forward arrays and origin_t, by the names the forward passes read."""
+        return {name: getattr(self, name) for name in (*self.COLUMNS, "origin_t")}
 
 
 def derived_seed(*key: int) -> int:

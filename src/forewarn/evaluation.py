@@ -354,6 +354,8 @@ def sweep(
     is checked before any work, also when every config is skipped.
     """
     specs = [ForecasterSpec(family) for family in families]
+    if not episodes:
+        raise ValidationError("sweep needs at least one episode")
     lc_names = episodes[0].lc_names
     target = target if target is not None else episodes[0].metric_names[0]
     rows: list[dict] = []

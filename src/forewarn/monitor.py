@@ -10,11 +10,13 @@ positive.
 Everything a push reuses is built at construction: a doubled raw ring buffer
 of shape (2k, 1 + D_o) holding [metric, learned-component outputs] rows, the
 normalization means and stds as two rows, and the forecaster's batch dict
-(scenario, future stub, denorm). A push writes its row twice, so the lookback
-is one contiguous slice; it then allocates only the normalized (k, 1 + D_o)
-window, the forecaster's fixed-size arrays for one window (for ar_rnn, its
-n_paths sample paths) and the QuantileForecast, never anything proportional
-to stream length. Only families that sample draw a Monte-Carlo seed.
+(scenario, future stub, denorm, origin). A push writes its row twice, so the
+lookback is one contiguous slice; it then allocates only the normalized
+(k, 1 + D_o) window, the forecaster's fixed-size arrays for one window (for
+ar_rnn, its n_paths sample paths) and the QuantileForecast, never anything
+proportional to stream length. Every push hands the forecaster the configured
+seed and its origin t; ar_rnn draws from both, as it does for any batch of
+windows, so a push's forecast is the one batch prediction gives that window.
 The monitor consumes measured safety-metric values for its lookback; it never
 feeds its own forecasts back in.
 
@@ -35,12 +37,11 @@ from .core import (
     Scenario,
     ValidationError,
     check_setting,
-    derived_seed,
     first_violation_index,
     violation_sign,
 )
 # predict_quantiles is not called here; benchmarks/tracing.py wraps monitor.predict_quantiles
-from .forecasters import SAMPLING_FAMILIES, TrainedForecaster, predict_quantiles, predict_stacked
+from .forecasters import TrainedForecaster, predict_quantiles, predict_stacked
 
 __all__ = ["MonitorConfig", "Alarm", "SafetyMonitor", "decisions", "replay"]
 
@@ -98,8 +99,8 @@ class SafetyMonitor:
             "static": scenario.unit_values()[None, :],
             "future_target": np.zeros((1, model.wc.h)),
             "denorm": stats[:1],
+            "origin_t": np.zeros(1, dtype=np.int64),
         }
-        self._samples = model.spec.family in SAMPLING_FAMILIES
         self._count = 0
         self._streak = 0
         self.last_decision: Optional[int] = None
@@ -140,9 +141,9 @@ class SafetyMonitor:
         batch = self._batch
         batch["past_target"] = window[None, :, 0]
         batch["past_cov"] = window[None, :, 1:]
+        batch["origin_t"][0] = t
         cfg = self.cfg
-        mc_seed = derived_seed(cfg.seed, t) if self._samples else None
-        values = predict_stacked(cfg.model, batch, mc_seed=mc_seed, n_paths=cfg.n_paths)
+        values = predict_stacked(cfg.model, batch, mc_seed=cfg.seed, n_paths=cfg.n_paths)
         forecast = QuantileForecast(values[0], cfg.model.grid, origin_t=t)
         column = forecast.column(cfg.decision_quantile)
         decision = violation_sign(column)

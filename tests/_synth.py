@@ -20,8 +20,11 @@ def unit_dims(n):
     return tuple(ScenarioDim(f"s{i}", 0.0, 1.0) for i in range(n))
 
 
-def make_sample(rng, wc, n_cov=2, n_static=3, denorm=(0.0, 1.0), episode_id="ep0", origin_t=-1):
-    """One window filled with unstructured standard-normal noise."""
+def make_sample(rng, wc, n_cov=2, n_static=3, denorm=(0.0, 1.0), episode_id="ep0", origin_t=None):
+    """One window filled with unstructured standard-normal noise.
+
+    Its origin defaults to k - 1, the first step with a whole lookback behind it.
+    """
     return WindowSample(
         scenario=Scenario(tuple(rng.random(n_static)), unit_dims(n_static)),
         past_target=rng.standard_normal(wc.k),
@@ -29,7 +32,7 @@ def make_sample(rng, wc, n_cov=2, n_static=3, denorm=(0.0, 1.0), episode_id="ep0
         future_target=rng.standard_normal(wc.h),
         denorm=denorm,
         episode_id=episode_id,
-        origin_t=origin_t,
+        origin_t=wc.k - 1 if origin_t is None else origin_t,
     )
 
 

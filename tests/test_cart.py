@@ -230,6 +230,7 @@ def test_scenario_f3_table_pools_per_episode():
                 future_target=np.asarray(future, dtype=np.float64),
                 denorm=(0.0, 1.0),
                 episode_id=eid,
+                origin_t=s.origin_t,
             )
         )
     ev = evaluate_model(model, windows)

@@ -10,7 +10,7 @@ import pytest
 
 from forewarn import cli
 from forewarn.cli import DEFAULTS, build_parser, main
-from forewarn.core import ValidationError, first_violation_index
+from forewarn.core import ValidationError, first_violation_index, violation_sign
 from forewarn.data import dataset_hash, read_episodes, write_episodes
 from forewarn.forecasters import load_checkpoint, predict_quantiles_batch, save_checkpoint
 from forewarn.monitor import MonitorConfig, decisions
@@ -609,17 +609,22 @@ def test_bad_episode_ids_exit_1_with_named_error(workdir, tmp_path, capsys, ids,
 # ----------------------------------------------------------------- checkpoint inputs
 
 
-def test_analyze_scores_the_windows_the_monitor_forecasts(workdir, tmp_path, monkeypatch):
-    """On another dataset, analyze normalizes with the checkpoint's stats, as the monitor does."""
+@pytest.mark.parametrize("family", ["seq2seq", "ar_rnn"])
+def test_analyze_scores_the_windows_the_monitor_forecasts(workdir, tmp_path, monkeypatch, family):
+    """On another dataset, analyze scores the forecasts the monitor makes at the same seed.
+
+    analyze normalizes with the checkpoint's stats, as the monitor does, and
+    seeds each ar_rnn window's draws from its origin, as the monitor does.
+    """
     assert main([
         "simulate", "--scenarios", "8", "--episode-len", "40", "--seed", "4",
         "--noise-base", "0.9", "--out", str(tmp_path / "other"),
     ]) == 0
     assert main([
-        "train", "--family", "seq2seq", "--h", "3", "--cm", "2", "--epochs", "1",
+        "train", "--family", family, "--h", "3", "--cm", "2", "--epochs", "1",
         "--data", str(workdir / "data"), "--out", str(tmp_path / "models"),
     ]) == 0
-    ckpt = str(tmp_path / "models" / "seq2seq_h3_cm2.ckpt")
+    ckpt = str(tmp_path / "models" / f"{family}_h3_cm2.ckpt")
     scored, evaluate_model = [], cli.evaluate_model
 
     def recording(model, test, **kw):
@@ -633,8 +638,8 @@ def test_analyze_scores_the_windows_the_monitor_forecasts(workdir, tmp_path, mon
     ]) == 0
     (test,) = scored
     model = load_checkpoint(ckpt)
-    preds = predict_quantiles_batch(model, test)
-    cfg = MonitorConfig(model)
+    cfg = MonitorConfig(model)  # the seed analyze uses by default, too
+    preds = predict_quantiles_batch(model, test, mc_seed=cfg.seed, n_paths=cfg.n_paths)
     monitored = {
         (ep.id, t): forecast.values
         for ep in read_episodes(tmp_path / "other" / "dataset.jsonl")
@@ -642,6 +647,8 @@ def test_analyze_scores_the_windows_the_monitor_forecasts(workdir, tmp_path, mon
     }
     want = np.array([monitored[str(e), int(t)] for e, t in zip(test.episode_ids, test.origin_t)])
     np.testing.assert_allclose(preds, want, rtol=0, atol=1e-9)
+    j = model.grid.index(cfg.decision_quantile)
+    assert np.array_equal(violation_sign(preds[:, :, j], axis=1), violation_sign(want[:, :, j], axis=1))
 
 
 @pytest.mark.parametrize("cmd", ["bench", "analyze"])

@@ -249,6 +249,7 @@ def test_window_sample_validation():
             past_covariates=np.zeros((8, 2)),
             future_target=np.zeros(3),
             denorm=(0.0, 1.0),
+            origin_t=10,
         )
     with pytest.raises(ValidationError):
         WindowSample(
@@ -257,13 +258,14 @@ def test_window_sample_validation():
             past_covariates=np.zeros((9, 2)),
             future_target=np.zeros(3),
             denorm=(0.0, 0.0),
+            origin_t=10,
         )
 
 
 def test_window_batch_is_checked_once_as_a_whole():
     scen = Scenario((0.5, 0.5, 0.0, 0.0), DIMS)
 
-    def batch(n=3, ids=3, std=1.0, cov=None):
+    def batch(n=3, ids=3, std=1.0, cov=None, origin_t=None):
         return WindowBatch(
             static=np.zeros((n, 4)),
             past_target=np.zeros((n, 9)),
@@ -271,7 +273,7 @@ def test_window_batch_is_checked_once_as_a_whole():
             future_target=np.zeros((n, 3)),
             denorm=np.tile([0.0, std], (n, 1)),
             episode_ids=np.full(ids, "ep0"),
-            origin_t=np.arange(n),
+            origin_t=np.arange(n) if origin_t is None else origin_t,
             scenarios={"ep0": scen},
         )
 
@@ -288,3 +290,9 @@ def test_window_batch_is_checked_once_as_a_whole():
     cov[2, 4, 1] = np.nan
     with pytest.raises(ValidationError, match="past_cov contains non-finite"):
         batch(cov=cov)
+    # origin_t seeds each window's Monte-Carlo draws, so it must be a valid seed word
+    with pytest.raises(ValidationError, match="origin_t must be >= 0 in every window, got -1"):
+        batch(origin_t=np.array([0, -1, 2]))
+    for column in (np.array([0.0, 1.0, 2.0]), np.array([True, False, True])):
+        with pytest.raises(ValidationError, match=f"origin_t must be ints, got dtype {column.dtype}"):
+            batch(origin_t=column)

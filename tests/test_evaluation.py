@@ -215,6 +215,7 @@ def window_with(v_last, future, rng):
         future_target=np.asarray(future, dtype=np.float64),
         denorm=(0.0, 1.0),
         episode_id="ep0",
+        origin_t=WC.k - 1,
     )
 
 
@@ -371,6 +372,11 @@ def test_sweep_rejects_an_unknown_family_even_when_every_config_is_skipped():
             episodes, ["persistence", "bogus"], TrainConfig(epochs=1),
             h_values=(40,), cm_values=(1,),
         )
+
+
+def test_sweep_without_episodes_is_a_named_error():
+    with pytest.raises(ValidationError, match="sweep needs at least one episode"):
+        sweep([], ["persistence"], TrainConfig())
 
 
 # ------------------------------------------------------------------ bench

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from _synth import FIT_KW, identity_norm, make_sample
+from _synth import FIT_KW, identity_norm, make_episode, make_sample
+from forewarn import forecasters
 from forewarn.autodiff import Tensor
-from forewarn.core import QuantileGrid, ValidationError, WindowConfig
+from forewarn.core import QuantileGrid, ValidationError, WindowConfig, derived_seed, violation_sign
+from forewarn.data import make_windows
 from forewarn.forecasters import (
     FAMILIES,
     NEURAL_FAMILIES,
@@ -158,7 +160,7 @@ def test_lstm_cell_shapes():
     mu, sigma = forward_gaussian(model.spec, p, batch, WC.h)
     assert mu.shape == (3, WC.h)
     assert np.all(sigma.data > 0)
-    paths = sample_paths(model.spec, model.params, batch, WC.h, n_paths=5, rng=np.random.default_rng(0))
+    paths = sample_paths(model.spec, model.params, batch, WC.h, n_paths=5, mc_seed=0)
     assert paths.shape == (3, 5, WC.h)
     assert np.all(np.isfinite(paths))
 
@@ -192,14 +194,16 @@ def test_array_gaussian_forward_equals_tape_forward(cell):
 def test_sample_paths_first_lead_is_the_gaussian_head_draw(cell):
     rng = np.random.default_rng(15)
     model = tiny_model("ar_rnn", cell=cell)
-    batch = stack_windows(batch_of(rng, 3))
+    batch = stack_windows([make_sample(rng, WC, origin_t=t) for t in (3, 8, 3)])
     mu, sigma = forward_gaussian(model.spec, model.params, batch, WC.h)
     for n_paths in (1, 7):
-        paths = sample_paths(
-            model.spec, model.params, batch, WC.h, n_paths, np.random.default_rng(4)
-        )
-        z = np.random.default_rng(4).standard_normal((3 * n_paths, 1)).reshape(3, n_paths)
-        want = mu[:, :1] + sigma[:, :1] * z  # draws are taken in (sample, path) row order
+        paths = sample_paths(model.spec, model.params, batch, WC.h, n_paths, mc_seed=4)
+        # each window draws (h, n_paths) normals, lead by lead, from its own origin's generator
+        z = np.array([
+            np.random.default_rng(derived_seed(4, t)).standard_normal((WC.h, n_paths))[0]
+            for t in (3, 8, 3)
+        ])
+        want = mu[:, :1] + sigma[:, :1] * z
         if n_paths == 1:
             assert np.array_equal(paths[:, :, 0], want)
         else:  # BLAS may round the head's product over 21 rows apart from over 3
@@ -249,6 +253,18 @@ def test_mc_seed_controls_sampling():
     c = predict_quantiles_batch(model, samples, mc_seed=2, n_paths=50)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_ar_rnn_forecast_of_a_window_is_the_same_in_any_batch_order_or_chunk(monkeypatch):
+    ep = make_episode(np.random.default_rng(16), t_len=30)
+    windows = make_windows(ep, (0, ep.length), WC, identity_norm(), target="m")
+    model = tiny_model("ar_rnn")
+    whole = predict_quantiles_batch(model, windows, mc_seed=3, n_paths=20)
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 20)  # one window's rows per chunk
+    apart = predict_quantiles_batch(model, windows[::-1], mc_seed=3, n_paths=20)[::-1]
+    # BLAS may round a product over 20 rows apart from one over the whole batch
+    np.testing.assert_allclose(apart, whole, rtol=0, atol=1e-12)
+    assert np.array_equal(violation_sign(apart, axis=1), violation_sign(whole, axis=1))
 
 
 def test_dropout_needs_rng_in_train_mode():
@@ -303,6 +319,7 @@ def test_conv_receptive_field_is_causal_and_bounded():
             past_covariates=base.past_covariates,
             future_target=base.future_target,
             denorm=base.denorm,
+            origin_t=base.origin_t,
         )
 
     ref = predict_quantiles_batch(model, [base])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _synth import make_episode, make_model
-from forewarn import core, forecasters, monitor as monitor_module
-from forewarn.core import ValidationError, WindowConfig, derived_seed, violation_sign
+from forewarn import core, forecasters
+from forewarn.core import ValidationError, WindowConfig, violation_sign
 from forewarn.data import NormStats, make_windows
 from forewarn.forecasters import SAMPLING_FAMILIES, predict_quantiles
 from forewarn.monitor import Alarm, MonitorConfig, SafetyMonitor, replay
@@ -225,12 +225,7 @@ def test_push_forecasts_equal_predict_quantiles_on_make_windows(family):
         monitor.push(ep.lc_outputs[t], y[t])
         if t not in windows or monitor.last_forecast is None:
             continue
-        if family in SAMPLING_FAMILIES:
-            want = predict_quantiles(
-                model, windows[t], mc_seed=derived_seed(cfg.seed, t), n_paths=cfg.n_paths
-            )
-        else:
-            want = predict_quantiles(model, windows[t])
+        want = predict_quantiles(model, windows[t], mc_seed=cfg.seed, n_paths=cfg.n_paths)
         assert monitor.last_forecast.origin_t == t
         assert np.array_equal(monitor.last_forecast.values, want.values)
         compared += 1
@@ -271,7 +266,7 @@ def test_push_builds_no_window_sample_or_stacked_batch(family, monkeypatch):
     monkeypatch.setattr(core.WindowSample, "__post_init__", boom)
     monkeypatch.setattr(forecasters, "stack_windows", boom)
     if family not in SAMPLING_FAMILIES:
-        monkeypatch.setattr(monitor_module, "derived_seed", boom)
+        monkeypatch.setattr(forecasters, "derived_seed", boom)
     model = make_model(family, wc=WC, **SMALL_HYPERS[family])
     ep = make_episode(np.random.default_rng(20), t_len=12)
     assert len(replay(ep, MonitorConfig(model, n_paths=10))) == 12 - WC.k

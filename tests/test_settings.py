@@ -47,6 +47,9 @@ SITES = {
     },
     "lhs_sample.n": (lambda v: lhs_sample(v, DEFAULT_DIMS, 0), "n", int, 0),
     "lhs_sample.seed": (lambda v: lhs_sample(3, DEFAULT_DIMS, v), "seed", int, -1),
+    "WindowSample.origin_t": (
+        lambda v: make_sample(np.random.default_rng(1), WC, origin_t=v), "origin_t", int, -1,
+    ),
     **{
         f"MonitorConfig.{key}": (
             lambda v, key=key: MonitorConfig(make_model(), **{key: v}), key, int, below

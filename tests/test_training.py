@@ -311,6 +311,7 @@ def test_fit_rejects_empty_or_malformed_windows():
         past_covariates=rng.standard_normal((3, 2)),
         future_target=rng.standard_normal(2),
         denorm=(0.0, 1.0),
+        origin_t=2,
     )  # k=3 is not a multiple of h=2
     with pytest.raises(ValidationError, match="do not fit"):
         fit(ForecasterSpec("persistence"), [bad], val, TrainConfig(), **FIT_KW)
