@@ -174,8 +174,8 @@ HELP: dict[str, str] = {
     "axes": 'JSON object of axis values, e.g. {"neurons": [20, 80]}',
     "reps": "training repetitions (per configuration for tune)",
     "n_paths": "Monte Carlo paths for sampling forecasters",
-    "iters": "timed predictions",
-    "warmup": "untimed predictions before timing",
+    "iters": "timed monitor decisions",
+    "warmup": "untimed monitor decisions before timing",
     "decision_quantile": "grid level whose sign decides",
     "hysteresis": "consecutive positives needed to alarm",
     "q": "quantile level whose F3 is explained",
@@ -337,8 +337,7 @@ def _test_windows(cfg: dict, cmd: str):
     """
     model = load_checkpoint(_require(cfg, cmd, "model"))
     episodes = _episodes(cfg, cmd)
-    for ep in episodes:
-        model.check_channels(ep)
+    model.check_channels(episodes[0])  # windows_for_phase holds the rest to its order
     test = windows_for_phase(
         episodes, build_split(episodes), model.wc, model.norm, "test", target=model.target
     )
@@ -512,10 +511,10 @@ def _cmd_sweep(cfg: dict) -> int:
 
 
 def _cmd_bench(cfg: dict) -> int:
-    model, _, test = _test_windows(cfg, "bench")
-    report = bench(
-        model, test[0], warmup=cfg["warmup"], iters=cfg["iters"], n_paths=cfg["n_paths"]
-    ).to_dict()
+    model, episodes, test = _test_windows(cfg, "bench")
+    episode = next(ep for ep in episodes if ep.id == test.episode_ids[0])
+    mon_cfg = MonitorConfig(model, n_paths=cfg["n_paths"])
+    report = bench(mon_cfg, episode, warmup=cfg["warmup"], iters=cfg["iters"]).to_dict()
     print(_json_text(report), end="")
     _write_outputs(cfg, "bench", {"bench.json": report})
     return 0
@@ -527,7 +526,7 @@ def _cmd_monitor(cfg: dict) -> int:
     mon_cfg = _from_cfg(MonitorConfig, cfg, model=model)
     # one line at a time: a line's decisions go out before the next is parsed
     for ep in read_episode_lines(sys.stdin):
-        for t, decision, _, forecast in decisions(ep, mon_cfg):
+        for t, decision, alarm, forecast in decisions(ep, mon_cfg):
             column = forecast.column(mon_cfg.decision_quantile)
             # flush per line: downstream consumers act on decisions as they
             # happen, and a closed pipe must surface here, not at shutdown
@@ -537,6 +536,7 @@ def _cmd_monitor(cfg: dict) -> int:
                 "max_forecast": float(column.max()),
                 "decision": decision,
                 "ttv": first_violation_index(column) if decision == 1 else None,
+                "alarm": alarm is not None,
             }), flush=True)
     return 0
 
@@ -592,7 +592,7 @@ _COMMANDS = {
     "tune": ("grid-search hyperparameters against validation q-risk", _cmd_tune),
     "evaluate": ("retrain a checkpoint's config and report test metrics", _cmd_evaluate),
     "sweep": ("evaluate families across the window-size grid", _cmd_sweep),
-    "bench": ("measure single-window prediction latency and memory", _cmd_bench),
+    "bench": ("measure per-decision latency and memory of the monitor", _cmd_bench),
     "monitor": ("stream episodes from stdin, print one line per decision", _cmd_monitor),
     "analyze": ("distill per-scenario F3 into interval rules", _cmd_analyze),
 }

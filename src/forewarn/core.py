@@ -275,9 +275,10 @@ class QuantileForecast:
 
     values: np.ndarray
     grid: QuantileGrid
-    origin_t: int = -1
+    origin_t: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "origin_t", check_setting("origin_t", self.origin_t))
         object.__setattr__(self, "values", _as_float_array(self.values, "values", 2))
         if self.values.shape[1] != len(self.grid):
             raise ValidationError(

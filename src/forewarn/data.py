@@ -280,7 +280,7 @@ def _cut(
     segment: tuple[int, int],
     wc: WindowConfig,
     norm: NormStats,
-    target: str | None,
+    target: str,
 ) -> dict:
     """One episode's window origins, target (mean, std) and per-window columns.
 
@@ -289,8 +289,6 @@ def _cut(
     s0, s1 = segment
     if not (0 <= s0 <= s1 <= episode.length):
         raise DatasetError(f"segment {segment} out of bounds for T={episode.length}")
-    if target is None:
-        target = episode.metric_names[0]
     k, h = wc.k, wc.h
     mean, std = norm.stats(target)
     metric_n = (episode.metric(target) - mean) / std
@@ -327,7 +325,7 @@ def make_windows(
     segment: tuple[int, int],
     wc: WindowConfig,
     norm: NormStats,
-    target: str | None = None,
+    target: str,
 ) -> WindowBatch:
     """Rolling-origin windows whose h targets lie inside the segment.
 
@@ -345,16 +343,23 @@ def windows_for_phase(
     wc: WindowConfig,
     norm: NormStats,
     phase: str,
-    target: str | None = None,
+    target: str,
 ) -> WindowBatch:
     """One phase's windows of every episode, in episode order, as one WindowBatch.
 
-    Warns for each episode that yields none.
+    Columns are joined by position, so every episode must order its channels
+    and scenario dims as the first does. Warns for each episode that yields none.
     """
     if not episodes:
         raise DatasetError("no episodes to cut windows from")
+    first = episodes[0]
     cuts = []
     for ep in episodes:
+        if (ep.lc_names, ep.scenario.names) != (first.lc_names, first.scenario.names):
+            raise DatasetError(
+                f"episode {ep.id}: channels {ep.lc_names} and scenario dims {ep.scenario.names} "
+                f"differ from episode {first.id}'s {first.lc_names} and {first.scenario.names}"
+            )
         seg = split[ep.id].segment(phase)
         cuts.append(_cut(ep, seg, wc, norm, target))
         if not cuts[-1]["origin_t"].size:
@@ -366,7 +371,7 @@ def windows_for_phase(
 
 
 def phase_windows(
-    episodes: Sequence[Episode], wc: WindowConfig, target: str | None = None
+    episodes: Sequence[Episode], wc: WindowConfig, target: str
 ) -> tuple[NormStats, dict[str, WindowBatch]]:
     """The default split's normalization and each phase's windows, by phase name."""
     split = build_split(episodes)

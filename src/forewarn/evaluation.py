@@ -24,14 +24,15 @@ import math
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, check_setting,
-    derived_seed, violation_sign,
+    Episode, QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample,
+    check_setting, derived_seed, violation_sign,
 )
 from .data import NormStats, phase_windows
 from .forecasters import (
@@ -39,10 +40,10 @@ from .forecasters import (
     ForecasterSpec,
     TrainedForecaster,
     future_target_original,
-    predict_quantiles,
     predict_quantiles_batch,
     stack_windows,
 )
+from .monitor import MonitorConfig, SafetyMonitor
 from .training import TrainConfig, TrainingDivergedError, fit
 
 __all__ = [
@@ -497,40 +498,46 @@ class BenchReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def bench(
-    model: TrainedForecaster,
-    sample: WindowSample,
-    warmup: int = 50,
-    iters: int = 500,
-    n_paths: int = 100,
-) -> BenchReport:
-    """Wall-clock latency of single-sample prediction plus memory figures.
+def bench(cfg: MonitorConfig, episode: Episode, warmup: int = 50, iters: int = 500) -> BenchReport:
+    """Wall-clock latency and peak allocation of the monitor's decided pushes.
 
-    Timing excludes the tracemalloc pass (the hook slows allocation); the
-    peak is measured on one representative call afterwards.
+    The episode streams through SafetyMonitor.push, as in `forewarn monitor`, through a
+    fresh monitor each time it runs out. Building a monitor and its k warm-up pushes
+    are never timed; the first `warmup` decided pushes are timed but dropped. The peak
+    is traced over one more decided push, as the tracemalloc hook slows allocation.
     """
     warmup = check_setting("warmup", warmup)
     iters = check_setting("iters", iters, low=1)
+    model, k = cfg.model, cfg.model.wc.k
+    if episode.length <= k:
+        raise ValidationError(f"bench: episode {episode.id} has no step after the lookback k={k}")
+    y = episode.metric(model.target)
 
-    def call():
-        return predict_quantiles(model, sample, mc_seed=0, n_paths=n_paths)
+    def decided_pushes():  # endless, each ready to call
+        while True:
+            monitor = SafetyMonitor(cfg, episode.scenario)
+            steps = [partial(monitor.push, lc, v) for lc, v in zip(episode.lc_outputs, y)]
+            for push in steps[:k]:
+                push()
+            yield from steps[k:]
 
-    for _ in range(warmup):
-        call()
-    times = np.empty(iters)
-    for i in range(iters):
+    pushes = decided_pushes()
+    times = np.empty(warmup + iters)
+    for i in range(warmup + iters):
+        push = next(pushes)
         t0 = time.perf_counter()
-        call()
+        push()
         times[i] = time.perf_counter() - t0
+    push = next(pushes)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
-    call()
+    push()
     _, peak = tracemalloc.get_traced_memory()
     if not was_tracing:
         tracemalloc.stop()
-    ms = times * 1e3
+    ms = times[warmup:] * 1e3
     return BenchReport(
         family=model.spec.family,
         h=model.wc.h,

@@ -44,7 +44,6 @@ import numpy as np
 from .autodiff import Tensor, concat, relu, sigmoid, softmax, softplus, tanh
 from .core import (
     Episode,
-    QuantileForecast,
     QuantileGrid,
     ValidationError,
     WindowBatch,
@@ -69,7 +68,6 @@ __all__ = [
     "sample_paths",
     "predict_quantiles",
     "predict_quantiles_batch",
-    "predict_stacked",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -590,24 +588,24 @@ def predict_quantiles_batch(
     mc_seed: int | None = None,
     n_paths: int = 100,
 ) -> np.ndarray:
-    """Original-scale forecasts for many windows at once: (N, h, |Q|), rows sorted."""
+    """predict_quantiles on windows, stacked and checked against the model: (N, h, |Q|)."""
     arrays = stack_windows(windows)
     _check_fits(model, arrays)
-    return predict_stacked(model, arrays, mc_seed=mc_seed, n_paths=n_paths)
+    return predict_quantiles(model, arrays, mc_seed=mc_seed, n_paths=n_paths)
 
 
-def predict_stacked(
+def predict_quantiles(
     model: TrainedForecaster,
     batch: dict[str, np.ndarray],
     mc_seed: int | None = None,
     n_paths: int = 100,
 ) -> np.ndarray:
-    """predict_quantiles_batch on stack_windows-shaped arrays already fit to the model.
+    """Original-scale forecasts of stack_windows-shaped arrays already fit to the model.
 
-    The caller vouches for what _check_fits and WindowBatch would check:
-    shapes that match the model, finite normalized inputs, finite denorm
-    with std > 0, origin_t ints >= 0. Each window's forecast is the same
-    whatever batch or chunk it is decoded in.
+    The one predictor, behind predict_quantiles_batch and SafetyMonitor.push. Its
+    caller vouches for what _check_fits and WindowBatch check: shapes that match
+    the model, finite normalized inputs, finite denorm with std > 0, origin_t
+    ints >= 0. A window's forecast is the same in any batch or chunk.
     """
     h, qs = model.wc.h, np.array(model.grid.qs)
     n = batch["past_target"].shape[0]
@@ -632,17 +630,6 @@ def predict_stacked(
     std = batch["denorm"][:, 1][:, None, None]
     original = normalized * std + mean
     return np.sort(original, axis=2)
-
-
-def predict_quantiles(
-    model: TrainedForecaster,
-    sample: WindowSample,
-    mc_seed: int | None = None,
-    n_paths: int = 100,
-) -> QuantileForecast:
-    """Forecast one sample; see predict_quantiles_batch for the heavy path."""
-    values = predict_quantiles_batch(model, [sample], mc_seed=mc_seed, n_paths=n_paths)[0]
-    return QuantileForecast(values, model.grid, origin_t=sample.origin_t)
 
 
 # ----------------------------------------------------------------- checkpoints

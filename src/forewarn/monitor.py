@@ -11,12 +11,13 @@ Everything a push reuses is built at construction: a doubled raw ring buffer
 of shape (2k, 1 + D_o) holding [metric, learned-component outputs] rows, the
 normalization means and stds as two rows, and the forecaster's batch dict
 (scenario, future stub, denorm, origin). A push writes its row twice, so the
-lookback is one contiguous slice; it then allocates only the normalized
-(k, 1 + D_o) window, the forecaster's fixed-size arrays for one window (for
-ar_rnn, its n_paths sample paths) and the QuantileForecast, never anything
-proportional to stream length. Every push hands the forecaster the configured
-seed and its origin t; ar_rnn draws from both, as it does for any batch of
-windows, so a push's forecast is the one batch prediction gives that window.
+lookback is one contiguous slice, forecast by forecasters.predict_quantiles as
+a one-window batch. A push allocates only the normalized (k, 1 + D_o) window,
+the forecaster's fixed-size arrays for one window (for ar_rnn, its n_paths
+sample paths) and the QuantileForecast, never anything proportional to stream
+length. Every push hands the forecaster the configured seed and its origin t;
+ar_rnn draws from both, as it does for any batch of windows, so a push's
+forecast is the one batch prediction gives that window.
 The monitor consumes measured safety-metric values for its lookback; it never
 feeds its own forecasts back in.
 
@@ -40,8 +41,7 @@ from .core import (
     first_violation_index,
     violation_sign,
 )
-# predict_quantiles is not called here; benchmarks/tracing.py wraps monitor.predict_quantiles
-from .forecasters import TrainedForecaster, predict_quantiles, predict_stacked
+from .forecasters import TrainedForecaster, predict_quantiles
 
 __all__ = ["MonitorConfig", "Alarm", "SafetyMonitor", "decisions", "replay"]
 
@@ -143,7 +143,7 @@ class SafetyMonitor:
         batch["past_cov"] = window[None, :, 1:]
         batch["origin_t"][0] = t
         cfg = self.cfg
-        values = predict_stacked(cfg.model, batch, mc_seed=cfg.seed, n_paths=cfg.n_paths)
+        values = predict_quantiles(cfg.model, batch, mc_seed=cfg.seed, n_paths=cfg.n_paths)
         forecast = QuantileForecast(values[0], cfg.model.grid, origin_t=t)
         column = forecast.column(cfg.decision_quantile)
         decision = violation_sign(column)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from _oracles import pinball_loss, rule_matches
-from _synth import make_model, make_sample
+from _synth import make_episode, make_model, make_sample
 from forewarn.cart import cross_validate, extract_rules
 from forewarn.core import QuantileGrid, WindowConfig, violation_sign
 from forewarn.data import build_split, dataset_hash, fit_norm, windows_for_phase, write_episodes
@@ -38,6 +38,7 @@ from forewarn.forecasters import (
     save_checkpoint,
     stack_windows,
 )
+from forewarn.monitor import MonitorConfig
 from forewarn.simulate import SimConfig, generate_dataset
 from forewarn.training import TrainConfig, fit, loss_and_grads
 
@@ -296,7 +297,7 @@ def test_06_learning_beats_persistence(workbench):
 
 
 def _equal_lookback_means(family, rng):
-    """Mean single-call latency per horizon at fixed lookback k=12.
+    """Mean latency of the monitor's decided pushes per horizon at fixed lookback k=12.
 
     Timing contamination (scheduler preemption, collector pauses) only ever
     adds time, so each horizon takes the lower of two block means.
@@ -305,9 +306,9 @@ def _equal_lookback_means(family, rng):
     for h, cm in ((3, 4), (12, 1)):
         wc = WindowConfig(h=h, cm=cm)
         model = make_model(family, wc=wc, qs=QuantileGrid().qs, seed=0)
-        sample = make_sample(rng, wc)
+        episode = make_episode(rng, t_len=wc.k + 100)
         per_h[h] = min(
-            bench(model, sample, warmup=30, iters=300).mean_ms for _ in range(2)
+            bench(MonitorConfig(model), episode, warmup=30, iters=300).mean_ms for _ in range(2)
         )
     return per_h
 

@@ -306,7 +306,8 @@ def test_monitor_streams_one_line_per_decision(workdir, capsys, monkeypatch):
     assert len(lines) == 2 * 34
     assert lines[0]["t"] == 6
     for line in lines:
-        assert set(line) == {"t", "q", "max_forecast", "decision", "ttv"}
+        assert set(line) == {"t", "q", "max_forecast", "decision", "ttv", "alarm"}
+        assert line["alarm"] == (line["decision"] == 1)  # hysteresis 1
         assert line["q"] == 0.995
         assert line["decision"] in (-1, 1)
         if line["decision"] == 1:
@@ -349,7 +350,7 @@ def test_monitor_prints_the_records_of_the_decision_stream(workdir, capsys, monk
     cfg = MonitorConfig(load_checkpoint(_ckpt(workdir)), hysteresis=3)
     stream = [step for ep in read_episodes(data) for step in decisions(ep, cfg)]
     expected = []
-    for t, decision, _, forecast in stream:
+    for t, decision, alarm, forecast in stream:
         column = forecast.column(0.995)
         expected.append({
             "t": t,
@@ -357,9 +358,10 @@ def test_monitor_prints_the_records_of_the_decision_stream(workdir, capsys, monk
             "max_forecast": float(column.max()),
             "decision": decision,
             "ttv": first_violation_index(column) if decision == 1 else None,
+            "alarm": alarm is not None,
         })
     assert printed == expected
-    # a positive decision still short of the hysteresis prints its ttv too
+    # a positive decision still short of the hysteresis prints its ttv, and alarm false
     assert any(decision == 1 and alarm is None for _, decision, alarm, _ in stream)
 
 
@@ -649,6 +651,23 @@ def test_analyze_scores_the_windows_the_monitor_forecasts(workdir, tmp_path, mon
     np.testing.assert_allclose(preds, want, rtol=0, atol=1e-9)
     j = model.grid.index(cfg.decision_quantile)
     assert np.array_equal(violation_sign(preds[:, :, j], axis=1), violation_sign(want[:, :, j], axis=1))
+
+
+def test_train_refuses_an_episode_with_its_channels_in_another_order(workdir, tmp_path, capsys):
+    episodes = read_episodes(workdir / "data" / "dataset.jsonl")
+    ep = episodes[1]
+    episodes[1] = dataclasses.replace(
+        ep, lc_outputs=ep.lc_outputs[:, ::-1], lc_names=ep.lc_names[::-1]
+    )
+    write_episodes(tmp_path / "mixed.jsonl", episodes)
+    code = main([
+        "train", "--family", "persistence", "--data", str(tmp_path / "mixed.jsonl"),
+        "--out", str(tmp_path / "models"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: episode {ep.id}: channels {ep.lc_names[::-1]} and ")
+    assert "Traceback" not in err and not (tmp_path / "models").exists()
 
 
 @pytest.mark.parametrize("cmd", ["bench", "analyze"])

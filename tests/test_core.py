@@ -219,14 +219,14 @@ def test_quantile_grid_must_increase():
 
 def test_quantile_forecast_non_crossing_enforced():
     g = QuantileGrid((0.1, 0.5, 0.9))
-    QuantileForecast(np.array([[1.0, 1.0, 2.0]]), g)  # ties allowed
+    QuantileForecast(np.array([[1.0, 1.0, 2.0]]), g, origin_t=0)  # ties allowed
     with pytest.raises(ValidationError):
-        QuantileForecast(np.array([[1.0, 0.5, 2.0]]), g)
+        QuantileForecast(np.array([[1.0, 0.5, 2.0]]), g, origin_t=0)
 
 
 def test_quantile_forecast_column():
     g = QuantileGrid((0.1, 0.9))
-    f = QuantileForecast(np.array([[0.0, 1.0], [2.0, 3.0]]), g)
+    f = QuantileForecast(np.array([[0.0, 1.0], [2.0, 3.0]]), g, origin_t=0)
     assert f.column(0.9) == pytest.approx([1.0, 3.0])
 
 

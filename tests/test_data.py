@@ -221,7 +221,7 @@ def test_window_count_with_context():
     norm = fit_norm([ep], build_split([ep]))
     wc = WindowConfig(h=3, cm=3)  # k = 9
     # segment of length 40 starting at 50: earlier context exists
-    samples = make_windows(ep, (50, 90), wc, norm)
+    samples = make_windows(ep, (50, 90), wc, norm, "margin_cte")
     assert len(samples) == 38
     assert samples[0].origin_t == 49
     assert samples[-1].origin_t == 86
@@ -230,7 +230,7 @@ def test_window_count_with_context():
 def test_window_minimal_segment():
     ep = make_episode(t=100)
     norm = fit_norm([ep], build_split([ep]))
-    samples = make_windows(ep, (50, 53), WindowConfig(h=3, cm=3), norm)
+    samples = make_windows(ep, (50, 53), WindowConfig(h=3, cm=3), norm, "margin_cte")
     assert len(samples) == 1
     assert samples[0].origin_t == 49
 
@@ -238,14 +238,14 @@ def test_window_minimal_segment():
 def test_window_segment_too_short_yields_empty():
     ep = make_episode(t=100)
     norm = fit_norm([ep], build_split([ep]))
-    assert len(make_windows(ep, (50, 52), WindowConfig(h=3, cm=3), norm)) == 0
+    assert len(make_windows(ep, (50, 52), WindowConfig(h=3, cm=3), norm, "margin_cte")) == 0
 
 
 def test_window_lookback_never_crosses_episode_start():
     ep = make_episode(t=30)
     norm = fit_norm([ep], build_split([ep]))
     wc = WindowConfig(h=2, cm=4)  # k = 8
-    samples = make_windows(ep, (0, 21), wc, norm)
+    samples = make_windows(ep, (0, 21), wc, norm, "margin_cte")
     # origins: 7 .. 18
     assert [s.origin_t for s in samples] == list(range(7, 19))
 
@@ -359,8 +359,8 @@ def test_windows_for_phase_concatenates_episode_batches_in_order():
     split = build_split(eps)
     norm = fit_norm(eps, split)
     wc = WindowConfig(h=2, cm=3)
-    pooled = windows_for_phase(eps, split, wc, norm, "val")
-    parts = [make_windows(ep, split[ep.id].val, wc, norm) for ep in eps]
+    pooled = windows_for_phase(eps, split, wc, norm, "val", "margin_cte")
+    parts = [make_windows(ep, split[ep.id].val, wc, norm, "margin_cte") for ep in eps]
     for name in (*WindowBatch.COLUMNS, "episode_ids", "origin_t"):
         assert np.array_equal(getattr(pooled, name), np.concatenate([getattr(p, name) for p in parts]))
     for ep, part in zip(eps, parts):
@@ -373,16 +373,34 @@ def test_windows_for_phase_pools_and_warns(caplog):
     split = build_split(eps)
     norm = fit_norm(eps, split)
     wc = WindowConfig(h=3, cm=3)
-    test_windows = windows_for_phase(eps, split, wc, norm, "test")
+    test_windows = windows_for_phase(eps, split, wc, norm, "test", "margin_cte")
     assert len(test_windows) == 3 * 38  # test segment length 40 each
-    train_windows = windows_for_phase(eps, split, wc, norm, "train")
+    train_windows = windows_for_phase(eps, split, wc, norm, "train", "margin_cte")
     assert len(train_windows) == 3 * 129  # origins 8..136
     # a horizon longer than the val segment warns and yields nothing
     big = WindowConfig(h=21, cm=1)
     with caplog.at_level("WARNING"):
-        none = windows_for_phase(eps, split, big, norm, "val")
+        none = windows_for_phase(eps, split, big, norm, "val", "margin_cte")
     assert len(none) == 0
     assert "excluded" in caplog.text
+
+
+@pytest.mark.parametrize("reversed_", ["channels", "dims"])
+def test_windows_for_phase_refuses_an_episode_ordering_channels_or_dims_apart(reversed_):
+    ep0, ep1 = (make_episode(t=40, seed=s, eid=f"ep{s}") for s in range(2))
+    if reversed_ == "channels":
+        ep1 = replace(ep1, lc_outputs=ep1.lc_outputs[:, ::-1], lc_names=ep1.lc_names[::-1])
+    else:
+        ep1 = replace(ep1, scenario=Scenario(ep1.scenario.values[::-1], DIMS[::-1]))
+    message = (
+        f"episode ep1: channels {ep1.lc_names} and scenario dims {ep1.scenario.names} differ "
+        f"from episode ep0's {ep0.lc_names} and {ep0.scenario.names}"
+    )
+    split = build_split([ep0, ep1])
+    norm = fit_norm([ep0, ep1], split)
+    with pytest.raises(DatasetError) as info:
+        windows_for_phase([ep0, ep1], split, WindowConfig(h=3, cm=2), norm, "train", "margin_cte")
+    assert str(info.value) == message
 
 
 def test_phase_windows_is_the_default_split_its_norm_and_each_phase():

@@ -28,6 +28,7 @@ from forewarn.evaluation import (
     vargha_delaney,
 )
 from forewarn.forecasters import ForecasterSpec
+from forewarn.monitor import MonitorConfig
 from forewarn.training import TrainConfig
 
 WC = WindowConfig(h=2, cm=2)
@@ -385,8 +386,8 @@ def test_sweep_without_episodes_is_a_named_error():
 def test_bench_reports_latency_and_memory():
     rng = np.random.default_rng(11)
     model = make_model("persistence", wc=WC)
-    sample = make_sample(rng, WC)
-    report = bench(model, sample, warmup=2, iters=30)
+    episode = make_episode(rng)  # 16 decisions a pass, so 30 timed pushes restart it
+    report = bench(MonitorConfig(model), episode, warmup=2, iters=30)
     assert isinstance(report, BenchReport)
     assert report.iters == 30
     assert 0 < report.median_ms <= report.p99_ms
@@ -397,12 +398,19 @@ def test_bench_reports_latency_and_memory():
     d = report.to_dict()
     assert d["family"] == "persistence" and d["h"] == WC.h
     with pytest.raises(ValidationError):
-        bench(model, sample, warmup=-1, iters=0)
+        bench(MonitorConfig(model), episode, warmup=-1, iters=0)
 
 
 def test_bench_ar_rnn_runs_with_paths():
     rng = np.random.default_rng(12)
     model = make_model("ar_rnn", wc=WC, cell="gru", nodes=40, dropout=0.1)
-    report = bench(model, make_sample(rng, WC), warmup=1, iters=5, n_paths=20)
+    report = bench(MonitorConfig(model, n_paths=20), make_episode(rng), warmup=1, iters=5)
     assert report.parameter_count > 0
     assert report.parameter_bytes == report.parameter_count * 8
+
+
+def test_bench_needs_an_episode_that_outlasts_the_lookback():
+    model = make_model("persistence", wc=WC)
+    short = make_episode(np.random.default_rng(13), t_len=WC.k)
+    with pytest.raises(ValidationError, match="episode ep0 has no step after the lookback k=4"):
+        bench(MonitorConfig(model), short, warmup=0, iters=1)

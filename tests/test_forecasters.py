@@ -19,7 +19,6 @@ from forewarn.forecasters import (
     forward_quantiles,
     init_params,
     load_checkpoint,
-    predict_quantiles,
     predict_quantiles_batch,
     sample_paths,
     save_checkpoint,
@@ -214,19 +213,19 @@ def test_persistence_repeats_last_value_on_original_scale():
     rng = np.random.default_rng(3)
     sample = make_sample(rng, WC, denorm=(1.5, 0.5))
     model = tiny_model("persistence", n_cov=2, n_static=3)
-    fc = predict_quantiles(model, sample)
+    fc = predict_quantiles_batch(model, [sample])[0]
     want = sample.past_target[-1] * 0.5 + 1.5
-    assert fc.values.shape == (WC.h, len(QS))
-    assert np.allclose(fc.values, want, rtol=0, atol=1e-15)
+    assert fc.shape == (WC.h, len(QS))
+    assert np.allclose(fc, want, rtol=0, atol=1e-15)
 
 
 def test_ar_rnn_prediction_requires_mc_seed():
     rng = np.random.default_rng(4)
     model = tiny_model("ar_rnn")
     with pytest.raises(ValidationError, match="mc_seed"):
-        predict_quantiles(model, make_sample(rng, WC))
+        predict_quantiles_batch(model, [make_sample(rng, WC)])[0]
     with pytest.raises(ValidationError, match="n_paths"):
-        predict_quantiles(model, make_sample(rng, WC), mc_seed=0, n_paths=0)
+        predict_quantiles_batch(model, [make_sample(rng, WC)], mc_seed=0, n_paths=0)[0]
 
 
 def test_mc_quantiles_of_forced_standard_normal_head():
@@ -289,8 +288,8 @@ def test_batch_prediction_matches_single_calls():
         model = tiny_model(family)
         batched = predict_quantiles_batch(model, samples)
         for i, s in enumerate(samples):
-            single = predict_quantiles(model, s)
-            assert np.allclose(batched[i], single.values, rtol=0, atol=1e-12), family
+            single = predict_quantiles_batch(model, [s])[0]
+            assert np.allclose(batched[i], single, rtol=0, atol=1e-12), family
 
 
 def test_forecast_rows_are_non_crossing():
@@ -332,13 +331,13 @@ def test_prediction_rejects_mismatched_samples():
     rng = np.random.default_rng(11)
     model = tiny_model("seq2seq")
     with pytest.raises(ValidationError, match="lookback"):
-        predict_quantiles(model, make_sample(rng, WindowConfig(h=2, cm=3)))
+        predict_quantiles_batch(model, [make_sample(rng, WindowConfig(h=2, cm=3))])[0]
     with pytest.raises(ValidationError, match="horizon"):
-        predict_quantiles(model, make_sample(rng, WindowConfig(h=4, cm=1)))
+        predict_quantiles_batch(model, [make_sample(rng, WindowConfig(h=4, cm=1))])[0]
     with pytest.raises(ValidationError, match="covariate"):
-        predict_quantiles(model, make_sample(rng, WC, n_cov=5))
+        predict_quantiles_batch(model, [make_sample(rng, WC, n_cov=5)])[0]
     with pytest.raises(ValidationError, match="scenario dims"):
-        predict_quantiles(model, make_sample(rng, WC, n_static=2))
+        predict_quantiles_batch(model, [make_sample(rng, WC, n_static=2)])[0]
     with pytest.raises(ValidationError, match="empty"):
         stack_windows([])
 

@@ -18,14 +18,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "forewarn"
 
-# (module, name) pairs imported on purpose without a use in the module
-KEPT = {
-    # benchmarks/tracing.py patches monitor.predict_quantiles, so the name
-    # must stay bound on the monitor module
-    ("monitor", "predict_quantiles"),
-}
-
-
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's imports that nothing in it reads."""
     tree = ast.parse(source)
@@ -54,7 +46,7 @@ def test_the_scan_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_imports(path):
-    unused = [n for n in unused_imports(path.read_text()) if (path.stem, n) not in KEPT]
+    unused = unused_imports(path.read_text())
     assert unused == [], f"{path.name} imports {unused} without using them"
 
 

@@ -13,8 +13,8 @@ from _synth import make_episode, make_model
 from forewarn import core, forecasters
 from forewarn.core import ValidationError, WindowConfig, violation_sign
 from forewarn.data import NormStats, make_windows
-from forewarn.forecasters import SAMPLING_FAMILIES, predict_quantiles
-from forewarn.monitor import Alarm, MonitorConfig, SafetyMonitor, replay
+from forewarn.forecasters import SAMPLING_FAMILIES, predict_quantiles_batch
+from forewarn.monitor import Alarm, MonitorConfig, SafetyMonitor, decisions, replay
 
 WC = WindowConfig(h=2, cm=2)  # k = 4
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -225,9 +225,11 @@ def test_push_forecasts_equal_predict_quantiles_on_make_windows(family):
         monitor.push(ep.lc_outputs[t], y[t])
         if t not in windows or monitor.last_forecast is None:
             continue
-        want = predict_quantiles(model, windows[t], mc_seed=cfg.seed, n_paths=cfg.n_paths)
+        want = predict_quantiles_batch(
+            model, [windows[t]], mc_seed=cfg.seed, n_paths=cfg.n_paths
+        )[0]
         assert monitor.last_forecast.origin_t == t
-        assert np.array_equal(monitor.last_forecast.values, want.values)
+        assert np.array_equal(monitor.last_forecast.values, want)
         compared += 1
     assert compared == ep.length - WC.total  # origins k..T-1-h
 
@@ -270,6 +272,20 @@ def test_push_builds_no_window_sample_or_stacked_batch(family, monkeypatch):
     model = make_model(family, wc=WC, **SMALL_HYPERS[family])
     ep = make_episode(np.random.default_rng(20), t_len=12)
     assert len(replay(ep, MonitorConfig(model, n_paths=10))) == 12 - WC.k
+
+
+def test_each_decision_is_one_call_of_the_monitor_modules_predictor(monkeypatch):
+    # benchmarks/tracing.py times the monitor's forecasts by wrapping this name
+    predict, origins = forecasters.predict_quantiles, []
+
+    def counting(model, batch, **kwargs):
+        origins.append(int(batch["origin_t"][0]))
+        return predict(model, batch, **kwargs)
+
+    monkeypatch.setattr("forewarn.monitor.predict_quantiles", counting)
+    ep = make_episode(np.random.default_rng(22), t_len=15)
+    steps = list(decisions(ep, persistence_cfg()))
+    assert origins == [t for t, *_ in steps] == list(range(WC.k, ep.length))
 
 
 @pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])

@@ -8,12 +8,14 @@ ValidationError naming the setting.
 import numpy as np
 import pytest
 
-from _synth import FIT_KW, make_model, make_sample
+from _synth import FIT_KW, make_episode, make_model, make_sample
 from forewarn.cart import cross_validate, fit_cart
-from forewarn.core import ValidationError, WindowConfig, check_setting
+from forewarn.core import (
+    QuantileForecast, QuantileGrid, ValidationError, WindowConfig, check_setting,
+)
 from forewarn.evaluation import bench, evaluate, grid_tune
 from forewarn.forecasters import (
-    ForecasterSpec, load_checkpoint, predict_stacked, save_checkpoint, stack_windows,
+    ForecasterSpec, load_checkpoint, predict_quantiles, save_checkpoint, stack_windows,
 )
 from forewarn.monitor import MonitorConfig
 from forewarn.simulate import DEFAULT_DIMS, SimConfig, lhs_sample
@@ -25,7 +27,11 @@ ROWS = np.random.default_rng(0).random((20, 2))
 
 def _predict(**kw):
     batch = stack_windows([make_sample(np.random.default_rng(1), WC)])
-    return predict_stacked(make_model("ar_rnn", wc=WC), batch, **{"mc_seed": 0, **kw})
+    return predict_quantiles(make_model("ar_rnn", wc=WC), batch, **{"mc_seed": 0, **kw})
+
+
+def _bench(**kw):
+    return bench(MonitorConfig(make_model(wc=WC)), make_episode(np.random.default_rng(1)), **kw)
 
 
 def _spec(family, key):
@@ -50,6 +56,9 @@ SITES = {
     "WindowSample.origin_t": (
         lambda v: make_sample(np.random.default_rng(1), WC, origin_t=v), "origin_t", int, -1,
     ),
+    "QuantileForecast.origin_t": (
+        lambda v: QuantileForecast(np.zeros((2, 1)), QuantileGrid((0.5,)), v), "origin_t", int, -1,
+    ),
     **{
         f"MonitorConfig.{key}": (
             lambda v, key=key: MonitorConfig(make_model(), **{key: v}), key, int, below
@@ -72,8 +81,8 @@ SITES = {
             ("attn_seq2seq", "heads", int, 0),
         )
     },
-    "predict_stacked.mc_seed": (lambda v: _predict(mc_seed=v), "mc_seed", int, -1),
-    "predict_stacked.n_paths": (lambda v: _predict(n_paths=v), "n_paths", int, 0),
+    "predict_quantiles.mc_seed": (lambda v: _predict(mc_seed=v), "mc_seed", int, -1),
+    "predict_quantiles.n_paths": (lambda v: _predict(n_paths=v), "n_paths", int, 0),
     "evaluate.repetitions": (
         lambda v: evaluate(ForecasterSpec("persistence"), TrainConfig(), [], [], [], v, **FIT_KW),
         "repetitions", int, 0,
@@ -82,8 +91,8 @@ SITES = {
         lambda v: grid_tune("persistence", {}, [], [], TrainConfig(), v, **FIT_KW),
         "repetitions", int, 0,
     ),
-    "bench.warmup": (lambda v: bench(None, None, warmup=v), "warmup", int, -1),
-    "bench.iters": (lambda v: bench(None, None, iters=v), "iters", int, 0),
+    "bench.warmup": (lambda v: _bench(warmup=v), "warmup", int, -1),
+    "bench.iters": (lambda v: _bench(iters=v), "iters", int, 0),
     "fit_cart.max_depth": (
         lambda v: fit_cart(ROWS, ROWS[:, 0], max_depth=v), "max_depth", int, -1,
     ),
