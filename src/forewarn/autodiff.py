@@ -16,6 +16,13 @@ new, copied when it is a view or another node's), and later ones add into it.
 The op set is exactly what the forecaster families need. Gradients are
 verified against central finite differences in the test suite.
 
+One op is fused: gru_cell, a whole GRU step, records one tape node with a
+hand-written backward in place of the twenty-odd nodes its composed ops would
+record, so a recurrent pass costs one node per step. Its forward is the
+composed expression's arithmetic, so it gives the same bits, and its backward
+writes a gradient only into its Tensor operands: a constant input or initial
+state gets none.
+
 Each elementwise op is defined once, in the op table after the class: a
 unary op as f plus its derivative (_elementwise), a binary one as f plus one
 gradient per operand (_binary). The table's functions are the Tensor methods
@@ -23,9 +30,9 @@ and operators themselves (Tensor.tanh is tanh, Tensor.__mul__ is the multiply
 op), so there is one place to change an op.
 
 The module functions (sigmoid, tanh, relu, softplus, exp, log, square, mean,
-softmax, concat) take a Tensor or a plain ndarray: a Tensor records the op on
-the tape, an ndarray gets the same numpy expression and no tape, so a forward
-pass or a loss written once runs on either and gives the same bits. An ndarray
+softmax, concat, gru_cell) take a Tensor or a plain ndarray: a Tensor records
+the op on the tape, an ndarray gets the same numpy expression and no tape, so a
+forward pass or a loss written once runs on either and gives the same bits. An ndarray
 or scalar operand of an arithmetic operator is wrapped as a constant leaf, on
 either side of the Tensor.
 """
@@ -37,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "concat", "exp", "log", "mean", "relu", "sigmoid", "softmax", "softplus",
-    "square", "tanh",
+    "Tensor", "concat", "exp", "gru_cell", "log", "mean", "relu", "sigmoid", "softmax",
+    "softplus", "square", "tanh",
 ]
 
 
@@ -300,6 +307,82 @@ def concat(tensors: Sequence, axis: int = 0):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(a, b)
             t._acc(g[tuple(idx)])
+
+    out._bw = bw
+    return out
+
+
+# ----------------------------------------------------------------- fused recurrent cell
+
+
+def _gru_forward(x, s, W_rz, U_rz, b_rz, W_n, U_n, b_n):
+    """The GRU step on arrays, plus what its backward reads: (out, rz, s @ U_n, cand).
+
+    Each sum and product is the composed expression's, in its order, but done in
+    place on the step's own new arrays: fewer temporaries, the same bits.
+    """
+    n = U_n.shape[0]
+    rz = x @ W_rz
+    rz += s @ U_rz
+    rz += b_rz
+    rz *= 0.5  # _sigmoid, in place
+    np.tanh(rz, out=rz)
+    rz += 1.0
+    rz *= 0.5
+    z = rz[:, n:]
+    hn = s @ U_n
+    cand = x @ W_n
+    cand += rz[:, :n] * hn
+    cand += b_n
+    np.tanh(cand, out=cand)
+    out = 1.0 - z
+    out *= cand
+    out += z * s
+    return out, rz, hn, cand
+
+
+def gru_cell(x, state, W_rz, U_rz, b_rz, W_n, U_n, b_n):
+    """One GRU step, (B, d_in) input and (B, n) state to the (B, n) new state.
+
+    rz = sigmoid(x @ W_rz + state @ U_rz + b_rz) splits into the reset gate r
+    and the update gate z; cand = tanh(x @ W_n + r * (state @ U_n) + b_n); the
+    new state is (1 - z) * cand + z * state. That is the composed expression's
+    arithmetic, op for op, so the result has its bits.
+
+    The six weights are all Tensors or all plain arrays, so one check on W_rz
+    picks the path. On plain arrays (prediction) it returns an ndarray and
+    records nothing. With Tensor weights (training) it records one tape node,
+    whose backward gives a gradient to the Tensor operands only: x and state
+    may each be a Tensor or a constant, and a constant gets none.
+    """
+    if not isinstance(W_rz, Tensor):
+        return _gru_forward(x, state, W_rz, U_rz, b_rz, W_n, U_n, b_n)[0]
+    operands = (x, state, W_rz, U_rz, b_rz, W_n, U_n, b_n)
+    arrays = [t.data if isinstance(t, Tensor) else t for t in operands]
+    y, rz, hn, cand = _gru_forward(*arrays)
+    x, s, W_rz, U_rz, _, W_n, U_n, _ = arrays
+    out = Tensor(y, tuple(t for t in operands if isinstance(t, Tensor)))
+
+    def bw(g):
+        n = hn.shape[1]
+        r, z = rz[:, :n], rz[:, n:]
+        # gradients at the pre-activations of the candidate's tanh and the gates' sigmoid
+        d_n = g * (1.0 - z) * (1.0 - cand * cand)
+        d_rz = np.concatenate([d_n * hn, g * (s - cand)], axis=1) * rz * (1.0 - rz)
+        d_hn = d_n * r
+        grads = (  # one per operand, in order, computed only for a Tensor
+            lambda: d_rz @ W_rz.T + d_n @ W_n.T,
+            lambda: g * z + d_rz @ U_rz.T + d_hn @ U_n.T,
+            lambda: x.T @ d_rz,
+            lambda: s.T @ d_rz,
+            lambda: d_rz.sum(axis=0),
+            lambda: x.T @ d_n,
+            lambda: s.T @ d_hn,
+            lambda: d_n.sum(axis=0),
+        )
+        for t, grad in zip(operands, grads):
+            if isinstance(t, Tensor):
+                t._acc(grad(), fresh=True)
 
     out._bw = bw
     return out

@@ -26,6 +26,10 @@ tape only as the constant operand of an op with a parameter. Forecast rows are
 projected to non-crossing by sorting each lead time's quantiles ascending (on
 the original scale).
 
+A GRU step, in ar_rnn and in the attn_seq2seq encoder, is one autodiff op
+(gru_cell) with a hand-written backward, so it records one tape node. The LSTM
+cell stays composed of elementwise ops: only the non-default ar_rnn cell runs it.
+
 ar_rnn's Monte-Carlo draws for a window come from its own generator,
 default_rng(derived_seed(mc_seed, origin_t)), so a window's forecast does not
 depend on the batch around it: predicting a whole phase at once gives each
@@ -34,6 +38,7 @@ window the forecast a monitor with seed mc_seed makes at that origin.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, relu, sigmoid, softmax, softplus, tanh
+from .autodiff import Tensor, concat, gru_cell, relu, sigmoid, softmax, softplus, tanh
 from .core import (
     Episode,
     QuantileGrid,
@@ -260,11 +265,11 @@ def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) 
     return x * mask
 
 
-def _gru_step(p: dict, pre: str, x, state, n: int):
-    rz = sigmoid(x @ p[pre + "W_rz"] + state @ p[pre + "U_rz"] + p[pre + "b_rz"])
-    r, z = rz[:, :n], rz[:, n:]
-    cand = tanh(x @ p[pre + "W_n"] + r * (state @ p[pre + "U_n"]) + p[pre + "b_n"])
-    return (1.0 - z) * cand + z * state
+def _gru_step(p: dict, pre: str, x, state):
+    return gru_cell(
+        x, state, p[pre + "W_rz"], p[pre + "U_rz"], p[pre + "b_rz"],
+        p[pre + "W_n"], p[pre + "U_n"], p[pre + "b_n"],
+    )
 
 
 def _gru_params(p: dict, rng: np.random.Generator, pre: str, d_in: int, n: int) -> None:
@@ -277,8 +282,9 @@ def _gru_params(p: dict, rng: np.random.Generator, pre: str, d_in: int, n: int) 
     p[pre + "b_n"] = np.zeros(n)
 
 
-def _lstm_step(p: dict, pre: str, x, state, n: int):
+def _lstm_step(p: dict, pre: str, x, state):
     h, c = state
+    n = h.shape[1]
     gates = x @ p[pre + "W"] + h @ p[pre + "U"] + p[pre + "b"]
     i = sigmoid(gates[:, :n])
     f = sigmoid(gates[:, n : 2 * n])
@@ -433,7 +439,7 @@ def _attn_forward(spec, p, batch, h, train, rng):
     enc_states = []
     for t in range(k):
         x_t = concat([past[:, t].reshape(bsz, 1), cov[:, t, :]], axis=1)
-        state = _gru_step(p, "enc.", x_t, state, d)
+        state = _gru_step(p, "enc.", x_t, state)
         enc_states.append(state.reshape(bsz, 1, d))
     enc = concat(enc_states, axis=1)  # (B, k, d)
     static_emb = relu(static @ p["static.W"] + p["static.b"])
@@ -469,7 +475,7 @@ def _ar_consume(spec, p, y_prev, static, state):
     """One cell step on (previous target, static); state is h, or (h, c) for lstm."""
     x = concat([y_prev, static], axis=1)
     step = _lstm_step if spec.get("cell") == "lstm" else _gru_step
-    return step(p, "cell.", x, state, spec.get("nodes"))
+    return step(p, "cell.", x, state)
 
 
 def _ar_warmup(spec, p, static, past):
@@ -634,12 +640,16 @@ def predict_quantiles(
 
 # ----------------------------------------------------------------- checkpoints
 
-_MAGIC = b"FWFC1\n"
+_MAGIC = b"FWFC2\n"
 
 
 def save_checkpoint(model: TrainedForecaster, path) -> None:
-    """Byte-deterministic binary checkpoint; round-trips bit-exactly."""
+    """Byte-deterministic binary checkpoint; round-trips bit-exactly.
+
+    The header carries the sha256 of the tensor payload that follows it.
+    """
     names = sorted(model.params)
+    payload = [np.ascontiguousarray(model.params[n_], dtype="<f8").tobytes() for n_ in names]
     header = {
         "family": model.spec.family,
         "hyper": {k_: model.spec.params[k_] for k_ in sorted(model.spec.params)},
@@ -653,13 +663,13 @@ def save_checkpoint(model: TrainedForecaster, path) -> None:
         "norm": {k_: list(v) for k_, v in sorted(model.norm.channels.items())},
         "training_log": model.training_log,
         "tensors": [{"name": n_, "shape": list(model.params[n_].shape)} for n_ in names],
+        "payload_sha256": hashlib.sha256(b"".join(payload)).hexdigest(),
     }
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
-        for n_ in names:
-            f.write(np.ascontiguousarray(model.params[n_], dtype="<f8").tobytes())
+        f.writelines(payload)
 
 
 def load_checkpoint(path) -> TrainedForecaster:
@@ -667,8 +677,9 @@ def load_checkpoint(path) -> TrainedForecaster:
 
     The header must parse and hold every key save_checkpoint writes, its
     tensor list must be exactly the names and shapes init_params gives the
-    stored family and sizes, every tensor value must be finite, and norm must
-    cover the target and every learned-component channel.
+    stored family and sizes, the tensor payload must have the sha256 the
+    header records, every tensor value must be finite, and norm must cover the
+    target and every learned-component channel.
     """
     with open(path, "rb") as f:
         magic = f.readline()
@@ -690,6 +701,7 @@ def load_checkpoint(path) -> TrainedForecaster:
                 training_log=header["training_log"],
             )
             stored = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+            digest = header["payload_sha256"]
             named = dict(stored)
             expected = init_params(
                 model.spec, model.wc, len(model.grid), len(model.lc_names), model.n_static, seed=0
@@ -708,15 +720,18 @@ def load_checkpoint(path) -> TrainedForecaster:
                 f"checkpoint tensors do not fit a {model.spec.family} model of the stored "
                 f"sizes (differing: {differing}, listed {len(stored)}, expected {len(shapes)})"
             )
+        bufs = []
         for n_, _ in stored:
-            want = expected[n_]  # float64, like the stored tensor
-            buf = f.read(want.nbytes)
-            if len(buf) != want.nbytes:
+            bufs.append(f.read(expected[n_].nbytes))
+            if len(bufs[-1]) != expected[n_].nbytes:
                 raise ValidationError(f"checkpoint truncated at tensor {n_!r}")
-            tensor = np.frombuffer(buf, dtype="<f8").reshape(want.shape)
-            if not np.isfinite(tensor).all():
-                raise ValidationError(f"checkpoint tensor {n_!r} has non-finite values")
-            model.params[n_] = tensor.copy()
         if f.read(1):
             raise ValidationError("trailing bytes after checkpoint tensors")
+    if hashlib.sha256(b"".join(bufs)).hexdigest() != digest:
+        raise ValidationError("checkpoint tensor payload does not match its sha256")
+    for (n_, shape), buf in zip(stored, bufs):
+        tensor = np.frombuffer(buf, dtype="<f8").reshape(shape)
+        if not np.isfinite(tensor).all():
+            raise ValidationError(f"checkpoint tensor {n_!r} has non-finite values")
+        model.params[n_] = tensor.copy()
     return model

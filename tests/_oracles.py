@@ -1,11 +1,12 @@
-"""Scalar and tree-walk reference implementations the tests compare the package against.
+"""Reference implementations the tests compare the package against.
 
-Each is the textbook definition, written for clarity rather than speed, one
-value or one node at a time.
+Each is the textbook definition, written for clarity rather than speed: one
+value or one node at a time, or one composed op at a time on the autodiff tape.
 """
 
 import math
 
+from forewarn.autodiff import sigmoid, tanh
 from forewarn.core import ValidationError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -57,3 +58,16 @@ def tree_leaves(tree) -> list:
         return [node] if node.is_leaf else walk(node.left) + walk(node.right)
 
     return walk(tree.root)
+
+
+def gru_step(p: dict, pre: str, x, state):
+    """One GRU step composed of autodiff ops, a drop-in for forecasters._gru_step.
+
+    The same arithmetic as autodiff.gru_cell, op for op, but with one tape
+    node per op, each differentiated by the op table.
+    """
+    n = state.shape[1]
+    rz = sigmoid(x @ p[pre + "W_rz"] + state @ p[pre + "U_rz"] + p[pre + "b_rz"])
+    r, z = rz[:, :n], rz[:, n:]
+    cand = tanh(x @ p[pre + "W_n"] + r * (state @ p[pre + "U_n"]) + p[pre + "b_n"])
+    return (1.0 - z) * cand + z * state

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _oracles import gru_step
 from forewarn.autodiff import (
-    Tensor, concat, exp, log, relu, sigmoid, softmax, softplus, square, tanh,
+    Tensor, concat, exp, gru_cell, log, relu, sigmoid, softmax, softplus, square, tanh,
 )
 
 # few examples, fixed per test, and no example database written to disk
@@ -285,6 +286,64 @@ def test_elementwise_gradients_property(shapes, op, seed):
     a, b = _arrays(seed, *shapes.input_shapes, away_from_zero=True)
     loss = _weighted_sum(shapes.result_shape, seed)
     check(lambda x, y: loss(op(x, y)), [a, b], tol=PROPERTY_TOL)
+
+
+GRU_WEIGHTS = ("W_rz", "U_rz", "b_rz", "W_n", "U_n", "b_n")  # gru_cell's operand order
+
+
+@PROPERTY
+@given(
+    batch=st.integers(1, 5),
+    d_in=st.integers(1, 4),
+    n=st.integers(1, 4),
+    x_is_tensor=st.booleans(),
+    state_is_tensor=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gru_cell_matches_the_composed_oracle_property(
+    batch, d_in, n, x_is_tensor, state_is_tensor, seed
+):
+    rng = np.random.default_rng(seed)
+    shapes = ((d_in, 2 * n), (n, 2 * n), (2 * n,), (d_in, n), (n, n), (n,))
+    weights = [rng.normal(scale=0.5, size=s) for s in shapes]
+    x, state = rng.normal(size=(batch, d_in)), rng.normal(size=(batch, n))
+    loss = _weighted_sum((batch, n), seed)
+
+    # forward on plain arrays: an ndarray with the oracle's bits
+    fused = gru_cell(x, state, *weights)
+    assert isinstance(fused, np.ndarray)
+    assert fused.tobytes() == gru_step(dict(zip(GRU_WEIGHTS, weights)), "", x, state).tobytes()
+
+    # on the tape: x and state are Tensors or constants, the weights Tensors
+    def operands():
+        return [
+            Tensor(x) if x_is_tensor else x,
+            Tensor(state) if state_is_tensor else state,
+            *map(Tensor, weights),
+        ]
+
+    mine, ref = operands(), operands()
+    out = gru_cell(*mine)
+    want = gru_step(dict(zip(GRU_WEIGHTS, ref[2:])), "", ref[0], ref[1])
+    assert _same_bits(out, want.data)
+    loss(out).backward()
+    loss(want).backward()
+    for got, expected in zip(mine, ref):
+        if isinstance(got, Tensor):
+            scale = np.abs(expected.grad).max()
+            assert np.abs(got.grad - expected.grad).max() <= 1e-12 * scale
+        else:  # a constant operand stays an ndarray and gets no gradient
+            assert not isinstance(expected, Tensor)
+
+    # and against central differences, over the Tensor operands
+    differentiable = [a for a, t in zip([x, state, *weights], mine) if isinstance(t, Tensor)]
+
+    def build(*tensors):
+        it = iter(tensors)
+        args = [next(it) if isinstance(t, Tensor) else t for t in mine]
+        return loss(gru_cell(*args))
+
+    check(build, differentiable, tol=PROPERTY_TOL)
 
 
 @st.composite

@@ -384,6 +384,13 @@ def _edit_header(edit):
     return write
 
 
+def _flip_payload_byte(model, path):
+    # the lowest mantissa byte of the first tensor: the weights stay finite
+    save_checkpoint(model, path)
+    magic, header, tensors = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + header + b"\n" + bytes([tensors[0] ^ 1]) + tensors[1:])
+
+
 def _edit_model(edit):
     def write(model, path):
         edit(model)
@@ -407,6 +414,7 @@ MALFORMED_CHECKPOINTS = {
         lambda m: m.norm.channels.update({m.lc_names[0]: (0.0, -1.0)})
     ),
     "tensor_nan": _edit_model(lambda m: m.params["head.b"].__setitem__(0, np.nan)),
+    "payload_byte_flipped": _flip_payload_byte,
 }
 
 

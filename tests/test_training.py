@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import gaussian_nll, pinball_loss
+from _oracles import gaussian_nll, gru_step, pinball_loss
 from _synth import FIT_KW, make_learnable_windows, make_sample
+from forewarn import forecasters
 from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
 from forewarn.data import NormStats
@@ -219,6 +220,30 @@ def test_validation_loss_on_arrays_equals_tape_loss(family, monkeypatch):
     assert made == []
 
 
+def _reachable(loss: Tensor) -> int:
+    """Tensors on the tape behind loss, itself included."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("family, count", [("ar_rnn", 64), ("attn_seq2seq", 89)])
+def test_a_gru_step_is_one_tape_node(family, count, monkeypatch):
+    # with one node per op in the GRU step, these were 276 and 263
+    wc = WindowConfig(h=3, cm=3)
+    spec = ForecasterSpec(family)
+    params = init_params(spec, wc, len(QS), 2, 3, seed=0)
+    batch = tiny_batch(np.random.default_rng(5), n=4, wc=wc)
+    counts = []
+    monkeypatch.setattr(Tensor, "backward", lambda loss: counts.append(_reachable(loss)))
+    loss_and_grads(spec, params, batch, QS, rng=np.random.default_rng(6))
+    assert counts == [count]
+
+
 # ------------------------------------------------------------------ fit
 
 
@@ -240,6 +265,22 @@ def test_fit_is_deterministic_to_the_byte():
     for name in a.params:
         assert a.params[name].tobytes() == b.params[name].tobytes()
     assert a.training_log == b.training_log
+
+
+@pytest.mark.parametrize("family", ["ar_rnn", "attn_seq2seq"])
+def test_fit_with_the_fused_gru_matches_the_composed_oracle(family, monkeypatch):
+    train, val = make_split_windows(seed=3)
+    spec = ForecasterSpec(family, TINY_HYPERS[family])  # ar_rnn's cell is the gru
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=1)
+    fused = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
+    monkeypatch.setattr(forecasters, "_gru_step", gru_step)
+    composed = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
+    for name, want in composed.params.items():
+        np.testing.assert_allclose(fused.params[name], want, rtol=1e-9, atol=0.0)
+    for key in ("train_loss", "val_loss"):
+        np.testing.assert_allclose(
+            fused.training_log[key], composed.training_log[key], rtol=1e-9, atol=0.0
+        )
 
 
 @pytest.mark.parametrize("family", ["seq2seq", "ar_rnn"])
