@@ -16,12 +16,17 @@ new, copied when it is a view or another node's), and later ones add into it.
 The op set is exactly what the forecaster families need. Gradients are
 verified against central finite differences in the test suite.
 
-One op is fused: gru_cell, a whole GRU step, records one tape node with a
-hand-written backward in place of the twenty-odd nodes its composed ops would
-record, so a recurrent pass costs one node per step. Its forward is the
-composed expression's arithmetic, so it gives the same bits, and its backward
-writes a gradient only into its Tensor operands: a constant input or initial
-state gets none.
+Four ops are fused: each records one tape node with a hand-written backward
+in place of the nodes its composed ops would record.
+* gru_cell, a whole GRU step, in place of twenty-odd nodes, so a recurrent
+  pass costs one node per step;
+* dense, relu(x @ W + b) or x @ W + b, in place of three or two;
+* pinball_mean, the mean pinball loss of a quantile block, in place of ten;
+* gaussian_nll_mean, the mean Gaussian negative log-likelihood, in place of ten.
+Each one's forward is the composed expression's arithmetic, so it gives the
+same bits, and its backward repeats the composed tape's arithmetic too. A
+backward writes a gradient only into its Tensor operands: a constant input,
+initial state or target gets none.
 
 Each elementwise op is defined once, in the op table after the class: a
 unary op as f plus its derivative (_elementwise), a binary one as f plus one
@@ -30,23 +35,26 @@ and operators themselves (Tensor.tanh is tanh, Tensor.__mul__ is the multiply
 op), so there is one place to change an op.
 
 The module functions (sigmoid, tanh, relu, softplus, exp, log, square, mean,
-softmax, concat, gru_cell) take a Tensor or a plain ndarray: a Tensor records
-the op on the tape, an ndarray gets the same numpy expression and no tape, so a
-forward pass or a loss written once runs on either and gives the same bits. An ndarray
-or scalar operand of an arithmetic operator is wrapped as a constant leaf, on
+softmax, concat and the fused ops) take a Tensor or a plain ndarray: a Tensor
+records the op on the tape, an ndarray gets the same numpy expression and no
+tape, so a forward pass or a loss written once runs on either and gives the
+same bits. An ndarray or scalar operand of an arithmetic operator is wrapped as a constant leaf, on
 either side of the Tensor.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Tensor", "concat", "exp", "gru_cell", "log", "mean", "relu", "sigmoid", "softmax",
-    "softplus", "square", "tanh",
+    "Tensor", "concat", "dense", "exp", "gaussian_nll_mean", "gru_cell", "log", "mean",
+    "pinball_mean", "relu", "sigmoid", "softmax", "softplus", "square", "tanh",
 ]
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -383,6 +391,96 @@ def gru_cell(x, state, W_rz, U_rz, b_rz, W_n, U_n, b_n):
         for t, grad in zip(operands, grads):
             if isinstance(t, Tensor):
                 t._acc(grad(), fresh=True)
+
+    out._bw = bw
+    return out
+
+
+# ----------------------------------------------------------------- fused dense layer and losses
+
+
+def dense(x, W, b, relu: bool = False):
+    """A dense layer over the last axis of x: relu(x @ W + b), or x @ W + b.
+
+    x is (..., d_in), W (d_in, d_out) and b (d_out,). W and b are both Tensors
+    or both plain arrays, so one check on W picks the path. On plain arrays it
+    returns the expression's ndarray and records nothing. With Tensor weights
+    it records one tape node. Its backward masks g with pre > 0 (relu), sums
+    the bias gradient over the leading axes, takes the weight gradient as one
+    2-D GEMM over all rows, as __matmul__ does, and gives x a gradient only
+    when x is a Tensor: a lifted input batch is a constant.
+    """
+    if not isinstance(W, Tensor):
+        pre = x @ W + b
+        return _relu(pre) if relu else pre
+    a = x.data if isinstance(x, Tensor) else x
+    pre = a @ W.data + b.data
+    out = Tensor(_relu(pre) if relu else pre, (x, W, b) if isinstance(x, Tensor) else (W, b))
+
+    def bw(g):
+        if relu:
+            g = g * (pre > 0)
+        b._acc(g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
+        W._acc(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]), fresh=True)
+        if isinstance(x, Tensor):
+            x._acc(g @ W.data.T, fresh=True)
+
+    out._bw = bw
+    return out
+
+
+def _pinball(pred: np.ndarray, y: np.ndarray, q: np.ndarray):
+    diff = y[:, :, None] - pred
+    return diff, mean(_relu(diff) * q + _relu(-diff) * (1.0 - q))
+
+
+def pinball_mean(pred, y: np.ndarray, qs: np.ndarray):
+    """Mean pinball loss of a (B, h, |Q|) prediction block against (B, h) targets.
+
+    qs holds the |Q| levels. pred is a Tensor (one tape node, a gradient for
+    pred only) or an ndarray (a 0-d value, no tape).
+    """
+    q = qs.reshape(1, 1, -1)
+    if not isinstance(pred, Tensor):
+        return _pinball(pred, y, q)[1]
+    diff, loss = _pinball(pred.data, y, q)
+    out = Tensor(loss, (pred,))
+
+    def bw(g):
+        c = g * (1.0 / float(diff.size))  # mean's backward
+        up = (c * q) * (diff > 0)  # through relu(diff) * q
+        down = -((c * (1.0 - q)) * (diff < 0))  # through relu(-diff) * (1 - q)
+        pred._acc(-(up + down), fresh=True)
+
+    out._bw = bw
+    return out
+
+
+def _nll(mu: np.ndarray, sigma: np.ndarray, y: np.ndarray):
+    err = y - mu
+    sq_err = err * err
+    den = (sigma * sigma) * 2.0
+    return err, sq_err, den, mean(np.log(sigma) + sq_err / den + _HALF_LOG_2PI)
+
+
+def gaussian_nll_mean(mu, sigma, y: np.ndarray):
+    """Mean Gaussian negative log-likelihood of (B, h) heads mu, sigma at targets y.
+
+    mu and sigma are both Tensors (one tape node, a gradient for each) or both
+    ndarrays (a 0-d value, no tape); one check on mu picks the path.
+    """
+    if not isinstance(mu, Tensor):
+        return _nll(mu, sigma, y)[3]
+    s = sigma.data
+    err, sq_err, den, loss = _nll(mu.data, s, y)
+    out = Tensor(loss, (mu, sigma))
+
+    def bw(g):
+        c = g * (1.0 / float(err.size))  # mean's backward
+        g_sq_err = c / den  # sq_err / den
+        g_den = -c * sq_err / den**2
+        sigma._acc(c / s + 2.0 * (g_den * 2.0) * s, fresh=True)  # log(s) and (s * s) * 2.0
+        mu._acc(-(2.0 * g_sq_err * err), fresh=True)  # (y - mu) ** 2
 
     out._bw = bw
     return out

@@ -17,7 +17,8 @@ the forecaster's fixed-size arrays for one window (for ar_rnn, its n_paths
 sample paths) and the QuantileForecast, never anything proportional to stream
 length. Every push hands the forecaster the configured seed and its origin t;
 ar_rnn draws from both, as it does for any batch of windows, so a push's
-forecast is the one batch prediction gives that window.
+forecast is the one batch prediction gives that window, up to BLAS rounding
+(about 1e-15: a one-window GEMM rounds differently from a batch's).
 The monitor consumes measured safety-metric values for its lookback; it never
 feeds its own forecasts back in.
 
@@ -81,10 +82,7 @@ class SafetyMonitor:
 
     def __init__(self, cfg: MonitorConfig, scenario: Scenario) -> None:
         model = cfg.model
-        if len(scenario.dims) != model.n_static:
-            raise ValidationError(
-                f"scenario has {len(scenario.dims)} dims, model expects {model.n_static}"
-            )
+        model.check_scenario(scenario)
         # TrainedForecaster has checked that the stats cover every channel,
         # NormStats that they are finite with std > 0
         stats = np.array([model.norm.stats(c) for c in (model.target, *model.lc_names)])

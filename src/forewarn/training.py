@@ -2,8 +2,13 @@
 
 Training happens on the normalized scale: quantile families minimize mean
 pinball loss over every (sample, lead, quantile) cell; ar_rnn minimizes the
-Gaussian negative log-likelihood, teacher-forced over the horizon. Adam is
+Gaussian negative log-likelihood, teacher-forced over the horizon. Each loss
+is one fused autodiff op (pinball_mean, gaussian_nll_mean). Adam is
 bias-corrected and gradients are clipped to a global norm *before* the step.
+fit keeps every parameter as a view into one flat float64 buffer and Adam's
+two moments in one buffer each: the clipped gradients are gathered into one
+flat gradient, and one elementwise Adam step on the buffers updates every
+parameter with the bits a step per parameter gives.
 
 Everything is deterministic given TrainConfig.seed: parameter init, batch
 shuffling, and dropout masks all derive from it, so two fits on the same data
@@ -19,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, log, mean, relu, square
+from .autodiff import Tensor, gaussian_nll_mean, pinball_mean
 from .core import (
     QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, check_setting,
 )
@@ -43,7 +48,6 @@ __all__ = [
     "fit",
 ]
 
-HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 DIVERGENCE_THRESHOLD = 1e12
 _EVAL_CHUNK = 4096  # validation windows per forward pass
 
@@ -70,22 +74,6 @@ class TrainConfig:
                 object.__setattr__(self, key, check_setting(key, value, low=low))
 
 
-# ----------------------------------------------------------------- losses
-
-
-def _pinball_mean(pred, y: np.ndarray, qs: np.ndarray):
-    """Mean pinball over a (B, h, |Q|) prediction block, a Tensor or an ndarray."""
-    diff = y[:, :, None] - pred
-    q = qs.reshape(1, 1, -1)
-    return mean(relu(diff) * q + relu(-diff) * (1.0 - q))
-
-
-def _gaussian_nll_mean(mu, sigma, y: np.ndarray):
-    """Mean Gaussian NLL over (B, h) heads, Tensors or ndarrays."""
-    err = y - mu
-    return mean(log(sigma) + square(err) / (square(sigma) * 2.0) + HALF_LOG_2PI)
-
-
 def loss_and_grads(
     spec: ForecasterSpec,
     params: dict[str, np.ndarray],
@@ -104,10 +92,10 @@ def loss_and_grads(
     h = batch["future_target"].shape[1]
     if spec.family == "ar_rnn":
         mu, sigma = forward_gaussian(spec, p, batch, h, train=train, rng=rng)
-        loss = _gaussian_nll_mean(mu, sigma, batch["future_target"])
+        loss = gaussian_nll_mean(mu, sigma, batch["future_target"])
     else:
         pred = forward_quantiles(spec, p, batch, h, len(grid), train=train, rng=rng)
-        loss = _pinball_mean(pred, batch["future_target"], np.array(grid.qs))
+        loss = pinball_mean(pred, batch["future_target"], np.array(grid.qs))
     if not compute_grads:
         return loss.item(), {}
     loss.backward()
@@ -169,6 +157,18 @@ def _infer_window_config(arrays: dict[str, np.ndarray]) -> WindowConfig:
     return WindowConfig(h=h, cm=k // h)
 
 
+def _scenario_dims(windows: WindowBatch | Sequence[WindowSample]) -> tuple[str, ...]:
+    """The scenario dim names the windows share; ValidationError if they differ."""
+    if isinstance(windows, WindowBatch):
+        scenarios = windows.scenarios.values()
+    else:  # windows of one episode share its Scenario: name each distinct one once
+        scenarios = {id(w.scenario): w.scenario for w in windows}.values()
+    names = {s.names for s in scenarios}
+    if len(names) != 1:
+        raise ValidationError(f"windows differ in scenario dims: names {sorted(names)}")
+    return names.pop()
+
+
 def _check_divergence(loss: float, epoch: int, what: str) -> None:
     if not math.isfinite(loss) or abs(loss) > DIVERGENCE_THRESHOLD:
         raise TrainingDivergedError(f"{what} loss diverged at epoch {epoch}: {loss!r}")
@@ -182,6 +182,16 @@ def _eval_loss(spec, params, arrays, grid) -> float:
         loss, _ = loss_and_grads(spec, params, sub, grid, train=False, compute_grads=False)
         total += loss * sub["future_target"].shape[0]
     return total / n
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """One view per name into the flat buffer, laid out in the order of shapes."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
 
 
 def fit(
@@ -199,8 +209,9 @@ def fit(
 
     persistence is a no-op baseline. `norm` is the normalization the windows
     were cut with, and `target` and `lc_names` name their channels; the model
-    stores all three, so its checkpoint is self-describing and the monitor
-    normalizes its inputs exactly as the windows were.
+    stores all three, and the scenario dim names the windows share, so its
+    checkpoint is self-describing and the monitor normalizes its inputs
+    exactly as the windows were.
 
     training_log holds one entry per epoch run for the train and val loss and
     for the steps' raw gradient norms (before clipping): their median, their
@@ -211,7 +222,7 @@ def fit(
     train_arrays = stack_windows(train_windows)
     wc = _infer_window_config(train_arrays)
     n_cov = train_arrays["past_cov"].shape[2]
-    n_static = train_arrays["static"].shape[1]
+    scenario_dims = _scenario_dims(train_windows)
     if len(lc_names) != n_cov:
         raise ValidationError(
             f"lc_names names {len(lc_names)} covariate channels, the windows have {n_cov}"
@@ -220,7 +231,7 @@ def fit(
     # built first, so a norm missing a channel fails before any training
     model = TrainedForecaster(
         spec=spec, wc=wc, grid=grid, target=target, lc_names=lc_names,
-        n_static=n_static, norm=norm, params={},
+        scenario_dims=scenario_dims, norm=norm, params={},
         training_log={"note": "persistence baseline needs no training", "seed": cfg.seed},
     )
     if spec.family == "persistence":
@@ -228,15 +239,20 @@ def fit(
 
     val_arrays = stack_windows(val_windows)
     params = init_params(
-        spec, wc, len(grid), n_cov, n_static, seed=np.random.SeedSequence((cfg.seed, 1))
+        spec, wc, len(grid), n_cov, model.n_static, seed=np.random.SeedSequence((cfg.seed, 1))
     )
-    adam = init_adam_state(params)
+    # each parameter becomes a view into one buffer, which one Adam step updates
+    shapes = {name: v.shape for name, v in params.items()}
+    flat = np.concatenate([v.ravel() for v in params.values()])
+    params = _views(flat, shapes)
+    flat_grad = np.empty_like(flat)
+    adam = init_adam_state({"params": flat})
     shuffle_rng = np.random.default_rng((cfg.seed, 2))
     dropout_rng = np.random.default_rng((cfg.seed, 3))
     n = train_arrays["future_target"].shape[0]
 
     best_val = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = flat.copy()
     best_epoch = 0
     since_improve = 0
     train_losses: list[float] = []
@@ -254,7 +270,8 @@ def fit(
             loss, grads = loss_and_grads(spec, params, sub, grid, train=True, rng=dropout_rng)
             _check_divergence(loss, epoch, "training")
             norms.append(clip_global_norm(grads, cfg.clip_norm))
-            adam_step(params, grads, adam, cfg.lr)
+            np.concatenate([g.ravel() for g in grads.values()], out=flat_grad)
+            adam_step({"params": flat}, {"params": flat_grad}, adam, cfg.lr)
             epoch_loss += loss * len(idx)
         train_losses.append(epoch_loss / n)
         norm_medians.append(float(np.median(norms)))
@@ -265,14 +282,14 @@ def fit(
         val_losses.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_flat = flat.copy()
             best_epoch = epoch
             since_improve = 0
         else:
             since_improve += 1
             if since_improve >= cfg.patience:
                 break
-    model.params = best_params
+    model.params = {name: v.copy() for name, v in _views(best_flat, shapes).items()}
     model.training_log = {
         "seed": cfg.seed,
         "train_loss": train_losses,

@@ -6,7 +6,8 @@ value or one node at a time, or one composed op at a time on the autodiff tape.
 
 import math
 
-from forewarn.autodiff import sigmoid, tanh
+from forewarn import autodiff
+from forewarn.autodiff import log, mean, relu, sigmoid, square, tanh
 from forewarn.core import ValidationError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -71,3 +72,31 @@ def gru_step(p: dict, pre: str, x, state):
     r, z = rz[:, :n], rz[:, n:]
     cand = tanh(x @ p[pre + "W_n"] + r * (state @ p[pre + "U_n"]) + p[pre + "b_n"])
     return (1.0 - z) * cand + z * state
+
+
+def dense(x, W, b, relu: bool = False):
+    """A dense layer composed of autodiff ops, a drop-in for autodiff.dense.
+
+    x @ W, + b and relu are one tape node each, differentiated by the op table.
+    """
+    pre = x @ W + b
+    return autodiff.relu(pre) if relu else pre  # the flag shadows the op's name
+
+
+def pinball_mean(pred, y, qs):
+    """Mean pinball loss of a (B, h, |Q|) block composed of autodiff ops.
+
+    A drop-in for autodiff.pinball_mean, with one tape node per op.
+    """
+    diff = y[:, :, None] - pred
+    q = qs.reshape(1, 1, -1)
+    return mean(relu(diff) * q + relu(-diff) * (1.0 - q))
+
+
+def gaussian_nll_mean(mu, sigma, y):
+    """Mean Gaussian NLL of (B, h) heads composed of autodiff ops.
+
+    A drop-in for autodiff.gaussian_nll_mean, with one tape node per op.
+    """
+    err = y - mu
+    return mean(log(sigma) + square(err) / (square(sigma) * 2.0) + HALF_LOG_2PI)

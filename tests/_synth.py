@@ -87,7 +87,7 @@ def make_model(
         grid=grid,
         target=target,
         lc_names=tuple(f"c{i}" for i in range(n_cov)),
-        n_static=n_static,
+        scenario_dims=tuple(d.name for d in unit_dims(n_static)),
         norm=norm if norm is not None else identity_norm(n_cov, target),
         params=params,
     )

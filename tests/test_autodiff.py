@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import _oracles
 from _oracles import gru_step
 from forewarn.autodiff import (
-    Tensor, concat, exp, gru_cell, log, relu, sigmoid, softmax, softplus, square, tanh,
+    Tensor, concat, dense, exp, gaussian_nll_mean, gru_cell, log, pinball_mean, relu, sigmoid,
+    softmax, softplus, square, tanh,
 )
 
 # few examples, fixed per test, and no example database written to disk
@@ -344,6 +346,107 @@ def test_gru_cell_matches_the_composed_oracle_property(
         return loss(gru_cell(*args))
 
     check(build, differentiable, tol=PROPERTY_TOL)
+
+
+def _matches_the_oracle(fused, oracle, operands, is_tensor, loss):
+    """fused against its composed oracle, on arrays and on the tape, and against differences.
+
+    On arrays fused returns an ndarray with the oracle's bits. On the tape, with
+    operand i a Tensor where is_tensor[i], its output has the oracle's bits and
+    each Tensor operand the oracle tape's gradient, to the bit; a constant
+    operand gets none. Last, the gradients match central differences.
+    """
+    got, want = fused(*operands), oracle(*operands)
+    assert not isinstance(got, Tensor)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def lift(arrays):
+        return [Tensor(a) if t else a for a, t in zip(arrays, is_tensor)]
+
+    mine, ref = lift(operands), lift(operands)
+    out, expected = fused(*mine), oracle(*ref)
+    assert _same_bits(out, expected.data)
+    loss(out).backward()
+    loss(expected).backward()
+    for got_t, want_t in zip(mine, ref):
+        if isinstance(got_t, Tensor):
+            assert np.array_equal(got_t.grad, want_t.grad)
+
+    def build(*tensors):
+        it = iter(tensors)
+        return loss(fused(*[next(it) if t else a for a, t in zip(operands, is_tensor)]))
+
+    check(build, [a for a, t in zip(operands, is_tensor) if t], tol=PROPERTY_TOL)
+
+
+@PROPERTY
+@given(
+    lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    d_in=st.integers(1, 4),
+    d_out=st.integers(1, 4),
+    x_is_tensor=st.booleans(),
+    use_relu=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_matches_the_composed_oracle_property(
+    lead, d_in, d_out, x_is_tensor, use_relu, seed
+):
+    # x is (B, d_in) or (B, T, d_in), a Tensor or a constant input batch
+    x, W, b = _arrays(seed, (*lead, d_in), (d_in, d_out), (d_out,))
+    _matches_the_oracle(
+        lambda *a: dense(*a, relu=use_relu),
+        lambda *a: _oracles.dense(*a, relu=use_relu),
+        [x, W, b], [x_is_tensor, True, True], _weighted_sum((*lead, d_out), seed),
+    )
+
+
+@PROPERTY
+@given(
+    batch=st.integers(1, 4),
+    h=st.integers(1, 3),
+    qs=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pinball_mean_matches_the_composed_oracle_property(batch, h, qs, seed):
+    pred, y = _arrays(seed, (batch, h, len(qs)), (batch, h))
+    qs = np.sort(qs)
+    _matches_the_oracle(
+        lambda p, t: pinball_mean(p, t, qs),
+        lambda p, t: _oracles.pinball_mean(p, t, qs),
+        [pred, y], [True, False], lambda t: t,
+    )
+
+
+def test_fused_ops_at_a_kink_give_the_composed_subgradient():
+    # relu's gradient at exactly 0 is 0: a dense row of zeros at zero bias (a
+    # dead hidden row at init), and a pinball cell whose forecast hits its target
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, 4))
+    x[1] = 0.0
+    W, b = rng.normal(size=(4, 2)), np.zeros(2)
+    pred, y = rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2))
+    pred[0, 1, :] = y[0, 1]
+    qs = np.array([0.2, 0.7])
+    for fused, oracle, operands in (
+        (lambda *a: dense(*a, relu=True), lambda *a: _oracles.dense(*a, relu=True), [x, W, b]),
+        (lambda p: pinball_mean(p, y, qs), lambda p: _oracles.pinball_mean(p, y, qs), [pred]),
+    ):
+        mine, ref = [Tensor(a) for a in operands], [Tensor(a) for a in operands]
+        fused(*mine).sum().backward()
+        oracle(*ref).sum().backward()
+        for got, want in zip(mine, ref):
+            assert np.array_equal(got.grad, want.grad)
+
+
+@PROPERTY
+@given(batch=st.integers(1, 4), h=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_gaussian_nll_mean_matches_the_composed_oracle_property(batch, h, seed):
+    mu, sigma, y = _arrays(seed, (batch, h), (batch, h), (batch, h))
+    sigma = np.abs(sigma) + 0.5
+    _matches_the_oracle(
+        gaussian_nll_mean, _oracles.gaussian_nll_mean,
+        [mu, sigma, y], [True, True, False], lambda t: t,
+    )
 
 
 @st.composite

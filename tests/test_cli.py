@@ -333,6 +333,32 @@ def test_monitor_rejects_channel_mismatch(workdir, capsys, monkeypatch):
     assert "do not match" in capsys.readouterr().err
 
 
+def _reverse_scenario_dims(line: str) -> str:
+    """The episode line with its scenario dims (names, values and ranges) in reverse order."""
+    record = json.loads(line)
+    record["scenario"] = {key: value[::-1] for key, value in record["scenario"].items()}
+    return json.dumps(record) + "\n"
+
+
+def test_monitor_rejects_reordered_scenario_dims(workdir, capsys, monkeypatch):
+    lines = (workdir / "data" / "dataset.jsonl").read_text().splitlines()
+    monkeypatch.setattr("sys.stdin", io.StringIO(_reverse_scenario_dims(lines[0])))
+    assert main(["monitor", "--model", _ckpt(workdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario dims" in captured.err and "do not match" in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["bench", "analyze"])
+def test_test_window_commands_reject_reordered_scenario_dims(workdir, tmp_path, capsys, cmd):
+    lines = (workdir / "data" / "dataset.jsonl").read_text().splitlines()
+    (tmp_path / "dataset.jsonl").write_text("".join(map(_reverse_scenario_dims, lines)))
+    args = _small_run(workdir, cmd)
+    args[args.index("--data") + 1] = str(tmp_path)
+    assert main([cmd, *args]) == 1
+    assert "scenario dims" in capsys.readouterr().err
+
+
 def test_monitor_decides_each_line_before_reading_the_next(workdir, capsys, monkeypatch):
     first = (workdir / "data" / "dataset.jsonl").read_text().splitlines(keepends=True)[0]
     monkeypatch.setattr("sys.stdin", io.StringIO(first + "{bad\n"))
@@ -391,6 +417,15 @@ def _flip_payload_byte(model, path):
     path.write_bytes(magic + b"\n" + header + b"\n" + bytes([tensors[0] ^ 1]) + tensors[1:])
 
 
+def _edit_header_entries(edit):
+    """Edit the parsed header after save, leaving its recorded sha256 as it was."""
+    def change(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header).encode()
+    return _edit_header(change)
+
+
 def _edit_model(edit):
     def write(model, path):
         edit(model)
@@ -415,6 +450,11 @@ MALFORMED_CHECKPOINTS = {
     ),
     "tensor_nan": _edit_model(lambda m: m.params["head.b"].__setitem__(0, np.nan)),
     "payload_byte_flipped": _flip_payload_byte,
+    "norm_mean_edited": _edit_header_entries(
+        lambda h: h["norm"][h["target"]].__setitem__(0, h["norm"][h["target"]][0] + 1.0)
+    ),
+    "scenario_dims_reordered": _edit_header_entries(lambda h: h["scenario_dims"].reverse()),
+    "scenario_dims_not_names": _edit_model(lambda m: setattr(m, "scenario_dims", [1, 2, 3])),
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _synth import FIT_KW, identity_norm, make_episode, make_sample
+from _synth import FIT_KW, identity_norm, make_episode, make_sample, unit_dims
 from forewarn import forecasters
 from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, derived_seed, violation_sign
@@ -48,7 +48,7 @@ def tiny_model(family, wc=WC, n_cov=2, n_static=3, qs=QS, seed=0, zero=False, **
         grid=qs,
         target="m",
         lc_names=tuple(f"c{i}" for i in range(n_cov)),
-        n_static=n_static,
+        scenario_dims=tuple(d.name for d in unit_dims(n_static)),
         norm=identity_norm(n_cov),
         params=params,
         training_log={"seed": seed},
@@ -378,7 +378,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         assert loaded.grid == model.grid
         assert loaded.target == model.target
         assert loaded.lc_names == model.lc_names
-        assert loaded.n_static == model.n_static
+        assert loaded.scenario_dims == model.scenario_dims
         assert loaded.norm.channels == model.norm.channels
         assert loaded.training_log == model.training_log
         assert sorted(loaded.params) == sorted(model.params)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import gaussian_nll, gru_step, pinball_loss
 from _synth import FIT_KW, make_learnable_windows, make_sample
-from forewarn import forecasters
+from forewarn import forecasters, training
 from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
 from forewarn.data import NormStats
@@ -231,9 +232,13 @@ def _reachable(loss: Tensor) -> int:
     return len(seen)
 
 
-@pytest.mark.parametrize("family, count", [("ar_rnn", 64), ("attn_seq2seq", 89)])
-def test_a_gru_step_is_one_tape_node(family, count, monkeypatch):
-    # with one node per op in the GRU step, these were 276 and 263
+@pytest.mark.parametrize(
+    "family, count", [("seq2seq", 14), ("convseq2seq", 42), ("ar_rnn", 45), ("attn_seq2seq", 71)]
+)
+def test_a_fused_op_is_one_tape_node(family, count, monkeypatch):
+    # a GRU step, a dense layer and a loss are one node each; composed of one
+    # node per op, these were 34, 59, 276 and 263, and 34, 59, 64 and 89 with
+    # only the GRU step fused
     wc = WindowConfig(h=3, cm=3)
     spec = ForecasterSpec(family)
     params = init_params(spec, wc, len(QS), 2, 3, seed=0)
@@ -281,6 +286,57 @@ def test_fit_with_the_fused_gru_matches_the_composed_oracle(family, monkeypatch)
         np.testing.assert_allclose(
             fused.training_log[key], composed.training_log[key], rtol=1e-9, atol=0.0
         )
+
+
+@pytest.mark.parametrize("family", sorted(TINY_HYPERS))
+def test_fit_with_the_fused_dense_and_losses_matches_the_composed_oracles(family, monkeypatch):
+    train, val = make_split_windows(seed=4)
+    spec = ForecasterSpec(family, TINY_HYPERS[family])
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=2)
+    fused = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
+    monkeypatch.setattr(forecasters, "dense", _oracles.dense)
+    monkeypatch.setattr(training, "pinball_mean", _oracles.pinball_mean)
+    monkeypatch.setattr(training, "gaussian_nll_mean", _oracles.gaussian_nll_mean)
+    composed = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
+    assert sorted(fused.params) == sorted(composed.params)
+    for name, want in composed.params.items():
+        assert fused.params[name].tobytes() == want.tobytes(), name
+    assert fused.training_log == composed.training_log
+
+
+def _per_parameter_adam_epochs(spec, train, cfg):
+    """fit's training steps with one Adam state per parameter: the params after each epoch."""
+    arrays = stack_windows(train)
+    params = init_params(spec, WC, len(QS), 2, 3, seed=np.random.SeedSequence((cfg.seed, 1)))
+    adam = init_adam_state(params)
+    shuffle_rng = np.random.default_rng((cfg.seed, 2))
+    dropout_rng = np.random.default_rng((cfg.seed, 3))
+    n = arrays["future_target"].shape[0]
+    epochs = []
+    for _ in range(cfg.epochs):
+        perm = shuffle_rng.permutation(n)
+        for i in range(0, n, cfg.batch_size):
+            sub = {k: v[perm[i : i + cfg.batch_size]] for k, v in arrays.items()}
+            _, grads = loss_and_grads(spec, params, sub, QS, train=True, rng=dropout_rng)
+            clip_global_norm(grads, cfg.clip_norm)
+            adam_step(params, grads, adam, cfg.lr)
+        epochs.append({k: v.copy() for k, v in params.items()})
+    return epochs
+
+
+@pytest.mark.parametrize("family, lr", [("seq2seq", 0.1), ("ar_rnn", 0.03)])
+def test_flat_adam_in_fit_matches_per_parameter_adam(family, lr):
+    train, val = make_split_windows(seed=6)
+    spec = ForecasterSpec(family, TINY_HYPERS[family])
+    cfg = TrainConfig(epochs=6, batch_size=16, lr=lr, clip_norm=0.5, patience=6, seed=3)
+    model = fit(spec, train, val, cfg, grid=QS, **FIT_KW)
+    log = model.training_log
+    assert log["best_epoch"] < log["stopped_epoch"]  # so the best params are a saved copy
+    want = _per_parameter_adam_epochs(spec, train, cfg)[log["best_epoch"] - 1]
+    assert sorted(model.params) == sorted(want)
+    for name, p in model.params.items():
+        assert p.tobytes() == want[name].tobytes(), name
+        assert p.base is None  # its own array, not a view into fit's flat buffer
 
 
 @pytest.mark.parametrize("family", ["seq2seq", "ar_rnn"])
