@@ -271,22 +271,15 @@ class QuantileForecast:
 
     Row t is the forecast for lead time tau = t + 1; column j is grid level
     qs[j]. Non-crossing means each row is non-decreasing left to right.
+    Nothing here checks that: its one producer, SafetyMonitor.push, holds the
+    invariants. origin_t is the monitor's own counter, the width is the
+    model's grid, and forecasters.predict_quantiles has sorted each row and
+    refused a non-finite value.
     """
 
     values: np.ndarray
     grid: QuantileGrid
     origin_t: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "origin_t", check_setting("origin_t", self.origin_t))
-        object.__setattr__(self, "values", _as_float_array(self.values, "values", 2))
-        if self.values.shape[1] != len(self.grid):
-            raise ValidationError(
-                f"forecast has {self.values.shape[1]} columns for a "
-                f"{len(self.grid)}-level grid"
-            )
-        if np.any(np.diff(self.values, axis=1) < 0):
-            raise ValidationError("quantile forecast rows must be non-decreasing")
 
     def column(self, q: float) -> np.ndarray:
         """The length-h forecast series at one quantile level."""

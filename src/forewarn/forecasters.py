@@ -24,7 +24,9 @@ same bits without the tape. The input batch stays plain arrays on both paths:
 slicing, reshaping and joining inputs records nothing, and an input joins the
 tape only as the constant operand of an op with a parameter. Forecast rows are
 projected to non-crossing by sorting each lead time's quantiles ascending (on
-the original scale).
+the original scale). predict_quantiles, the one predictor, then refuses a
+forecast holding a non-finite value (denormalizing can overflow), which would
+otherwise score as "no violation".
 
 A GRU step, in ar_rnn and in the attn_seq2seq encoder, is one autodiff op
 (gru_cell) with a hand-written backward, so it records one tape node. So is a
@@ -641,8 +643,9 @@ def predict_quantiles(
     The one predictor, behind predict_quantiles_batch and SafetyMonitor.push. Its
     caller vouches for what _check_fits and WindowBatch check: shapes that match
     the model, finite normalized inputs, finite denorm with std > 0, origin_t
-    ints >= 0. A window's forecast is the same in any batch or chunk up to BLAS
-    rounding, about 1e-15 (see the module docstring).
+    ints >= 0. It checks its own output, once: a non-finite forecast raises
+    ValidationError. A window's forecast is the same in any batch or chunk up to
+    BLAS rounding, about 1e-15 (see the module docstring).
     """
     h, qs = model.wc.h, np.array(model.grid.qs)
     n = batch["past_target"].shape[0]
@@ -665,8 +668,10 @@ def predict_quantiles(
         normalized = forward_quantiles(model.spec, model.params, batch, h, len(qs))
     mean = batch["denorm"][:, 0][:, None, None]
     std = batch["denorm"][:, 1][:, None, None]
-    original = normalized * std + mean
-    return np.sort(original, axis=2)
+    original = np.sort(normalized * std + mean, axis=2)
+    if not np.isfinite(original).all():
+        raise ValidationError(f"{fam} forecast contains non-finite values")
+    return original
 
 
 # ----------------------------------------------------------------- checkpoints

@@ -7,18 +7,20 @@ of the configured decision quantile's horizon (>= 0 anywhere means violation
 predicted), and raises an Alarm when `hysteresis` consecutive decisions are
 positive.
 
-Everything a push reuses is built at construction: a doubled raw ring buffer
-of shape (2k, 1 + D_o) holding [metric, learned-component outputs] rows, the
-normalization means and stds as two rows, and the forecaster's batch dict
-(scenario, future stub, denorm, origin). A push writes its row twice, so the
-lookback is one contiguous slice, forecast by forecasters.predict_quantiles as
-a one-window batch. A push allocates only the normalized (k, 1 + D_o) window,
-the forecaster's fixed-size arrays for one window (for ar_rnn, its n_paths
-sample paths) and the QuantileForecast, never anything proportional to stream
-length. Every push hands the forecaster the configured seed and its origin t;
-ar_rnn draws from both, as it does for any batch of windows, so a push's
-forecast is the one batch prediction gives that window, up to BLAS rounding
-(about 1e-15: a one-window GEMM rounds differently from a batch's).
+Everything a push reuses is built at construction: a doubled ring buffer of
+shape (2k, 1 + D_o) holding normalized [metric, learned-component outputs]
+rows, the normalization means and stds as two rows, and the forecaster's batch
+dict (scenario, future stub, denorm, origin). A push normalizes its observation
+once and checks that row for finiteness once; only then does it count the row
+and write it twice, so a refused observation changes nothing and the lookback
+is one contiguous slice of the ring, forecast by forecasters.predict_quantiles
+as a one-window batch. A push allocates only the normalized (1 + D_o) row, the
+forecaster's fixed-size arrays for one window (for ar_rnn, its n_paths sample
+paths) and the QuantileForecast, never anything proportional to stream length.
+Every push hands the forecaster the configured seed and its origin t; ar_rnn
+draws from both, as it does for any batch of windows, so a push's forecast is
+the one batch prediction gives that window, up to BLAS rounding (about 1e-15: a
+one-window GEMM rounds differently from a batch's).
 The monitor consumes measured safety-metric values for its lookback; it never
 feeds its own forecasts back in.
 
@@ -109,23 +111,21 @@ class SafetyMonitor:
 
         No decision is made until the buffer has wrapped once (the first
         decision uses observations 1..k at t = k), so a length-T stream
-        yields exactly T - k decisions.
+        yields exactly T - k decisions. An observation that is non-finite once
+        normalized raises ValidationError and leaves the monitor as it was.
         """
         lc = np.asarray(lc_row, dtype=np.float64)
         n_cov = self._ring.shape[1] - 1
         if lc.shape != (n_cov,):
             raise ValidationError(f"observation has shape {lc.shape}, expected ({n_cov},)")
-        y = float(metric_value)
-        if not (np.isfinite(lc).all() and np.isfinite(y)):
-            raise ValidationError("observation contains non-finite values")
+        row = (np.concatenate(([float(metric_value)], lc)) - self._mean) / self._std
+        if not np.isfinite(row).all():
+            raise ValidationError("normalized observation contains non-finite values")
 
         k = self._k
         t = self._count
         pos = t % k
-        row = self._ring[pos]
-        row[0] = y
-        row[1:] = lc
-        self._ring[pos + k] = row
+        self._ring[pos] = self._ring[pos + k] = row
         self._count += 1
 
         if t < k:
@@ -133,9 +133,7 @@ class SafetyMonitor:
             self.last_forecast = None
             return None
 
-        window = (self._ring[pos + 1 : pos + 1 + k] - self._mean) / self._std
-        if not np.isfinite(window).all():
-            raise ValidationError("normalized lookback contains non-finite values")
+        window = self._ring[pos + 1 : pos + 1 + k]
         batch = self._batch
         batch["past_target"] = window[None, :, 0]
         batch["past_cov"] = window[None, :, 1:]

@@ -300,7 +300,7 @@ def _equal_lookback_means(family, rng):
     """Mean latency of the monitor's decided pushes per horizon at fixed lookback k=12.
 
     Timing contamination (scheduler preemption, collector pauses) only ever
-    adds time, so each horizon takes the lower of two block means.
+    adds time, so each horizon takes the lowest of three block means.
     """
     per_h = {}
     for h, cm in ((3, 4), (12, 1)):
@@ -308,7 +308,7 @@ def _equal_lookback_means(family, rng):
         model = make_model(family, wc=wc, qs=QuantileGrid().qs, seed=0)
         episode = make_episode(rng, t_len=wc.k + 100)
         per_h[h] = min(
-            bench(MonitorConfig(model), episode, warmup=30, iters=300).mean_ms for _ in range(2)
+            bench(MonitorConfig(model), episode, warmup=30, iters=300).mean_ms for _ in range(3)
         )
     return per_h
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from _oracles import safety_metric_fn
+from _synth import make_episode as make_synth_episode
+from _synth import make_model
 from forewarn.core import (
     DEFAULT_QUANTILES,
     Episode,
@@ -16,6 +18,8 @@ from forewarn.core import (
     first_violation_index,
     violation_sign,
 )
+from forewarn.data import NormStats
+from forewarn.monitor import MonitorConfig, decisions
 
 DIMS = (
     ScenarioDim("time_of_day", 0.0, 1.0),
@@ -218,10 +222,20 @@ def test_quantile_grid_must_increase():
 
 
 def test_quantile_forecast_non_crossing_enforced():
-    g = QuantileGrid((0.1, 0.5, 0.9))
-    QuantileForecast(np.array([[1.0, 1.0, 2.0]]), g, origin_t=0)  # ties allowed
-    with pytest.raises(ValidationError):
-        QuantileForecast(np.array([[1.0, 0.5, 2.0]]), g, origin_t=0)
+    # QuantileForecast holds what its one producer, the monitor, gives it: a
+    # head whose raw quantiles cross ([1, 0.5, 1] at every lead time) reaches
+    # the forecast as sorted, denormalized rows, ties kept
+    wc = WindowConfig(h=2, cm=2)
+    norm = NormStats({"m": (0.3, 2.0), "c0": (0.0, 1.0), "c1": (0.0, 1.0)})
+    model = make_model("seq2seq", wc=wc, qs=(0.1, 0.5, 0.9), norm=norm, decoder_layers=1, neurons=20)
+    model.params["head.W"][:] = 0.0
+    model.params["head.b"][:] = np.tile([1.0, 0.5, 1.0], wc.h)
+    ep = make_synth_episode(np.random.default_rng(4), t_len=wc.k + 3)
+    want = np.tile(np.array([0.5, 1.0, 1.0]) * 2.0 + 0.3, (wc.h, 1))
+    forecasts = [fc for *_, fc in decisions(ep, MonitorConfig(model, decision_quantile=0.5))]
+    assert len(forecasts) == 3
+    for fc in forecasts:
+        assert np.array_equal(fc.values, want)
 
 
 def test_quantile_forecast_column():

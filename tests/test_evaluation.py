@@ -27,7 +27,7 @@ from forewarn.evaluation import (
     sweep,
     vargha_delaney,
 )
-from forewarn.forecasters import ForecasterSpec
+from forewarn.forecasters import ForecasterSpec, predict_quantiles_batch
 from forewarn.monitor import MonitorConfig
 from forewarn.training import TrainConfig
 
@@ -268,6 +268,19 @@ def test_evaluate_model_counts_are_monotone_across_quantiles():
     fps = [ev.per_q[q]["fp"] for q in qs]
     assert all(b <= a for a, b in zip(fns, fns[1:]))
     assert all(b >= a for a, b in zip(fps, fps[1:]))
+
+
+def test_a_non_finite_batch_forecast_is_refused_not_scored():
+    # a 1e308 head bias overflows once denormalized by std 2; an inf forecast
+    # would otherwise count as a predicted violation, a NaN one as none
+    rng = np.random.default_rng(9)
+    model = make_model("seq2seq", wc=WC, decoder_layers=1, neurons=20)
+    model.params["head.b"][:] = 1e308
+    windows = [make_sample(rng, WC, denorm=(0.0, 2.0)) for _ in range(4)]
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict_quantiles_batch(model, windows)
+    with pytest.raises(ValidationError, match="non-finite"):
+        evaluate_model(model, windows)
 
 
 def test_metric_summary():

@@ -141,8 +141,8 @@ def test_no_module_reads_a_private_attribute_it_does_not_define(path):
 # definitions that no package or benchmark code names yet, and why each stays
 UNREACHED = {
     "make_windows": "one episode's windows, the unit the windowing oracle test compares",
-    "replay": "the monitor's decisions collected, the base of batched replay (ROADMAP item 4)",
-    "compare_samples": "the paper's family comparison, to be wired into sweep (ROADMAP item 8)",
+    "replay": "the monitor's decisions collected, the base of batched replay (ROADMAP item 1)",
+    "compare_samples": "the paper's family comparison, to be wired into sweep (ROADMAP item 5)",
 }
 
 

@@ -83,6 +83,51 @@ def test_push_schema_errors():
         monitor.push([0.0, 0.0], np.inf)
 
 
+def test_a_refused_observation_leaves_the_monitor_as_it_was():
+    # 1.7e308 is finite but overflows once divided by the target's std of 0.5;
+    # it is refused at the push that brings it, in warm-up as after it, and the
+    # monitor then decides as one that never saw that push
+    norm = NormStats({"m": (0.0, 0.5), "c0": (0.0, 1.0), "c1": (0.0, 1.0)})
+    cfg = MonitorConfig(make_model("seq2seq", wc=WC, norm=norm, **SMALL_HYPERS["seq2seq"]))
+    ep = make_episode(np.random.default_rng(23), t_len=12)
+    y = ep.metric("m")
+    seen, clean = SafetyMonitor(cfg, ep.scenario), SafetyMonitor(cfg, ep.scenario)
+
+    def same_state():
+        assert seen.last_decision == clean.last_decision
+        if clean.last_forecast is not None:
+            assert np.array_equal(seen.last_forecast.values, clean.last_forecast.values)
+
+    for t in range(ep.length):
+        if t in (1, 8):
+            with pytest.raises(ValidationError, match="non-finite"):
+                seen.push(ep.lc_outputs[t], 1.7e308)
+            same_state()
+        alarm = seen.push(ep.lc_outputs[t], y[t])
+        want = clean.push(ep.lc_outputs[t], y[t])
+        assert (alarm is None) == (want is None)
+        same_state()
+    assert clean.last_decision is not None
+
+
+def test_each_forecast_carries_its_push_origin_and_the_model_grid():
+    # QuantileForecast checks nothing itself; the monitor stamps each forecast
+    # with its own push counter and one (h, |Q|) row per lead time
+    rng = np.random.default_rng(24)
+    model = make_model("seq2seq", wc=WC, qs=(0.1, 0.5, 0.9, 0.995), **SMALL_HYPERS["seq2seq"])
+    monitor = SafetyMonitor(MonitorConfig(model), make_episode(rng).scenario)
+    origins = []
+    for t, y in enumerate(rng.standard_normal(10)):
+        alarm = monitor.push(rng.standard_normal(2), float(y))
+        fc = monitor.last_forecast
+        if fc is None:
+            continue
+        assert fc.grid == model.grid and fc.values.shape == (WC.h, len(model.grid))
+        assert alarm is None or alarm.forecast is fc
+        origins.append(fc.origin_t)
+    assert origins == list(range(WC.k, 10))
+
+
 def test_persistence_decisions_follow_last_value():
     # persistence repeats the newest metric value, so the decision at t is
     # exactly the sign of y[t]; zero counts as a violation

@@ -10,9 +10,7 @@ import pytest
 
 from _synth import FIT_KW, make_episode, make_model, make_sample
 from forewarn.cart import cross_validate, fit_cart
-from forewarn.core import (
-    QuantileForecast, QuantileGrid, ValidationError, WindowConfig, check_setting,
-)
+from forewarn.core import ValidationError, WindowConfig, check_setting
 from forewarn.evaluation import bench, evaluate, grid_tune
 from forewarn.forecasters import (
     ForecasterSpec, load_checkpoint, predict_quantiles, save_checkpoint, stack_windows,
@@ -55,9 +53,6 @@ SITES = {
     "lhs_sample.seed": (lambda v: lhs_sample(3, DEFAULT_DIMS, v), "seed", int, -1),
     "WindowSample.origin_t": (
         lambda v: make_sample(np.random.default_rng(1), WC, origin_t=v), "origin_t", int, -1,
-    ),
-    "QuantileForecast.origin_t": (
-        lambda v: QuantileForecast(np.zeros((2, 1)), QuantileGrid((0.5,)), v), "origin_t", int, -1,
     ),
     **{
         f"MonitorConfig.{key}": (
