@@ -7,8 +7,9 @@ original-scale quantile forecasts):
 * ``persistence``   last observed value, copied to every (lead, quantile) cell
 * ``seq2seq``       MLP encoder over [static; flattened lookback] -> MLP
                     decoder with h*|Q| quantile heads
-* ``convseq2seq``   stack of 1-D causal convolutions over the lookback
-                    (static tiled in as channels) -> MLP decoder heads
+* ``convseq2seq``   stack of 1-D causal convolutions over the 7-step
+                    receptive field of its last output, the newest lookback
+                    steps (static tiled in as channels) -> MLP decoder heads
 * ``ar_rnn``        autoregressive recurrent cell (GRU or LSTM) consuming
                     (previous target, static) per step with a Gaussian head;
                     quantiles are empirical order statistics over Monte-Carlo
@@ -34,7 +35,10 @@ dense layer (autodiff.dense): the seq2seq encoder, every MLP decoder layer and
 quantile head, attn_seq2seq's static embedding and decoder, and ar_rnn's mu and
 sigma heads. The causal convolutions stay composed: their three overlapping
 taps would make the bits of an input gradient depend on the order they are
-summed in. The LSTM cell stays composed of elementwise ops too: only the
+summed in. They run only on the lookback steps the decoder's input reads (the
+last step's receptive field), so a longer lookback costs them nothing; the
+forecast is the full-length stack's, up to the rounding of GEMMs with fewer
+rows. The LSTM cell stays composed of elementwise ops too: only the
 non-default ar_rnn cell runs it.
 
 ar_rnn's Monte-Carlo draws for a window come from its own generator,
@@ -99,6 +103,10 @@ SIGMA_FLOOR = 1e-6
 # rows decoded 290 h=12 windows at 100 paths in 0.55 s, against 0.84 s at
 # 200 000 rows.
 _CHUNK_ROWS = 1000
+# convseq2seq's kernel-3 causal layers conv0, conv1, ..., their dilations in
+# order; the last output step reads the last 1 + 2 * sum(dilations) inputs
+_CONV_DILATIONS = (1, 2)
+_CONV_FIELD = 1 + 2 * sum(_CONV_DILATIONS)
 
 # model hyperparameter grids; training knobs (batch, lr, clip) live in TrainConfig
 GRIDS: dict[str, dict[str, tuple]] = {
@@ -358,11 +366,12 @@ def init_params(
     if fam == "convseq2seq":
         ch = spec.get("channels")
         n = spec.get("neurons")
-        c_in = 1 + n_cov + n_static
-        for layer, cin in (("conv0", c_in), ("conv1", ch)):
+        cin = 1 + n_cov + n_static
+        for i in range(len(_CONV_DILATIONS)):
             for tap in range(3):
-                p[f"{layer}.W{tap}"] = _glorot(rng, cin * 3, ch, shape=(cin, ch))
-            p[f"{layer}.b"] = np.zeros(ch)
+                p[f"conv{i}.W{tap}"] = _glorot(rng, cin * 3, ch, shape=(cin, ch))
+            p[f"conv{i}.b"] = np.zeros(ch)
+            cin = ch
         width = ch
         for i in range(spec.get("decoder_layers")):
             p[f"dec{i}.W"] = _glorot(rng, width, n)
@@ -414,7 +423,11 @@ def _mlp_decoder(p: dict, x, layers: int):
 
 
 def _causal_conv(p: dict, pre: str, x, dilation: int):
-    """Kernel-3 causal 1-D convolution along axis 1 of (B, k, C_in)."""
+    """Kernel-3 causal 1-D convolution along axis 1 of (B, k, C_in).
+
+    It computes every one of the k output steps, zero-padding before the first
+    input step; the caller crops x to the steps its outputs need.
+    """
     bsz, k, c_in = x.shape
     xp = concat([np.zeros((bsz, 2 * dilation, c_in)), x], axis=1)
     out = None
@@ -449,11 +462,15 @@ def forward_quantiles(
         out = _mlp_decoder(p, enc, spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "convseq2seq":
-        tiled = np.repeat(static[:, None, :], k, axis=1)
-        seq = concat([past.reshape(bsz, k, 1), cov, tiled], axis=2)
-        c0 = relu(_causal_conv(p, "conv0", seq, dilation=1))
-        c1 = relu(_causal_conv(p, "conv1", c0, dilation=2))
-        out = _mlp_decoder(p, c1[:, k - 1, :], spec.get("decoder_layers"))
+        # the decoder reads only the last step, which sees only the last
+        # _CONV_FIELD inputs: the stack runs on those, and its zero padding
+        # never reaches the last step
+        w = min(k, _CONV_FIELD)
+        tiled = np.repeat(static[:, None, :], w, axis=1)
+        x = concat([past[:, k - w :, None], cov[:, k - w :], tiled], axis=2)
+        for i, dilation in enumerate(_CONV_DILATIONS):
+            x = relu(_causal_conv(p, f"conv{i}", x, dilation))
+        out = _mlp_decoder(p, x[:, -1, :], spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "attn_seq2seq":
         return _attn_forward(spec, p, batch, h, train, rng)

@@ -6,8 +6,10 @@ value or one node at a time, or one composed op at a time on the autodiff tape.
 
 import math
 
+import numpy as np
+
 from forewarn import autodiff
-from forewarn.autodiff import log, mean, relu, sigmoid, square, tanh
+from forewarn.autodiff import concat, log, mean, relu, sigmoid, square, tanh
 from forewarn.core import ValidationError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -100,3 +102,34 @@ def gaussian_nll_mean(mu, sigma, y):
     """
     err = y - mu
     return mean(log(sigma) + square(err) / (square(sigma) * 2.0) + HALF_LOG_2PI)
+
+
+def _causal_conv(p: dict, pre: str, x, dilation: int):
+    """Kernel-3 causal 1-D convolution along axis 1 of (B, k, C_in), zero-padded."""
+    bsz, k, c_in = x.shape
+    xp = concat([np.zeros((bsz, 2 * dilation, c_in)), x], axis=1)
+    out = None
+    for tap in range(3):
+        start = tap * dilation
+        piece = xp[:, start : start + k, :] @ p[f"{pre}.W{2 - tap}"]
+        out = piece if out is None else out + piece
+    return out + p[f"{pre}.b"]
+
+
+def convseq2seq_forward(spec, p, batch, h: int, n_quantiles: int):
+    """convseq2seq's forward over the whole lookback, the family's branch of forward_quantiles.
+
+    Both causal layers (dilations 1 and 2) run on all k lookback steps, and
+    the decoder reads the last step of the second. A Tensor when p holds
+    Tensors, else an ndarray.
+    """
+    static, past, cov = batch["static"], batch["past_target"], batch["past_cov"]
+    bsz, k, _ = cov.shape
+    tiled = np.repeat(static[:, None, :], k, axis=1)
+    seq = concat([past.reshape(bsz, k, 1), cov, tiled], axis=2)
+    c0 = relu(_causal_conv(p, "conv0", seq, dilation=1))
+    c1 = relu(_causal_conv(p, "conv1", c0, dilation=2))
+    x = c1[:, k - 1, :]
+    for i in range(spec.get("decoder_layers")):
+        x = autodiff.dense(x, p[f"dec{i}.W"], p[f"dec{i}.b"], relu=True)
+    return autodiff.dense(x, p["head.W"], p["head.b"]).reshape(bsz, h, n_quantiles)

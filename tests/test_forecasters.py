@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from _synth import FIT_KW, identity_norm, make_episode, make_sample, unit_dims
 from forewarn import forecasters
 from forewarn.autodiff import Tensor
@@ -24,6 +27,7 @@ from forewarn.forecasters import (
     save_checkpoint,
     stack_windows,
 )
+from forewarn.training import loss_and_grads
 
 WC = WindowConfig(h=2, cm=2)
 QS = QuantileGrid((0.1, 0.5, 0.9))
@@ -300,10 +304,14 @@ def test_forecast_rows_are_non_crossing():
         assert np.all(np.diff(preds, axis=2) >= 0), family
 
 
+# two kernel-3 causal layers with dilations 1 and 2: the last output step sees
+# the last 1 + 2*1 + 2*2 lookback steps, positions k-7 .. k-1
+RECEPTIVE_FIELD = 7
+
+
 def test_conv_receptive_field_is_causal_and_bounded():
-    # two kernel-3 layers with dilations 1 and 2: the last output step sees
-    # lookback positions k-1-6 .. k-1 only, so with k=9 the two earliest
-    # positions must not influence the forecast while the newest must
+    # with k=9 the two earliest positions must not influence the forecast,
+    # while the oldest position inside the field and the newest must
     wc = WindowConfig(h=3, cm=3)
     rng = np.random.default_rng(10)
     model = tiny_model("convseq2seq", wc=wc, qs=QS)
@@ -324,7 +332,52 @@ def test_conv_receptive_field_is_causal_and_bounded():
     ref = predict_quantiles_batch(model, [base])
     assert np.array_equal(predict_quantiles_batch(model, [perturbed(0)]), ref)
     assert np.array_equal(predict_quantiles_batch(model, [perturbed(1)]), ref)
+    assert not np.array_equal(
+        predict_quantiles_batch(model, [perturbed(wc.k - RECEPTIVE_FIELD)]), ref
+    )
     assert not np.array_equal(predict_quantiles_batch(model, [perturbed(wc.k - 1)]), ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    h=st.integers(1, 4),
+    cm=st.integers(1, 8),
+    fill=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=1, cm=1, fill=[1e300], seed=0)
+@example(h=1, cm=7, fill=[-3.0], seed=1)
+@example(h=1, cm=8, fill=[1e300, -1e300], seed=2)
+def test_convseq2seq_reads_only_its_receptive_field_property(h, cm, fill, seed):
+    wc = WindowConfig(h=h, cm=cm)
+    model = tiny_model("convseq2seq", wc=wc, seed=seed)
+    spec, params = model.spec, model.params
+    tensors = {name: Tensor(v) for name, v in params.items()}
+    batch = stack_windows(batch_of(np.random.default_rng(seed), 3, wc=wc))
+    # the lookback steps older than the field, overwritten with arbitrary finite values
+    old = max(wc.k - RECEPTIVE_FIELD, 0)
+    junk = dict(batch, past_target=batch["past_target"].copy(), past_cov=batch["past_cov"].copy())
+    values = np.resize(np.array(fill), (3, old, 1 + batch["past_cov"].shape[2]))
+    junk["past_target"][:, :old] = values[..., 0]
+    junk["past_cov"][:, :old] = values[..., 1:]
+
+    plain = forward_quantiles(spec, params, batch, h, len(QS))
+    assert np.array_equal(forward_quantiles(spec, params, junk, h, len(QS)), plain)
+    tape = forward_quantiles(spec, tensors, batch, h, len(QS)).data
+    assert np.array_equal(forward_quantiles(spec, tensors, junk, h, len(QS)).data, tape)
+    loss, grads = loss_and_grads(spec, params, batch, QS)
+    junk_loss, junk_grads = loss_and_grads(spec, params, junk, QS)
+    assert junk_loss == loss
+    assert sorted(junk_grads) == sorted(grads) == sorted(params)
+    for name, g in grads.items():
+        assert np.array_equal(junk_grads[name], g), name
+
+    # the full-length stack: the same bits while the crop is the whole lookback
+    want = _oracles.convseq2seq_forward(spec, params, batch, h, len(QS))
+    if wc.k <= RECEPTIVE_FIELD:
+        assert np.array_equal(plain, want)
+    else:
+        np.testing.assert_allclose(plain, want, rtol=0.0, atol=1e-12)
 
 
 def test_prediction_rejects_mismatched_samples():
