@@ -173,6 +173,16 @@ def r_squared(tree: RegressionTree, features, targets) -> float:
     return 1.0 - sse / sst
 
 
+def _cut(node: Node, depth: int) -> Node:
+    """A copy of the subtree with every node at `depth` below `node` made a leaf."""
+    if node.is_leaf or depth == 0:
+        return Node(value=node.value, count=node.count)
+    return Node(
+        node.value, node.count, node.feature, node.threshold,
+        _cut(node.left, depth - 1), _cut(node.right, depth - 1),
+    )
+
+
 # ----------------------------------------------------------------- selection
 
 
@@ -197,7 +207,9 @@ def cross_validate(
     """Pick (max_depth, min_samples_leaf) by k-fold CV mean MSE, refit on all data.
 
     Folds come from one seeded shuffle, so selection is deterministic. The
-    reported r2 is on the full data with the refit tree.
+    reported r2 is on the full data with the refit tree. Each (fold, leaf size)
+    is fit once, at the largest depth: greedy splits do not depend on
+    max_depth, so that tree cut at a depth is the fit at that depth.
     """
     x = _check_features(features)
     y = np.asarray(targets, dtype=np.float64)
@@ -206,24 +218,31 @@ def cross_validate(
     seed = check_setting("seed", seed)
     if k > n:
         raise ValidationError(f"k={k} folds need at least k rows, got {n}")
+    depths = [check_setting("max_depth", depth) for depth in max_depths]
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, k)
+    fold_mse: dict[int, dict[int, list[float]]] = {}  # leaf -> depth -> per-fold MSE
+    for leaf in dict.fromkeys(min_leaves) if depths else ():
+        scores: dict[int, list[float]] | None = {depth: [] for depth in depths}
+        for i in range(k):
+            test_idx = folds[i]
+            train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
+            if train_idx.size < 2 * leaf:
+                scores = None
+                break
+            tree = fit_cart(x[train_idx], y[train_idx], max(depths), min_samples_leaf=leaf)
+            for depth in scores:
+                cut = RegressionTree(_cut(tree.root, depth), depth, leaf, tree.n_features)
+                scores[depth].append(cut.mse(x[test_idx], y[test_idx]))
+        if scores is not None:
+            fold_mse[leaf] = scores
     rows: list[dict] = []
     best = None  # (cv_mse, max_depth, min_leaf)
-    for depth in max_depths:
+    for depth in depths:
         for leaf in min_leaves:
-            fold_mse = []
-            for i in range(k):
-                test_idx = folds[i]
-                train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-                if train_idx.size < 2 * leaf:
-                    fold_mse = None
-                    break
-                tree = fit_cart(x[train_idx], y[train_idx], max_depth=depth, min_samples_leaf=leaf)
-                fold_mse.append(tree.mse(x[test_idx], y[test_idx]))
-            if fold_mse is None:
+            if leaf not in fold_mse:
                 continue
-            cv_mse = float(np.mean(fold_mse))
+            cv_mse = float(np.mean(fold_mse[leaf][depth]))
             rows.append({"max_depth": depth, "min_samples_leaf": leaf, "cv_mse": cv_mse})
             if best is None or cv_mse < best[0]:
                 best = (cv_mse, depth, leaf)

@@ -491,7 +491,10 @@ def _cmd_sweep(cfg: dict) -> int:
     print(f"{'family':>14} {'h':>3} {'cm':>3} {'total':>6}  result")
     json_rows = []
     for row in rows:
-        keep = {k: row[k] for k in ("family", "h", "cm", "lookback", "total_window", "skipped")}
+        keep = {k: row[k] for k in (
+            "family", "h", "cm", "lookback", "total_window", "parameter_count",
+            "parameter_bytes", "skipped",
+        )}
         line = (
             f"{row['family']:>14} {row['h']:>3} {row['cm']:>3} {row['total_window']:>6}  "
         )

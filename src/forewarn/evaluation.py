@@ -40,6 +40,7 @@ from .forecasters import (
     ForecasterSpec,
     TrainedForecaster,
     future_target_original,
+    init_params,
     predict_quantiles_batch,
     stack_windows,
 )
@@ -337,6 +338,18 @@ def evaluate(
 # ----------------------------------------------------------------- sweep
 
 
+def _model_size(spec: ForecasterSpec, wc: WindowConfig, *dims: int) -> dict:
+    """parameter_count and parameter_bytes of the family's model at wc.
+
+    dims are init_params' n_quantiles, n_cov and n_static.
+    """
+    params = init_params(spec, wc, *dims, seed=0)
+    return {
+        "parameter_count": int(sum(p.size for p in params.values())),
+        "parameter_bytes": int(sum(p.nbytes for p in params.values())),
+    }
+
+
 def sweep(
     episodes,
     families: Sequence[str],
@@ -352,12 +365,15 @@ def sweep(
 
     Configs whose windows do not fit any phase of the split are emitted as
     skipped rows with a warning. total_window = h * (1 + cm). Every family
-    is checked before any work, also when every config is skipped.
+    is checked before any work, also when every config is skipped. Each row,
+    skipped or not, gives the size of the family's model at that config:
+    parameter_count and parameter_bytes (0 for persistence).
     """
     specs = [ForecasterSpec(family) for family in families]
     if not episodes:
         raise ValidationError("sweep needs at least one episode")
     lc_names = episodes[0].lc_names
+    n_static = len(episodes[0].scenario.names)
     target = target if target is not None else episodes[0].metric_names[0]
     rows: list[dict] = []
     for h in h_values:
@@ -366,6 +382,7 @@ def sweep(
             row: dict = {
                 "h": h, "cm": cm, "lookback": wc.k, "total_window": wc.total,
             }
+            sizes = [_model_size(spec, wc, len(grid), len(lc_names), n_static) for spec in specs]
             norm, phases = phase_windows(episodes, wc, target)
             empty = [p for p, w in phases.items() if not w]
             if empty:
@@ -373,11 +390,11 @@ def sweep(
                     "sweep: skipping h=%d cm=%d (total window %d): no %s windows",
                     h, cm, wc.total, "/".join(empty),
                 )
-                for family in families:
-                    rows.append({**row, "family": family, "skipped": True,
+                for spec, size in zip(specs, sizes):
+                    rows.append({**row, "family": spec.family, **size, "skipped": True,
                                  "skipped_reason": f"no {'/'.join(empty)} windows"})
                 continue
-            for spec in specs:
+            for spec, size in zip(specs, sizes):
                 report = evaluate(
                     spec, base_cfg,
                     phases["train"], phases["val"], phases["test"],
@@ -387,6 +404,7 @@ def sweep(
                 rows.append({
                     **row,
                     "family": spec.family,
+                    **size,
                     "skipped": False,
                     "qrisk_sum_mean": float(
                         sum(report.per_q[q]["q_risk"].mean for q in grid.qs)

@@ -49,13 +49,25 @@ The GEMMs of a batch of another size round differently, so the two agree to
 about 1e-15, not to the bit: predicted one at a time, each of the evaluate
 benchmark's 290 test windows at h=12 differed from its batched forecast, by at
 most 3.6e-15.
+
+Independent draws also make sample_paths' chunks of _CHUNK_ROWS rows the unit
+of parallel work: a batch of more than one chunk is decoded on a thread per
+CPU this process may use (numpy releases the GIL in its BLAS and ufunc loops).
+Chunk boundaries do not depend on the thread count, so the forecasts are the
+same to the bit for any number of threads, and there is no knob for it. One
+window, a monitor push, is one chunk and runs on the calling thread. The
+direct families predict a batch in one call: splitting it would change their
+GEMM row counts, and with them their bits on some BLAS builds.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -98,11 +110,16 @@ NEURAL_FAMILIES = FAMILIES[1:]
 SAMPLING_FAMILIES = ("ar_rnn",)  # forecast by Monte-Carlo decoding, so they need an mc_seed
 
 SIGMA_FLOOR = 1e-6
-# ar_rnn Monte-Carlo rows (windows x paths) decoded at once. Draws are per
-# window, so this sets only speed and BLAS rounding: on a 2-core Xeon, 1000
-# rows decoded 290 h=12 windows at 100 paths in 0.55 s, against 0.84 s at
-# 200 000 rows.
+# ar_rnn Monte-Carlo rows (windows x paths) decoded at once, the unit of
+# parallel work in sample_paths. Draws are per window, so this sets only speed
+# and BLAS rounding: on a 2-core Xeon, 1000 rows decoded 290 h=12 windows at
+# 100 paths in 0.55 s on one thread, against 0.84 s at 200 000 rows. The
+# forecast is the same for any number of workers; there is no knob for it.
 _CHUNK_ROWS = 1000
+# threads sample_paths decodes chunks on: the CPUs this process may use
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 # convseq2seq's kernel-3 causal layers conv0, conv1, ..., their dilations in
 # order; the last output step reads the last 1 + 2 * sum(dilations) inputs
 _CONV_DILATIONS = (1, 2)
@@ -580,7 +597,40 @@ def sample_paths(
     default_rng(derived_seed(mc_seed, batch["origin_t"][i])), lead by lead;
     path p's lead j is mu + sigma * z[j, p], and that draw is fed back as the
     next input, where forward_gaussian feeds the true target.
+
+    The batch is decoded in chunks of max(1, _CHUNK_ROWS // n_paths) windows,
+    on up to _WORKERS threads when there is more than one chunk; each chunk
+    runs in a copy of the caller's context, so the caller's np.errstate (a
+    context variable since numpy 2) holds in it. Chunks write disjoint rows of
+    the result, so it is the same for any worker count.
     """
+    n = len(batch["origin_t"])
+    out = np.empty((n, n_paths, h))
+    per_chunk = max(1, _CHUNK_ROWS // n_paths)
+    tasks = [
+        ({k_: v[i : i + per_chunk] for k_, v in batch.items()}, out[i : i + per_chunk])
+        for i in range(0, n, per_chunk)
+    ]
+    workers = min(_WORKERS, len(tasks))
+    if workers <= 1:
+        for sub, dest in tasks:
+            _decode_chunk(spec, params, sub, mc_seed, dest)
+        return out
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [
+            pool.submit(
+                contextvars.copy_context().run, _decode_chunk, spec, params, sub, mc_seed, dest
+            )
+            for sub, dest in tasks
+        ]
+        for f in futures:
+            f.result()
+    return out
+
+
+def _decode_chunk(spec, params, batch, mc_seed: int, out: np.ndarray) -> None:
+    """sample_paths' decoding of one chunk of windows into out, its (b, n_paths, h) rows."""
+    _, n_paths, h = out.shape
     static = batch["static"]
     state = _ar_warmup(spec, params, static, batch["past_target"])
 
@@ -589,17 +639,14 @@ def sample_paths(
 
     state = tuple(map(tile, state)) if isinstance(state, tuple) else tile(state)
     static = tile(static)
-    origins = batch["origin_t"].tolist()
-    out = np.empty((len(origins), n_paths, h))  # the standard normals, then the paths
-    for i, t in enumerate(origins):
+    for i, t in enumerate(batch["origin_t"].tolist()):  # the standard normals, then the paths
         out[i] = np.random.default_rng(derived_seed(mc_seed, t)).standard_normal((h, n_paths)).T
-    out = out.reshape(-1, h)  # rows ordered (sample, path), like state and static
+    out = out.reshape(-1, h)  # a view, rows ordered (sample, path) like state and static
     for j in range(h):
         if j > 0:
             state = _ar_consume(spec, params, out[:, j - 1 : j], static, state)
         mu, sigma = _ar_head(spec, params, state, False, None)
         out[:, j : j + 1] = mu + sigma * out[:, j : j + 1]
-    return out.reshape(-1, n_paths, h)
 
 
 # ----------------------------------------------------------------- prediction
@@ -665,7 +712,6 @@ def predict_quantiles(
     BLAS rounding, about 1e-15 (see the module docstring).
     """
     h, qs = model.wc.h, np.array(model.grid.qs)
-    n = batch["past_target"].shape[0]
     fam = model.spec.family
     if fam == "persistence":
         last = batch["past_target"][:, -1]
@@ -674,18 +720,14 @@ def predict_quantiles(
     elif fam in SAMPLING_FAMILIES:
         mc_seed = check_setting(f"{fam} prediction mc_seed", mc_seed)
         n_paths = check_setting("n_paths", n_paths, low=1)
-        per_chunk = max(1, _CHUNK_ROWS // n_paths)
-        pieces = []
-        for i in range(0, n, per_chunk):
-            sub = {k_: v[i : i + per_chunk] for k_, v in batch.items()}
-            paths = sample_paths(model.spec, model.params, sub, h, n_paths, mc_seed)
-            pieces.append(_path_quantiles(paths, qs))  # (b, h, |Q|)
-        normalized = np.concatenate(pieces, axis=0)
+        paths = sample_paths(model.spec, model.params, batch, h, n_paths, mc_seed)
+        normalized = _path_quantiles(paths, qs)
     else:
         normalized = forward_quantiles(model.spec, model.params, batch, h, len(qs))
     mean = batch["denorm"][:, 0][:, None, None]
     std = batch["denorm"][:, 1][:, None, None]
-    original = np.sort(normalized * std + mean, axis=2)
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        original = np.sort(normalized * std + mean, axis=2)
     if not np.isfinite(original).all():
         raise ValidationError(f"{fam} forecast contains non-finite values")
     return original

@@ -118,7 +118,8 @@ class SafetyMonitor:
         n_cov = self._ring.shape[1] - 1
         if lc.shape != (n_cov,):
             raise ValidationError(f"observation has shape {lc.shape}, expected ({n_cov},)")
-        row = (np.concatenate(([float(metric_value)], lc)) - self._mean) / self._std
+        with np.errstate(over="ignore"):  # an overflow is refused below, by name
+            row = (np.concatenate(([float(metric_value)], lc)) - self._mean) / self._std
         if not np.isfinite(row).all():
             raise ValidationError("normalized observation contains non-finite values")
 

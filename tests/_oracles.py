@@ -63,6 +63,35 @@ def tree_leaves(tree) -> list:
     return walk(tree.root)
 
 
+def cross_validate_rows(x, y, max_depths, min_leaves, k: int, seed: int) -> list[dict]:
+    """cart.cross_validate's rows by one fit_cart per (depth, leaf size, fold).
+
+    Configurations go in max_depths-then-min_leaves order, duplicates
+    included; a leaf size some fold's training rows cannot hold twice is
+    skipped at every depth.
+    """
+    from forewarn.cart import fit_cart
+
+    perm = np.random.default_rng(seed).permutation(x.shape[0])
+    folds = np.array_split(perm, k)
+    rows = []
+    for depth in max_depths:
+        for leaf in min_leaves:
+            fold_mse = []
+            for i in range(k):
+                test_idx = folds[i]
+                train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
+                if train_idx.size < 2 * leaf:
+                    fold_mse = None
+                    break
+                tree = fit_cart(x[train_idx], y[train_idx], max_depth=depth, min_samples_leaf=leaf)
+                fold_mse.append(tree.mse(x[test_idx], y[test_idx]))
+            if fold_mse is not None:
+                cv_mse = float(np.mean(fold_mse))
+                rows.append({"max_depth": depth, "min_samples_leaf": leaf, "cv_mse": cv_mse})
+    return rows
+
+
 def gru_step(p: dict, pre: str, x, state):
     """One GRU step composed of autodiff ops, a drop-in for forecasters._gru_step.
 

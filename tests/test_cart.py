@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import rule_matches, tree_depth, tree_leaves
+from _oracles import cross_validate_rows, rule_matches, tree_depth, tree_leaves
 from _synth import make_model, make_sample
 from forewarn.cart import (
     CVResult,
@@ -130,6 +132,49 @@ def test_cross_validate_is_deterministic():
     assert (a.max_depth, a.min_samples_leaf, a.cv_mse, a.r2) == (
         b.max_depth, b.min_samples_leaf, b.cv_mse, b.r2,
     )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(4, 40),
+    n_features=st.integers(1, 3),
+    levels=st.integers(2, 6),
+    max_depths=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    min_leaves=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+@example(n=12, n_features=2, levels=3, max_depths=[3, 1, 3, 0], min_leaves=[2, 2, 6], k=4, seed=1)
+def test_cross_validate_equals_one_fit_per_depth(
+    n, n_features, levels, max_depths, min_leaves, k, seed
+):
+    # few distinct feature and target values, so ties in splits and scores occur;
+    # unsorted and repeated depths and leaf sizes, some too big for a fold
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, (n, n_features)).astype(np.float64)
+    y = rng.integers(0, levels, n) * 0.5
+    k = min(k, n)
+    want = cross_validate_rows(x, y, max_depths, min_leaves, k, seed)
+    if not want:
+        with pytest.raises(ValidationError, match="no admissible"):
+            cross_validate(x, y, max_depths, min_leaves, k=k, seed=seed)
+        return
+    got = cross_validate(x, y, max_depths, min_leaves, k=k, seed=seed)
+    assert got.rows == want
+    best = min(want, key=lambda r: r["cv_mse"])  # the first of equal minima
+    assert (got.max_depth, got.min_samples_leaf, got.cv_mse) == (
+        best["max_depth"], best["min_samples_leaf"], best["cv_mse"],
+    )
+
+
+def test_cross_validate_checks_every_depth():
+    x, y = planted_data(seed=9, n=20)
+    for depths in ((1, -1), (2, 1.5), (True,)):
+        with pytest.raises(ValidationError, match="max_depth"):
+            cross_validate(x, y, max_depths=depths, min_leaves=(2,), k=2)
+    # also when no leaf size fits a fold
+    with pytest.raises(ValidationError, match="max_depth"):
+        cross_validate(x, y, max_depths=(1, -1), min_leaves=(50,), k=2)
 
 
 def test_cross_validate_k_bounds():

@@ -274,6 +274,7 @@ def test_sweep_reports_and_skips(workdir, tmp_path, capsys):
     assert not by_cm[1]["skipped"]
     assert "qrisk_sum_mean" in by_cm[1]
     assert by_cm[9]["skipped"]  # k=27 leaves no train windows in 28-step segments
+    assert all(r["parameter_count"] == r["parameter_bytes"] == 0 for r in rows)  # persistence
     assert "skipped" in capsys.readouterr().out
 
 

@@ -359,6 +359,28 @@ def test_sweep_emits_rows_and_skips_infeasible_configs(caplog):
     assert by_cm[9]["skipped"] and "windows" in by_cm[9]["skipped_reason"]
 
 
+def test_sweep_rows_carry_the_model_size_of_each_family_and_config():
+    rng = np.random.default_rng(12)
+    episodes = [make_episode(rng, t_len=20, eid=f"ep{i}") for i in range(3)]
+    rows = sweep(
+        episodes, ("persistence", "seq2seq"), TrainConfig(epochs=1, seed=0),
+        h_values=(2, 40), cm_values=(1,), grid=QuantileGrid((0.1, 0.5, 0.9)),
+    )
+
+    def seq2seq_size(k, h, n=80, layers=2, n_static=3, n_cov=2, n_q=3):
+        d_in = n_static + k + k * n_cov  # encoder input, then 2 decoder layers and the head
+        return d_in * n + n + layers * (n * n + n) + n * h * n_q + h * n_q
+
+    got = {(r["family"], r["h"], r["skipped"]): (r["parameter_count"], r["parameter_bytes"])
+           for r in rows}
+    assert got == {  # k = h * cm; h=40 has no windows in 20-step episodes
+        ("persistence", 2, False): (0, 0),
+        ("seq2seq", 2, False): (seq2seq_size(2, 2), 8 * seq2seq_size(2, 2)),
+        ("persistence", 40, True): (0, 0),
+        ("seq2seq", 40, True): (seq2seq_size(40, 40), 8 * seq2seq_size(40, 40)),
+    }
+
+
 def test_sweep_total_window_column():
     rng = np.random.default_rng(10)
     episodes = [make_episode(rng, t_len=250, eid=f"ep{i}") for i in range(2)]

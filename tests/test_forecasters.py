@@ -1,6 +1,8 @@
 """Forecaster specs, forward passes, prediction, and checkpoints."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -268,6 +270,81 @@ def test_ar_rnn_forecast_of_a_window_is_the_same_in_any_batch_order_or_chunk(mon
     # BLAS may round a product over 20 rows apart from one over the whole batch
     np.testing.assert_allclose(apart, whole, rtol=0, atol=1e-12)
     assert np.array_equal(violation_sign(apart, axis=1), violation_sign(whole, axis=1))
+
+
+def _ragged_windows(seed=17, per_chunk=3):
+    """35 windows: with per_chunk windows a chunk, the last chunk is short."""
+    ep = make_episode(np.random.default_rng(seed), t_len=40)
+    windows = make_windows(ep, (0, ep.length), WC, identity_norm(), target="m")
+    assert len(windows) % per_chunk
+    return windows
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_ar_rnn_forecasts_are_bit_identical_for_any_worker_count(cell, monkeypatch):
+    windows = _ragged_windows()
+    model = tiny_model("ar_rnn", cell=cell)
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 60)  # 3 windows of 20 paths a chunk
+    got = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches, more chances for chunks to collide
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(forecasters, "_WORKERS", workers)
+            got[workers] = predict_quantiles_batch(model, windows, mc_seed=3, n_paths=20)
+            paths = sample_paths(model.spec, model.params, windows.columns(), WC.h, 20, 3)
+            # chunk boundaries stay put: each chunk's rows are that chunk decoded alone
+            for i in range(0, len(windows), 3):
+                chunk = windows[i : i + 3].columns()
+                alone = sample_paths(model.spec, model.params, chunk, WC.h, 20, 3)
+                assert np.array_equal(paths[i : i + 3], alone)
+    finally:
+        sys.setswitchinterval(switch)
+    assert np.array_equal(got[1], got[2]) and np.array_equal(got[1], got[3])
+
+
+def test_each_ar_rnn_prediction_is_one_sample_paths_call(monkeypatch):
+    # benchmarks/tracing.py times ar_rnn's decoding by wrapping this name, from
+    # one thread: the chunks' workers must not call it
+    decode, calls = forecasters.sample_paths, []
+
+    def counting(spec, params, batch, *args):
+        calls.append(len(batch["origin_t"]))
+        return decode(spec, params, batch, *args)
+
+    monkeypatch.setattr(forecasters, "sample_paths", counting)
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 20)  # one window a chunk
+    monkeypatch.setattr(forecasters, "_WORKERS", 2)
+    windows = _ragged_windows()
+    predict_quantiles_batch(tiny_model("ar_rnn"), windows, mc_seed=3, n_paths=20)
+    assert calls == [len(windows)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_callers_errstate_holds_in_every_chunk(workers, monkeypatch):
+    # sigma = softplus(1e308) = 1e308, so mu + sigma * z overflows for |z| > 1.8
+    model = tiny_model("ar_rnn")
+    model.params["head.b_sigma"] = np.array([1e308])
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 60)
+    monkeypatch.setattr(forecasters, "_WORKERS", workers)
+    batch = _ragged_windows().columns()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        sample_paths(model.spec, model.params, batch, WC.h, 20, mc_seed=3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["persistence", "seq2seq"])
+def test_a_forecast_that_overflows_denormalized_is_only_a_named_error(family):
+    # the normalized forecast is about 1e308 and the std 2: only the named
+    # error may come out, no numpy RuntimeWarning before it
+    model = tiny_model(family)
+    sample = make_sample(np.random.default_rng(18), WC, denorm=(0.0, 2.0))
+    if family == "seq2seq":
+        model.params["head.b"][:] = 1e308
+    else:
+        sample = dataclasses.replace(sample, past_target=np.full(WC.k, 1e308))
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict_quantiles_batch(model, [sample])
 
 
 def test_dropout_needs_rng_in_train_mode():

@@ -110,6 +110,38 @@ def test_a_refused_observation_leaves_the_monitor_as_it_was():
     assert clean.last_decision is not None
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_refused_observation_is_only_a_named_error():
+    # +-1.7e308 / 0.5 overflows: only the named error may come out, no numpy
+    # RuntimeWarning before it
+    norm = NormStats({"m": (0.0, 0.5), "c0": (0.0, 1.0), "c1": (0.0, 0.5)})
+    monitor = SafetyMonitor(
+        MonitorConfig(make_model("persistence", wc=WC, norm=norm)),
+        make_episode(np.random.default_rng(25)).scenario,
+    )
+    with pytest.raises(ValidationError, match="non-finite"):
+        monitor.push([0.0, 0.0], 1.7e308)
+    with pytest.raises(ValidationError, match="non-finite"):
+        monitor.push([0.0, -1.7e308], 0.0)
+    assert monitor.push([0.0, 0.0], 0.0) is None  # still warming up: nothing was counted
+
+
+def test_a_push_starts_no_thread(monkeypatch):
+    # a push forecasts one window, one chunk of ar_rnn's decoding, which runs inline
+    def boom(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(forecasters, "ThreadPoolExecutor", boom)
+    monkeypatch.setattr(forecasters, "_WORKERS", 2)
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 1)  # one window a chunk
+    model = make_model("ar_rnn", wc=WC, **SMALL_HYPERS["ar_rnn"])
+    ep = make_episode(np.random.default_rng(26), t_len=12)
+    assert len(replay(ep, MonitorConfig(model, n_paths=10))) == 12 - WC.k
+    windows = make_windows(ep, (0, ep.length), WC, model.norm, target="m")
+    with pytest.raises(AssertionError, match="thread pool"):  # two chunks would start one
+        predict_quantiles_batch(model, windows[:2], mc_seed=0, n_paths=10)
+
+
 def test_each_forecast_carries_its_push_origin_and_the_model_grid():
     # QuantileForecast checks nothing itself; the monitor stamps each forecast
     # with its own push counter and one (h, |Q|) row per lead time
