@@ -47,7 +47,9 @@ from .data import (
 from .evaluation import (
     TRAIN_AXES, EvalReport, bench, evaluate, evaluate_model, grid_tune, plot_data, sweep,
 )
-from .forecasters import FAMILIES, ForecasterSpec, load_checkpoint, save_checkpoint
+from .forecasters import (
+    DEFAULT_N_PATHS, FAMILIES, ForecasterSpec, load_checkpoint, save_checkpoint,
+)
 from .monitor import MonitorConfig, decisions
 from .simulate import SimConfig, SimulationError, generate_dataset
 from .training import TrainConfig, TrainingDivergedError, fit
@@ -103,7 +105,7 @@ DEFAULTS: dict[str, dict] = {
         **_defaults(TrainConfig),
         "reps": 5,
         "quantiles": None,
-        "n_paths": 100,
+        "n_paths": DEFAULT_N_PATHS,
     },
     "sweep": {
         "data": None,
@@ -115,7 +117,7 @@ DEFAULTS: dict[str, dict] = {
         "reps": 1,
         "quantiles": list(DEFAULT_QUANTILES),
         "target": None,
-        "n_paths": 100,
+        "n_paths": DEFAULT_N_PATHS,
     },
     "bench": {
         "model": None,
@@ -123,7 +125,7 @@ DEFAULTS: dict[str, dict] = {
         "out": None,
         "iters": 500,
         "warmup": 50,
-        "n_paths": 100,
+        "n_paths": DEFAULT_N_PATHS,
     },
     "monitor": {"model": None, **_defaults(MonitorConfig)},
     "analyze": {
@@ -132,7 +134,7 @@ DEFAULTS: dict[str, dict] = {
         "out": None,
         "q": 0.995,
         "seed": 0,
-        "n_paths": 100,
+        "n_paths": DEFAULT_N_PATHS,
         "depths": [1, 2, 3, 4, 5],
         "leaves": [2, 5, 10],
         "folds": 10,

@@ -32,6 +32,7 @@ __all__ = [
     "QuantileForecast",
     "WindowSample",
     "WindowBatch",
+    "as_batch",
     "derived_seed",
     "violation_sign",
     "first_violation_index",
@@ -288,53 +289,36 @@ class QuantileForecast:
 
 @dataclass(frozen=True)
 class WindowSample:
-    """One training/evaluation sample cut from an episode.
+    """Window `index` of `batch`, a row handle: it holds no data and checks only its index."""
 
-    ``past_target`` (k,) and ``future_target`` (h,) are the safety metric;
-    ``past_covariates`` (k, D_o) are the learned-component outputs. All three
-    are stored on the normalized scale; ``denorm = (mean, std)`` of the target
-    channel takes forecasts back to the original scale. ``origin_t`` >= 0 is
-    the episode step the window's lookback ends at; it also seeds the window's
-    Monte-Carlo draws.
-    """
-
-    scenario: Scenario
-    past_target: np.ndarray
-    past_covariates: np.ndarray
-    future_target: np.ndarray
-    denorm: tuple[float, float]
-    origin_t: int
-    episode_id: str = ""
+    batch: WindowBatch
+    index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "origin_t", check_setting("origin_t", self.origin_t))
-        object.__setattr__(self, "past_target", _as_float_array(self.past_target, "past_target", 1))
         object.__setattr__(
-            self, "past_covariates", _as_float_array(self.past_covariates, "past_covariates", 2)
+            self, "index", check_setting("window index", self.index, high=len(self.batch))
         )
-        object.__setattr__(
-            self, "future_target", _as_float_array(self.future_target, "future_target", 1)
-        )
-        if self.past_covariates.shape[0] != self.past_target.shape[0]:
-            raise ValidationError("past_covariates and past_target disagree on lookback length")
-        mean, std = self.denorm
-        if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
-            raise ValidationError(f"denorm (mean, std) must be finite with std > 0, got {self.denorm}")
-        object.__setattr__(self, "denorm", (float(mean), float(std)))
+
+    @property
+    def episode_id(self) -> str:
+        return str(self.batch.episode_ids[self.index])
 
 
 @dataclass(frozen=True, eq=False)
 class WindowBatch:
     """N windows as columns: the arrays the forward passes take, plus provenance.
 
-    ``static`` (N, S) holds the scenario unit values, ``past_target`` (N, k),
-    ``past_cov`` (N, k, D_o) and ``future_target`` (N, h) the normalized
-    series of WindowSample, ``denorm`` (N, 2) one (mean, std) row per window.
-    ``episode_ids`` and ``origin_t`` (N,) say where each window was cut, and
-    ``scenarios`` maps every episode id to its Scenario. The batch is checked
-    once, as a whole: the arrays agree on N and k, every float is finite,
-    every std is > 0 and every origin_t is an int >= 0. ``batch[i]`` is
-    window i as a WindowSample; ``batch[a:b:c]`` is a WindowBatch.
+    ``past_target`` (N, k) and ``future_target`` (N, h) are the safety metric,
+    ``past_cov`` (N, k, D_o) the learned-component outputs, all normalized;
+    ``static`` (N, S) holds the scenario unit values and ``denorm`` (N, 2) the
+    (mean, std) that takes a window's forecasts back to the original scale.
+    ``episode_ids`` and ``origin_t`` (N,) say where each window was cut, origin_t
+    being the episode step its lookback ends at, which also seeds its
+    Monte-Carlo draws; ``scenarios`` maps every episode id to its Scenario. The
+    batch is checked once, as a whole: the arrays agree on N and k, every float
+    is finite, every std is > 0 and every origin_t is an int >= 0. ``batch[i]``
+    is a WindowSample handle on window i; a slice, an int array or a boolean
+    mask selects a WindowBatch.
     """
 
     static: np.ndarray
@@ -378,28 +362,34 @@ class WindowBatch:
         return self.past_target.shape[0]
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return (WindowSample(self, i) for i in range(len(self)))
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return WindowBatch(
-                *(getattr(self, f.name)[index] for f in fields(self) if f.name != "scenarios"),
-                scenarios=self.scenarios,
-            )
-        episode_id = str(self.episode_ids[index])
-        return WindowSample(
-            scenario=self.scenarios[episode_id],
-            past_target=self.past_target[index],
-            past_covariates=self.past_cov[index],
-            future_target=self.future_target[index],
-            denorm=tuple(self.denorm[index]),
-            episode_id=episode_id,
-            origin_t=int(self.origin_t[index]),
+        if isinstance(index, Integral) and not isinstance(index, bool):
+            return WindowSample(self, range(len(self))[index])
+        return WindowBatch(  # a slice, an int array or a boolean mask selects rows
+            *(getattr(self, f.name)[index] for f in fields(self) if f.name != "scenarios"),
+            scenarios=self.scenarios,
         )
 
     def columns(self) -> dict[str, np.ndarray]:
         """The five forward arrays and origin_t, by the names the forward passes read."""
         return {name: getattr(self, name) for name in (*self.COLUMNS, "origin_t")}
+
+
+def as_batch(windows: WindowBatch | Sequence[WindowSample]) -> WindowBatch:
+    """`windows` as one non-empty WindowBatch: a batch as it is, handles gathered.
+
+    Handles must index one batch; their rows are selected from it in one go.
+    """
+    if not len(windows):
+        raise ValidationError("empty window batch")
+    if isinstance(windows, WindowBatch):
+        return windows
+    batch = windows[0].batch
+    if any(w.batch is not batch for w in windows):
+        raise ValidationError("windows index different batches: select them from one WindowBatch")
+    return batch[np.fromiter((w.index for w in windows), np.intp, len(windows))]
 
 
 def derived_seed(*key: int) -> int:

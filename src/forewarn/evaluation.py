@@ -31,18 +31,18 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Episode, QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample,
+    Episode, QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, as_batch,
     check_setting, derived_seed, violation_sign,
 )
 from .data import NormStats, phase_windows
 from .forecasters import (
+    DEFAULT_N_PATHS,
     GRIDS,
     ForecasterSpec,
     TrainedForecaster,
     future_target_original,
     init_params,
     predict_quantiles_batch,
-    stack_windows,
 )
 from .monitor import MonitorConfig, SafetyMonitor
 from .training import TrainConfig, TrainingDivergedError, fit
@@ -230,13 +230,12 @@ def evaluate_model(
     model: TrainedForecaster,
     test_windows: WindowBatch | Sequence[WindowSample],
     mc_seed: int | None = None,
-    n_paths: int = 100,
+    n_paths: int = DEFAULT_N_PATHS,
 ) -> ModelEval:
     """Forecast every test window once; exact counts and q-Risk per quantile."""
-    if not test_windows:
-        raise ValidationError("evaluate_model needs test windows")
-    preds = predict_quantiles_batch(model, test_windows, mc_seed=mc_seed, n_paths=n_paths)
-    y_true = future_target_original(stack_windows(test_windows))
+    test = as_batch(test_windows)
+    preds = predict_quantiles_batch(model, test, mc_seed=mc_seed, n_paths=n_paths)
+    y_true = future_target_original(test.columns())
     truths = violation_sign(y_true, axis=1)
     decisions = violation_sign(preds, axis=1)  # (N, |Q|)
     per_q: dict[float, dict] = {}
@@ -254,10 +253,7 @@ def evaluate_model(
         per_q=per_q,
         decisions=decisions,
         truths=truths,
-        episode_ids=(
-            test_windows.episode_ids if isinstance(test_windows, WindowBatch)
-            else np.array([s.episode_id for s in test_windows])
-        ),
+        episode_ids=test.episode_ids,
     )
 
 
@@ -300,7 +296,7 @@ def evaluate(
     norm: NormStats,
     target: str,
     lc_names: tuple[str, ...],
-    n_paths: int = 100,
+    n_paths: int = DEFAULT_N_PATHS,
 ) -> EvalReport:
     """Retrain `repetitions` times (fresh seed each) and aggregate test metrics.
 
@@ -359,7 +355,7 @@ def sweep(
     repetitions: int = 1,
     grid: QuantileGrid = QuantileGrid(),
     target: str | None = None,
-    n_paths: int = 100,
+    n_paths: int = DEFAULT_N_PATHS,
 ) -> list[dict]:
     """Evaluate each family across the (h, cm) grid; one row per config.
 

@@ -1,8 +1,9 @@
 """The forecaster families and their prediction/serialization contracts.
 
-Five families share one interface (train on a WindowBatch or a list of
-WindowSamples, stacked once into the forward arrays by stack_windows; emit
-original-scale quantile forecasts):
+Five families share one interface (train on a WindowBatch, whose columns
+stack_windows hands to the forward passes, or on a list of WindowSample
+handles into one batch, which core.as_batch gathers first; emit original-scale
+quantile forecasts):
 
 * ``persistence``   last observed value, copied to every (lead, quantile) cell
 * ``seq2seq``       MLP encoder over [static; flattened lookback] -> MLP
@@ -82,6 +83,7 @@ from .core import (
     WindowBatch,
     WindowConfig,
     WindowSample,
+    as_batch,
     check_setting,
     derived_seed,
 )
@@ -91,6 +93,7 @@ __all__ = [
     "FAMILIES",
     "NEURAL_FAMILIES",
     "SAMPLING_FAMILIES",
+    "DEFAULT_N_PATHS",
     "ForecasterSpec",
     "TrainedForecaster",
     "init_params",
@@ -108,6 +111,8 @@ __all__ = [
 FAMILIES = ("persistence", "seq2seq", "convseq2seq", "ar_rnn", "attn_seq2seq")
 NEURAL_FAMILIES = FAMILIES[1:]
 SAMPLING_FAMILIES = ("ar_rnn",)  # forecast by Monte-Carlo decoding, so they need an mc_seed
+# Monte-Carlo sample paths per window, wherever a caller names none
+DEFAULT_N_PATHS = 100
 
 SIGMA_FLOOR = 1e-6
 # ar_rnn Monte-Carlo rows (windows x paths) decoded at once, the unit of
@@ -270,37 +275,9 @@ class TrainedForecaster:
 # ----------------------------------------------------------------- helpers
 
 
-_SAMPLE_COLUMNS = (  # (column, what its shape carries, the WindowSample field)
-    ("static", "scenario dims", lambda s: s.scenario.unit_values()),
-    ("past_target", "lookback k", lambda s: s.past_target),
-    ("past_cov", "covariate channels", lambda s: s.past_covariates),
-    ("future_target", "horizon h", lambda s: s.future_target),
-)
-
-
 def stack_windows(windows: WindowBatch | Sequence[WindowSample]) -> dict[str, np.ndarray]:
-    """The batch arrays the forward passes take, from a WindowBatch or WindowSamples.
-
-    A WindowBatch hands over its columns unchanged. Samples are stacked; samples
-    that differ in k, h, covariate or scenario width raise a ValidationError.
-    Besides the forward arrays the dict carries origin_t, which seeds ar_rnn's
-    draws.
-    """
-    if not len(windows):
-        raise ValidationError("empty window batch")
-    if isinstance(windows, WindowBatch):
-        return windows.columns()
-    arrays = {}
-    for name, what, get in _SAMPLE_COLUMNS:
-        parts = [get(s) for s in windows]
-        try:
-            arrays[name] = np.stack(parts)
-        except ValueError:
-            shapes = sorted({p.shape for p in parts})
-            raise ValidationError(f"windows differ in {what}: shapes {shapes}") from None
-    arrays["denorm"] = np.array([s.denorm for s in windows])
-    arrays["origin_t"] = np.array([s.origin_t for s in windows])
-    return arrays
+    """The columns of as_batch(windows): the forward arrays, and origin_t for ar_rnn's draws."""
+    return as_batch(windows).columns()
 
 
 def future_target_original(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -374,11 +351,7 @@ def init_params(
         d_in = n_static + k + k * n_cov
         p["enc.W"] = _glorot(rng, d_in, n)
         p["enc.b"] = np.zeros(n)
-        for i in range(spec.get("decoder_layers")):
-            p[f"dec{i}.W"] = _glorot(rng, n, n)
-            p[f"dec{i}.b"] = np.zeros(n)
-        p["head.W"] = _glorot(rng, n, h * n_quantiles)
-        p["head.b"] = np.zeros(h * n_quantiles)
+        _mlp_params(p, rng, n, n, spec.get("decoder_layers"), h * n_quantiles)
         return p
     if fam == "convseq2seq":
         ch = spec.get("channels")
@@ -389,13 +362,7 @@ def init_params(
                 p[f"conv{i}.W{tap}"] = _glorot(rng, cin * 3, ch, shape=(cin, ch))
             p[f"conv{i}.b"] = np.zeros(ch)
             cin = ch
-        width = ch
-        for i in range(spec.get("decoder_layers")):
-            p[f"dec{i}.W"] = _glorot(rng, width, n)
-            p[f"dec{i}.b"] = np.zeros(n)
-            width = n
-        p["head.W"] = _glorot(rng, width, h * n_quantiles)
-        p["head.b"] = np.zeros(h * n_quantiles)
+        _mlp_params(p, rng, ch, n, spec.get("decoder_layers"), h * n_quantiles)
         return p
     if fam == "ar_rnn":
         n = spec.get("nodes")
@@ -431,6 +398,18 @@ def init_params(
 
 
 # ----------------------------------------------------------------- forwards
+
+
+def _mlp_params(
+    p: dict, rng: np.random.Generator, d_in: int, n: int, layers: int, d_out: int
+) -> None:
+    """The parameters _mlp_decoder reads, glorot weights and zero biases, into p."""
+    for i in range(layers):
+        p[f"dec{i}.W"] = _glorot(rng, d_in, n)
+        p[f"dec{i}.b"] = np.zeros(n)
+        d_in = n
+    p["head.W"] = _glorot(rng, d_in, d_out)
+    p["head.b"] = np.zeros(d_out)
 
 
 def _mlp_decoder(p: dict, x, layers: int):
@@ -688,10 +667,16 @@ def predict_quantiles_batch(
     model: TrainedForecaster,
     windows: WindowBatch | Sequence[WindowSample],
     mc_seed: int | None = None,
-    n_paths: int = 100,
+    n_paths: int = DEFAULT_N_PATHS,
 ) -> np.ndarray:
-    """predict_quantiles on windows, stacked and checked against the model: (N, h, |Q|)."""
-    arrays = stack_windows(windows)
+    """predict_quantiles on windows checked against the model: (N, h, |Q|).
+
+    Each scenario must name the model's dims in its order, as in the monitor.
+    """
+    batch = as_batch(windows)
+    for episode_id, scenario in batch.scenarios.items():
+        model.check_scenario(scenario, f"episode {episode_id}: ")
+    arrays = stack_windows(batch)
     _check_fits(model, arrays)
     return predict_quantiles(model, arrays, mc_seed=mc_seed, n_paths=n_paths)
 
@@ -700,16 +685,18 @@ def predict_quantiles(
     model: TrainedForecaster,
     batch: dict[str, np.ndarray],
     mc_seed: int | None = None,
-    n_paths: int = 100,
+    n_paths: int = DEFAULT_N_PATHS,
 ) -> np.ndarray:
     """Original-scale forecasts of stack_windows-shaped arrays already fit to the model.
 
-    The one predictor, behind predict_quantiles_batch and SafetyMonitor.push. Its
-    caller vouches for what _check_fits and WindowBatch check: shapes that match
-    the model, finite normalized inputs, finite denorm with std > 0, origin_t
-    ints >= 0. It checks its own output, once: a non-finite forecast raises
-    ValidationError. A window's forecast is the same in any batch or chunk up to
-    BLAS rounding, about 1e-15 (see the module docstring).
+    The one predictor, behind predict_quantiles_batch and SafetyMonitor.push. It
+    reads static, past_target, past_cov and denorm, and origin_t for the
+    sampling families; future_target it never reads. Its caller vouches for
+    what _check_fits and WindowBatch check: shapes that match the model, finite
+    normalized inputs, finite denorm with std > 0, origin_t ints >= 0. It
+    checks its own output, once: a non-finite forecast raises ValidationError.
+    A window's forecast is the same in any batch or chunk up to BLAS rounding,
+    about 1e-15 (see the module docstring).
     """
     h, qs = model.wc.h, np.array(model.grid.qs)
     fam = model.spec.family

@@ -10,7 +10,7 @@ positive.
 Everything a push reuses is built at construction: a doubled ring buffer of
 shape (2k, 1 + D_o) holding normalized [metric, learned-component outputs]
 rows, the normalization means and stds as two rows, and the forecaster's batch
-dict (scenario, future stub, denorm, origin). A push normalizes its observation
+dict (scenario, denorm, origin; each push adds the lookback). A push normalizes its observation
 once and checks that row for finiteness once; only then does it count the row
 and write it twice, so a refused observation changes nothing and the lookback
 is one contiguous slice of the ring, forecast by forecasters.predict_quantiles
@@ -44,7 +44,7 @@ from .core import (
     first_violation_index,
     violation_sign,
 )
-from .forecasters import TrainedForecaster, predict_quantiles
+from .forecasters import DEFAULT_N_PATHS, TrainedForecaster, predict_quantiles
 
 __all__ = ["MonitorConfig", "Alarm", "SafetyMonitor", "decisions", "replay"]
 
@@ -61,7 +61,7 @@ class MonitorConfig:
     decision_quantile: float = 0.995
     hysteresis: int = 1
     seed: int = 0
-    n_paths: int = 100
+    n_paths: int = DEFAULT_N_PATHS
 
     def __post_init__(self) -> None:
         self.model.grid.index(self.decision_quantile)  # must be a grid level
@@ -97,7 +97,6 @@ class SafetyMonitor:
         self._ring = np.zeros((2 * k, len(stats)))
         self._batch = {
             "static": scenario.unit_values()[None, :],
-            "future_target": np.zeros((1, model.wc.h)),
             "denorm": stats[:1],
             "origin_t": np.zeros(1, dtype=np.int64),
         }

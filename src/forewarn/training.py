@@ -26,7 +26,8 @@ import numpy as np
 
 from .autodiff import Tensor, gaussian_nll_mean, pinball_mean
 from .core import (
-    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, check_setting,
+    QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, as_batch,
+    check_setting,
 )
 from .data import NormStats
 from .forecasters import (
@@ -157,13 +158,9 @@ def _infer_window_config(arrays: dict[str, np.ndarray]) -> WindowConfig:
     return WindowConfig(h=h, cm=k // h)
 
 
-def _scenario_dims(windows: WindowBatch | Sequence[WindowSample]) -> tuple[str, ...]:
+def _scenario_dims(windows: WindowBatch) -> tuple[str, ...]:
     """The scenario dim names the windows share; ValidationError if they differ."""
-    if isinstance(windows, WindowBatch):
-        scenarios = windows.scenarios.values()
-    else:  # windows of one episode share its Scenario: name each distinct one once
-        scenarios = {id(w.scenario): w.scenario for w in windows}.values()
-    names = {s.names for s in scenarios}
+    names = {s.names for s in windows.scenarios.values()}
     if len(names) != 1:
         raise ValidationError(f"windows differ in scenario dims: names {sorted(names)}")
     return names.pop()
@@ -219,6 +216,7 @@ def fit(
     """
     if not train_windows or not val_windows:
         raise ValidationError("fit needs non-empty train and val window sets")
+    train_windows = as_batch(train_windows)
     train_arrays = stack_windows(train_windows)
     wc = _infer_window_config(train_arrays)
     n_cov = train_arrays["past_cov"].shape[2]

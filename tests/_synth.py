@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from forewarn.core import Episode, QuantileGrid, Scenario, ScenarioDim, WindowConfig, WindowSample
+from forewarn.core import Episode, QuantileGrid, Scenario, ScenarioDim, WindowBatch, WindowConfig
 from forewarn.data import NormStats
 from forewarn.forecasters import ForecasterSpec, TrainedForecaster, init_params
 
@@ -20,47 +20,60 @@ def unit_dims(n):
     return tuple(ScenarioDim(f"s{i}", 0.0, 1.0) for i in range(n))
 
 
-def make_sample(rng, wc, n_cov=2, n_static=3, denorm=(0.0, 1.0), episode_id="ep0", origin_t=None):
-    """One window filled with unstructured standard-normal noise.
+def window_batch(static, past, cov, future, denorm=(0.0, 1.0), origin_t=0):
+    """A WindowBatch of the given rows, window i cut from its own episode ep{i:04d}.
 
-    Its origin defaults to k - 1, the first step with a whole lookback behind it.
+    Each episode's Scenario has the window's static row as its values on unit
+    dims, so the batch's static column is its scenarios' unit values.
     """
-    return WindowSample(
-        scenario=Scenario(tuple(rng.random(n_static)), unit_dims(n_static)),
-        past_target=rng.standard_normal(wc.k),
-        past_covariates=rng.standard_normal((wc.k, n_cov)),
-        future_target=rng.standard_normal(wc.h),
-        denorm=denorm,
-        episode_id=episode_id,
-        origin_t=wc.k - 1 if origin_t is None else origin_t,
+    static = np.asarray(static, dtype=np.float64)
+    n, n_static = static.shape
+    ids = np.array([f"ep{i:04d}" for i in range(n)])
+    return WindowBatch(
+        static=static,
+        past_target=past,
+        past_cov=cov,
+        future_target=future,
+        denorm=np.tile(denorm, (n, 1)),
+        episode_ids=ids,
+        origin_t=np.full(n, origin_t),
+        scenarios={i: Scenario(tuple(row), unit_dims(n_static)) for i, row in zip(ids, static)},
+    )
+
+
+def make_noise_windows(rng, wc, n=1, n_cov=2, n_static=3, denorm=(0.0, 1.0), origin_t=None):
+    """n windows filled with unstructured standard-normal noise, as one WindowBatch.
+
+    Each window draws its scenario, lookback, covariates and future in turn.
+    origin_t is one origin for every window, or one per window; it defaults to
+    k - 1, the first step with a whole lookback behind it.
+    """
+    draws = [
+        (rng.random(n_static), rng.standard_normal(wc.k), rng.standard_normal((wc.k, n_cov)),
+         rng.standard_normal(wc.h))
+        for _ in range(n)
+    ]
+    static, past, cov, future = map(np.array, zip(*draws))
+    return window_batch(
+        static, past, cov, future, denorm, wc.k - 1 if origin_t is None else origin_t
     )
 
 
 def make_learnable_windows(rng, n, wc, n_cov=2, n_static=3, noise=0.05, denorm=(0.0, 1.0)):
-    """Windows whose future is a fixed function of the recent past and scenario.
+    """n windows whose future is a fixed function of the recent past and scenario.
 
     future ~= 0.6*past[-1] - 0.2*past[-2] + 0.5*static[0] + noise, so a small
     model can visibly beat both the zero predictor and persistence.
     """
-    dims = unit_dims(n_static)
-    out = []
-    for i in range(n):
-        static = rng.random(n_static)
-        past = rng.standard_normal(wc.k)
-        prev = past[-2] if wc.k > 1 else 0.0
-        base = 0.6 * past[-1] - 0.2 * prev + 0.5 * static[0]
-        out.append(
-            WindowSample(
-                scenario=Scenario(tuple(static), dims),
-                past_target=past,
-                past_covariates=rng.standard_normal((wc.k, n_cov)),
-                future_target=base + noise * rng.standard_normal(wc.h),
-                denorm=denorm,
-                episode_id=f"ep{i:04d}",
-                origin_t=wc.k - 1,
-            )
-        )
-    return out
+    static, past, cov, future = [], [], [], []
+    for _ in range(n):
+        static.append(rng.random(n_static))
+        past.append(rng.standard_normal(wc.k))
+        prev = past[-1][-2] if wc.k > 1 else 0.0
+        base = 0.6 * past[-1][-1] - 0.2 * prev + 0.5 * static[-1][0]
+        cov.append(rng.standard_normal((wc.k, n_cov)))
+        future.append(base + noise * rng.standard_normal(wc.h))
+    return window_batch(static, past, cov, future, denorm, wc.k - 1)
 
 
 def make_model(

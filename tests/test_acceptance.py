@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from _oracles import pinball_loss, rule_matches
-from _synth import make_episode, make_model, make_sample
+from _synth import make_episode, make_model, make_noise_windows
 from forewarn.cart import cross_validate, extract_rules
 from forewarn.core import QuantileGrid, WindowConfig, violation_sign
 from forewarn.data import build_split, dataset_hash, fit_norm, windows_for_phase, write_episodes
@@ -151,7 +151,7 @@ def test_02_oracle_equivalence():
                     future_inside = t + 1 >= s0 and t + h <= s1 - 1
                     if lookback_fits and future_inside:
                         want.append((ep.id, t))
-            assert [(s.episode_id, s.origin_t) for s in got] == want
+            assert list(zip(got.episode_ids.tolist(), got.origin_t.tolist())) == want
             n_windows += len(want)
 
     # confusion counts against a naive scan of 1000 labeled pairs
@@ -197,7 +197,7 @@ def test_03_gradient_checks_all_layers():
             spec = ForecasterSpec(family, hyper)
             rng = np.random.default_rng((30, seed))
             params = init_params(spec, wc, len(grid), 2, 3, seed=seed)
-            batch = stack_windows([make_sample(rng, wc) for _ in range(3)])
+            batch = stack_windows(make_noise_windows(rng, wc, 3))
             _, grads = loss_and_grads(spec, params, batch, grid, train=False)
             assert sorted(grads) == sorted(params)
 

@@ -1,12 +1,14 @@
 """Regression trees: fitting, cross-validation, rules, scenario bridging."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import cross_validate_rows, rule_matches, tree_depth, tree_leaves
-from _synth import make_model, make_sample
+from _synth import make_model, make_noise_windows
 from forewarn.cart import (
     CVResult,
     Rule,
@@ -256,28 +258,17 @@ def test_scenario_f3_table_pools_per_episode():
     rng = np.random.default_rng(13)
     wc = WindowConfig(h=2, cm=2)
     model = make_model("persistence", wc=wc)
-    windows = []
     # ep_good: persistence predicts the violation; ep_bad: it misses
-    for eid, v_last, future in (
-        ("ep_good", 1.0, [0.5, -1.0]),
-        ("ep_good", -1.0, [-0.5, -1.0]),
-        ("ep_bad", -1.0, [2.0, 2.0]),
-        ("ep_bad", -1.0, [3.0, 3.0]),
-    ):
-        s = make_sample(rng, wc)
-        past = s.past_target.copy()
-        past[-1] = v_last
-        windows.append(
-            type(s)(
-                scenario=s.scenario,
-                past_target=past,
-                past_covariates=s.past_covariates,
-                future_target=np.asarray(future, dtype=np.float64),
-                denorm=(0.0, 1.0),
-                episode_id=eid,
-                origin_t=s.origin_t,
-            )
-        )
+    s = make_noise_windows(rng, wc, n=4)
+    past = s.past_target.copy()
+    past[:, -1] = (1.0, -1.0, -1.0, -1.0)
+    windows = replace(
+        s,
+        past_target=past,
+        future_target=np.array([[0.5, -1.0], [-0.5, -1.0], [2.0, 2.0], [3.0, 3.0]]),
+        episode_ids=np.array(["ep_good", "ep_good", "ep_bad", "ep_bad"]),
+        scenarios={"ep_good": s.scenarios["ep0000"], "ep_bad": s.scenarios["ep0002"]},
+    )
     ev = evaluate_model(model, windows)
 
     from _synth import make_episode

@@ -8,12 +8,16 @@ import json
 import numpy as np
 import pytest
 
-from forewarn import cli
+from forewarn import cli, core
 from forewarn.cli import DEFAULTS, build_parser, main
-from forewarn.core import ValidationError, first_violation_index, violation_sign
-from forewarn.data import dataset_hash, read_episodes, write_episodes
-from forewarn.forecasters import load_checkpoint, predict_quantiles_batch, save_checkpoint
+from forewarn.core import ValidationError, WindowConfig, first_violation_index, violation_sign
+from forewarn.data import dataset_hash, phase_windows, read_episodes, write_episodes
+from forewarn.evaluation import evaluate, evaluate_model, grid_tune
+from forewarn.forecasters import (
+    ForecasterSpec, load_checkpoint, predict_quantiles_batch, save_checkpoint,
+)
 from forewarn.monitor import MonitorConfig, decisions
+from forewarn.training import TrainConfig, fit
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +543,27 @@ def test_run_config_names_the_command_and_replays_the_result(workdir, tmp_path, 
         assert json.loads(replayed).keys() == json.loads(result).keys()
     else:
         assert replayed == result
+
+
+def test_no_package_path_builds_a_window_sample(workdir, tmp_path, capsys, monkeypatch):
+    # the package passes windows as WindowBatch columns; a WindowSample handle
+    # is only made by indexing or iterating a batch, which no package path does
+    def boom(*args, **kwargs):
+        raise AssertionError("a WindowSample was built")
+
+    monkeypatch.setattr(core.WindowSample, "__post_init__", boom)
+    episodes = read_episodes(workdir / "data" / "dataset.jsonl")
+    target = episodes[0].metric_names[0]
+    norm, phases = phase_windows(episodes, WindowConfig(h=3, cm=2), target)
+    kw = {"norm": norm, "target": target, "lc_names": episodes[0].lc_names}
+    spec = ForecasterSpec("seq2seq", {"decoder_layers": 1, "neurons": 20})
+    cfg = TrainConfig(epochs=1)
+    model = fit(spec, phases["train"], phases["val"], cfg, **kw)
+    evaluate_model(model, phases["test"])
+    evaluate(spec, cfg, phases["train"], phases["val"], phases["test"], repetitions=1, **kw)
+    grid_tune("seq2seq", {"neurons": [20]}, phases["train"], phases["val"], cfg, 1, **kw)
+    for cmd in ("train", "evaluate", "analyze", "bench"):
+        assert main([cmd, *_small_run(workdir, cmd), "--out", str(tmp_path / cmd)]) == 0
 
 
 @pytest.mark.parametrize("cmd", ["evaluate", "bench", "analyze"])

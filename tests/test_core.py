@@ -244,36 +244,29 @@ def test_quantile_forecast_column():
     assert f.column(0.9) == pytest.approx([1.0, 3.0])
 
 
-def test_window_sample_validation():
+def test_window_sample_is_a_row_handle_its_batch_checks():
     scen = Scenario((0.5, 0.5, 0.0, 0.0), DIMS)
-    s = WindowSample(
-        scenario=scen,
-        past_target=np.zeros(9),
-        past_covariates=np.zeros((9, 2)),
-        future_target=np.zeros(3),
-        denorm=(1.5, 2.0),
-        episode_id="ep0",
-        origin_t=10,
-    )
-    assert s.denorm == (1.5, 2.0)
-    with pytest.raises(ValidationError):
-        WindowSample(
-            scenario=scen,
-            past_target=np.zeros(9),
-            past_covariates=np.zeros((8, 2)),
-            future_target=np.zeros(3),
-            denorm=(0.0, 1.0),
-            origin_t=10,
+
+    def one(cov, denorm):  # a one-window batch, cut from episode ep0
+        return WindowBatch(
+            static=np.zeros((1, 4)), past_target=np.zeros((1, 9)), past_cov=cov[None],
+            future_target=np.zeros((1, 3)), denorm=np.array([denorm]),
+            episode_ids=np.array(["ep0"]), origin_t=np.array([10]), scenarios={"ep0": scen},
         )
-    with pytest.raises(ValidationError):
-        WindowSample(
-            scenario=scen,
-            past_target=np.zeros(9),
-            past_covariates=np.zeros((9, 2)),
-            future_target=np.zeros(3),
-            denorm=(0.0, 0.0),
-            origin_t=10,
-        )
+
+    batch = one(np.zeros((9, 2)), (1.5, 2.0))
+    s = batch[0]
+    assert (s.batch, s.index, s.episode_id) == (batch, 0, "ep0")
+    assert tuple(batch.denorm[s.index]) == (1.5, 2.0)
+    assert batch[-1].index == 0
+    with pytest.raises(ValidationError, match="window index must be an int >= 0 and < 1"):
+        WindowSample(batch, 1)
+    with pytest.raises(IndexError):
+        batch[1]
+    with pytest.raises(ValidationError, match="disagree"):
+        one(np.zeros((8, 2)), (0.0, 1.0))
+    with pytest.raises(ValidationError, match="std"):
+        one(np.zeros((9, 2)), (0.0, 0.0))
 
 
 def test_window_batch_is_checked_once_as_a_whole():
@@ -292,7 +285,8 @@ def test_window_batch_is_checked_once_as_a_whole():
         )
 
     ok = batch()
-    assert len(ok) == 3 and ok[1].origin_t == 1 and ok[1].scenario == scen
+    assert len(ok) == 3 and ok.origin_t[ok[1].index] == 1
+    assert ok.scenarios[ok[1].episode_id] == scen
     assert isinstance(ok[::2], WindowBatch) and len(ok[::2]) == 2
     with pytest.raises(ValidationError, match="disagree"):
         batch(ids=2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forewarn.core import Episode, Scenario, ScenarioDim, WindowBatch, WindowConfig, WindowSample
+from forewarn.core import Episode, Scenario, ScenarioDim, WindowBatch, WindowConfig
 from forewarn.data import (
     DatasetError,
     STD_EPSILON,
@@ -223,8 +223,8 @@ def test_window_count_with_context():
     # segment of length 40 starting at 50: earlier context exists
     samples = make_windows(ep, (50, 90), wc, norm, "margin_cte")
     assert len(samples) == 38
-    assert samples[0].origin_t == 49
-    assert samples[-1].origin_t == 86
+    assert samples.origin_t[0] == 49
+    assert samples.origin_t[-1] == 86
 
 
 def test_window_minimal_segment():
@@ -232,7 +232,7 @@ def test_window_minimal_segment():
     norm = fit_norm([ep], build_split([ep]))
     samples = make_windows(ep, (50, 53), WindowConfig(h=3, cm=3), norm, "margin_cte")
     assert len(samples) == 1
-    assert samples[0].origin_t == 49
+    assert samples.origin_t[0] == 49
 
 
 def test_window_segment_too_short_yields_empty():
@@ -247,7 +247,7 @@ def test_window_lookback_never_crosses_episode_start():
     wc = WindowConfig(h=2, cm=4)  # k = 8
     samples = make_windows(ep, (0, 21), wc, norm, "margin_cte")
     # origins: 7 .. 18
-    assert [s.origin_t for s in samples] == list(range(7, 19))
+    assert samples.origin_t.tolist() == list(range(7, 19))
 
 
 def test_window_contents_match_enumeration_oracle():
@@ -256,7 +256,7 @@ def test_window_contents_match_enumeration_oracle():
     norm = fit_norm([ep], split)
     wc = WindowConfig(h=4, cm=2)  # k = 8
     seg = split[ep.id].test
-    samples = make_windows(ep, seg, wc, norm, target="margin_he")
+    batch = make_windows(ep, seg, wc, norm, target="margin_he")
     # oracle: enumerate every origin and test validity from first principles
     metric = ep.metric("margin_he")
     mean, std = norm.channels["margin_he"]
@@ -267,24 +267,24 @@ def test_window_contents_match_enumeration_oracle():
         and t + 1 >= seg[0]           # first target inside the segment
         and t + wc.h <= seg[1] - 1    # last target inside the segment
     ]
-    assert [s.origin_t for s in samples] == expected
-    for s in samples:
-        t = s.origin_t
-        assert np.allclose(s.past_target, (metric[t - wc.k + 1 : t + 1] - mean) / std, atol=1e-15)
-        assert np.allclose(s.future_target, (metric[t + 1 : t + 1 + wc.h] - mean) / std, atol=1e-15)
-        back = s.future_target * s.denorm[1] + s.denorm[0]
+    assert batch.origin_t.tolist() == expected
+    for i, t in enumerate(expected):
+        past, future = batch.past_target[i], batch.future_target[i]
+        assert np.allclose(past, (metric[t - wc.k + 1 : t + 1] - mean) / std, atol=1e-15)
+        assert np.allclose(future, (metric[t + 1 : t + 1 + wc.h] - mean) / std, atol=1e-15)
+        back = future * batch.denorm[i, 1] + batch.denorm[i, 0]
         assert np.max(np.abs(back - metric[t + 1 : t + 1 + wc.h])) < 1e-12
         for j, name in enumerate(ep.lc_names):
             m, sd = norm.channels[name]
             assert np.allclose(
-                s.past_covariates[:, j],
+                batch.past_cov[i, :, j],
                 (ep.lc_outputs[t - wc.k + 1 : t + 1, j] - m) / sd,
                 atol=1e-15,
             )
 
 
 def _enumerated_windows(ep, segment, wc, norm, target):
-    """The per-window reference: one WindowSample per valid origin, in order."""
+    """The per-window reference: one dict of columns per valid origin, in order."""
     k, h = wc.k, wc.h
     mean, std = norm.channels[target]
     metric_n = (ep.metric(target) - mean) / std
@@ -293,28 +293,25 @@ def _enumerated_windows(ep, segment, wc, norm, target):
          for j, name in enumerate(ep.lc_names)]
     )
     return [
-        WindowSample(
-            scenario=ep.scenario,
-            past_target=metric_n[t - k + 1 : t + 1],
-            past_covariates=cov_n[t - k + 1 : t + 1],
-            future_target=metric_n[t + 1 : t + 1 + h],
-            denorm=(mean, std),
-            episode_id=ep.id,
-            origin_t=t,
-        )
+        {
+            "static": ep.scenario.unit_values(),
+            "past_target": metric_n[t - k + 1 : t + 1],
+            "past_cov": cov_n[t - k + 1 : t + 1],
+            "future_target": metric_n[t + 1 : t + 1 + h],
+            "denorm": (mean, std),
+            "episode_ids": ep.id,
+            "origin_t": t,
+        }
         for t in range(max(segment[0] - 1, k - 1), segment[1] - h)
     ]
 
 
 def _assert_batch_equals_samples(batch, samples, k, h, n_cov, n_static):
+    shapes = {"static": (n_static,), "past_target": (k,), "past_cov": (k, n_cov),
+              "future_target": (h,), "denorm": (2,), "episode_ids": (), "origin_t": ()}
     want = {
-        "static": np.array([s.scenario.unit_values() for s in samples]).reshape(-1, n_static),
-        "past_target": np.array([s.past_target for s in samples]).reshape(-1, k),
-        "past_cov": np.array([s.past_covariates for s in samples]).reshape(-1, k, n_cov),
-        "future_target": np.array([s.future_target for s in samples]).reshape(-1, h),
-        "denorm": np.array([s.denorm for s in samples]).reshape(-1, 2),
-        "episode_ids": np.array([s.episode_id for s in samples], dtype=str),
-        "origin_t": np.array([s.origin_t for s in samples], dtype=int),
+        name: np.array([s[name] for s in samples]).reshape(-1, *shape)
+        for name, shape in shapes.items()
     }
     assert isinstance(batch, WindowBatch) and len(batch) == len(samples)
     for name, arr in want.items():
@@ -342,12 +339,9 @@ def test_columnar_windows_equal_per_window_enumeration(cuts, seed):
     batch = make_windows(ep, segment, wc, norm, target="margin_he")
     _assert_batch_equals_samples(batch, want, wc.k, h, n_cov=2, n_static=len(DIMS))
     _assert_batch_equals_samples(batch[1::2], want[1::2], wc.k, h, n_cov=2, n_static=len(DIMS))
-    for got, ref in zip(batch, want):  # int indexing gives the per-window WindowSample
-        assert got.scenario == ref.scenario and got.denorm == ref.denorm
-        assert (got.episode_id, got.origin_t) == (ref.episode_id, ref.origin_t)
-        assert np.array_equal(got.past_target, ref.past_target)
-        assert np.array_equal(got.past_covariates, ref.past_covariates)
-        assert np.array_equal(got.future_target, ref.future_target)
+    for i, (got, ref) in enumerate(zip(batch, want)):  # int indexing gives a row handle
+        assert (got.batch, got.index, got.episode_id) == (batch, i, ref["episode_ids"])
+        assert batch.scenarios[got.episode_id] == ep.scenario
 
 
 def test_windows_for_phase_concatenates_episode_batches_in_order():

@@ -1,13 +1,15 @@
 """Metrics, rank statistics, repetition-based evaluation, sweep, bench."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from _synth import FIT_KW, make_episode, make_learnable_windows, make_model, make_sample
-from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
+from _synth import FIT_KW, make_episode, make_learnable_windows, make_model, make_noise_windows
+from forewarn.core import QuantileGrid, Scenario, ValidationError, WindowConfig
 from forewarn.data import build_split, fit_norm, windows_for_phase
 from forewarn.evaluation import (
     BenchReport,
@@ -205,39 +207,34 @@ def test_compare_samples_keys():
 # ------------------------------------------------------------------ model eval
 
 
-def window_with(v_last, future, rng):
-    """A window whose persistence forecast is v_last and truth sign(max future)."""
-    past = rng.standard_normal(WC.k)
-    past[-1] = v_last
-    return WindowSample(
-        scenario=make_sample(rng, WC).scenario,
-        past_target=past,
-        past_covariates=rng.standard_normal((WC.k, 2)),
-        future_target=np.asarray(future, dtype=np.float64),
-        denorm=(0.0, 1.0),
-        episode_id="ep0",
-        origin_t=WC.k - 1,
-    )
+def windows_with(v_last, future, rng):
+    """Windows whose persistence forecasts are v_last and truths sign(max future), in order."""
+    batch = make_noise_windows(rng, WC, len(v_last))
+    past = batch.past_target.copy()
+    past[:, -1] = v_last
+    return replace(batch, past_target=past, future_target=np.array(future, dtype=np.float64))
 
 
 def test_evaluate_model_exact_confusion_and_qrisk():
     rng = np.random.default_rng(5)
     model = make_model("persistence", wc=WC)
-    windows = [
-        window_with(1.0, [0.5, -1.0], rng),   # predicted +, true +  -> TP
-        window_with(1.0, [-0.5, -1.0], rng),  # predicted +, true -  -> FP
-        window_with(-1.0, [2.0, -1.0], rng),  # predicted -, true +  -> FN
-        window_with(-1.0, [-2.0, -1.0], rng), # predicted -, true -  -> TN
-    ]
+    windows = windows_with(
+        [1.0, 1.0, -1.0, -1.0],
+        [[0.5, -1.0],    # predicted +, true +  -> TP
+         [-0.5, -1.0],   # predicted +, true -  -> FP
+         [2.0, -1.0],    # predicted -, true +  -> FN
+         [-2.0, -1.0]],  # predicted -, true -  -> TN
+        rng,
+    )
     ev = evaluate_model(model, windows)
     assert np.array_equal(ev.truths, [1, -1, 1, -1])
-    y_true = np.stack([w.future_target for w in windows])
+    y_true = windows.future_target
     for q in model.grid.qs:
         row = ev.per_q[q]
         assert (row["tp"], row["fp"], row["fn"], row["tn"]) == (1, 1, 1, 1)
         assert row["precision"] == 0.5 and row["recall"] == 0.5
         assert not row["degenerate_precision"]
-        pred = np.stack([np.full(WC.h, w.past_target[-1]) for w in windows])
+        pred = np.repeat(windows.past_target[:, -1:], WC.h, axis=1)
         assert abs(row["q_risk"] - brute_q_risk(y_true, pred, q)) < 1e-12
 
 
@@ -256,12 +253,41 @@ def test_evaluate_model_on_a_window_batch_equals_it_on_its_samples(family):
     assert on_batch.per_q == on_samples.per_q
 
 
+@pytest.mark.parametrize("dims", ["reordered", "renamed"])
+def test_windows_whose_scenario_dims_differ_from_the_models_are_refused(dims):
+    rng = np.random.default_rng(10)
+    eps = [make_episode(rng, t_len=60, eid=f"ep{i}") for i in range(3)]
+    dims0 = eps[0].scenario.dims
+    other = dims0[::-1] if dims == "reordered" else tuple(
+        replace(d, name=f"x{i}") for i, d in enumerate(dims0)
+    )
+    split = build_split(eps)
+    norm = fit_norm(eps, split)
+    model = make_model("seq2seq", wc=WC, decoder_layers=1, neurons=20)
+    batch = windows_for_phase(eps, split, WC, norm, "test", target="m")
+    assert len(evaluate_model(model, batch).truths) == len(batch)
+    eps = [
+        replace(ep, scenario=Scenario(
+            ep.scenario.values[::-1] if dims == "reordered" else ep.scenario.values, other
+        ))
+        for ep in eps
+    ]
+    batch = windows_for_phase(eps, split, WC, norm, "test", target="m")
+    names = tuple(d.name for d in other)
+    message = re.escape(
+        f"episode ep0: scenario dims {names} do not match model {model.scenario_dims}"
+    )
+    for call in (predict_quantiles_batch, evaluate_model):
+        with pytest.raises(ValidationError, match=message):
+            call(model, batch)
+
+
 def test_evaluate_model_counts_are_monotone_across_quantiles():
     # non-crossing forecasts: raising the quantile can only add positives,
     # so FN never increases and FP never decreases with q
     rng = np.random.default_rng(6)
     model = make_model("seq2seq", wc=WC, qs=(0.05, 0.25, 0.5, 0.75, 0.95), decoder_layers=1, neurons=20)
-    windows = [make_sample(rng, WC) for _ in range(60)]
+    windows = make_noise_windows(rng, WC, 60)
     ev = evaluate_model(model, windows)
     qs = model.grid.qs
     fns = [ev.per_q[q]["fn"] for q in qs]
@@ -276,7 +302,7 @@ def test_a_non_finite_batch_forecast_is_refused_not_scored():
     rng = np.random.default_rng(9)
     model = make_model("seq2seq", wc=WC, decoder_layers=1, neurons=20)
     model.params["head.b"][:] = 1e308
-    windows = [make_sample(rng, WC, denorm=(0.0, 2.0)) for _ in range(4)]
+    windows = make_noise_windows(rng, WC, 4, denorm=(0.0, 2.0))
     with pytest.raises(ValidationError, match="non-finite"):
         predict_quantiles_batch(model, windows)
     with pytest.raises(ValidationError, match="non-finite"):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _synth import FIT_KW, identity_norm, make_episode, make_sample, unit_dims
+from _synth import FIT_KW, identity_norm, make_episode, make_noise_windows, unit_dims
 from forewarn import forecasters
 from forewarn.autodiff import Tensor
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, derived_seed, violation_sign
@@ -62,7 +62,7 @@ def tiny_model(family, wc=WC, n_cov=2, n_static=3, qs=QS, seed=0, zero=False, **
 
 
 def batch_of(rng, n, wc=WC, **kw):
-    return [make_sample(rng, wc, **kw) for _ in range(n)]
+    return make_noise_windows(rng, wc, n, **kw)
 
 
 # ------------------------------------------------------------------ specs
@@ -199,7 +199,7 @@ def test_array_gaussian_forward_equals_tape_forward(cell):
 def test_sample_paths_first_lead_is_the_gaussian_head_draw(cell):
     rng = np.random.default_rng(15)
     model = tiny_model("ar_rnn", cell=cell)
-    batch = stack_windows([make_sample(rng, WC, origin_t=t) for t in (3, 8, 3)])
+    batch = stack_windows(make_noise_windows(rng, WC, 3, origin_t=(3, 8, 3)))
     mu, sigma = forward_gaussian(model.spec, model.params, batch, WC.h)
     for n_paths in (1, 7):
         paths = sample_paths(model.spec, model.params, batch, WC.h, n_paths, mc_seed=4)
@@ -217,10 +217,10 @@ def test_sample_paths_first_lead_is_the_gaussian_head_draw(cell):
 
 def test_persistence_repeats_last_value_on_original_scale():
     rng = np.random.default_rng(3)
-    sample = make_sample(rng, WC, denorm=(1.5, 0.5))
+    sample = make_noise_windows(rng, WC, denorm=(1.5, 0.5))
     model = tiny_model("persistence", n_cov=2, n_static=3)
-    fc = predict_quantiles_batch(model, [sample])[0]
-    want = sample.past_target[-1] * 0.5 + 1.5
+    fc = predict_quantiles_batch(model, sample)[0]
+    want = sample.past_target[0, -1] * 0.5 + 1.5
     assert fc.shape == (WC.h, len(QS))
     assert np.allclose(fc, want, rtol=0, atol=1e-15)
 
@@ -229,9 +229,9 @@ def test_ar_rnn_prediction_requires_mc_seed():
     rng = np.random.default_rng(4)
     model = tiny_model("ar_rnn")
     with pytest.raises(ValidationError, match="mc_seed"):
-        predict_quantiles_batch(model, [make_sample(rng, WC)])[0]
+        predict_quantiles_batch(model, make_noise_windows(rng, WC))[0]
     with pytest.raises(ValidationError, match="n_paths"):
-        predict_quantiles_batch(model, [make_sample(rng, WC)], mc_seed=0, n_paths=0)[0]
+        predict_quantiles_batch(model, make_noise_windows(rng, WC), mc_seed=0, n_paths=0)[0]
 
 
 def test_mc_quantiles_of_forced_standard_normal_head():
@@ -242,8 +242,8 @@ def test_mc_quantiles_of_forced_standard_normal_head():
     grid = QuantileGrid((0.025, 0.5, 0.975))
     model = tiny_model("ar_rnn", qs=grid, zero=True)
     model.params["head.b_sigma"] = np.array([math.log(math.e - 1.0)])
-    sample = make_sample(rng, WC)
-    preds = predict_quantiles_batch(model, [sample], mc_seed=11, n_paths=100_000)
+    sample = make_noise_windows(rng, WC)
+    preds = predict_quantiles_batch(model, sample, mc_seed=11, n_paths=100_000)
     assert np.all(np.abs(preds[0, :, 1]) < 0.05)
     assert np.all(np.abs(preds[0, :, 2] - 1.959964) < 0.1)
     assert np.all(np.abs(preds[0, :, 0] + 1.959964) < 0.1)
@@ -338,13 +338,13 @@ def test_a_forecast_that_overflows_denormalized_is_only_a_named_error(family):
     # the normalized forecast is about 1e308 and the std 2: only the named
     # error may come out, no numpy RuntimeWarning before it
     model = tiny_model(family)
-    sample = make_sample(np.random.default_rng(18), WC, denorm=(0.0, 2.0))
+    sample = make_noise_windows(np.random.default_rng(18), WC, denorm=(0.0, 2.0))
     if family == "seq2seq":
         model.params["head.b"][:] = 1e308
     else:
-        sample = dataclasses.replace(sample, past_target=np.full(WC.k, 1e308))
+        sample = dataclasses.replace(sample, past_target=np.full((1, WC.k), 1e308))
     with pytest.raises(ValidationError, match="non-finite"):
-        predict_quantiles_batch(model, [sample])
+        predict_quantiles_batch(model, sample)
 
 
 def test_dropout_needs_rng_in_train_mode():
@@ -392,27 +392,20 @@ def test_conv_receptive_field_is_causal_and_bounded():
     wc = WindowConfig(h=3, cm=3)
     rng = np.random.default_rng(10)
     model = tiny_model("convseq2seq", wc=wc, qs=QS)
-    base = make_sample(rng, wc)
+    base = make_noise_windows(rng, wc)
 
     def perturbed(idx):
         past = base.past_target.copy()
-        past[idx] += 10.0
-        return type(base)(
-            scenario=base.scenario,
-            past_target=past,
-            past_covariates=base.past_covariates,
-            future_target=base.future_target,
-            denorm=base.denorm,
-            origin_t=base.origin_t,
-        )
+        past[0, idx] += 10.0
+        return dataclasses.replace(base, past_target=past)
 
-    ref = predict_quantiles_batch(model, [base])
-    assert np.array_equal(predict_quantiles_batch(model, [perturbed(0)]), ref)
-    assert np.array_equal(predict_quantiles_batch(model, [perturbed(1)]), ref)
+    ref = predict_quantiles_batch(model, base)
+    assert np.array_equal(predict_quantiles_batch(model, perturbed(0)), ref)
+    assert np.array_equal(predict_quantiles_batch(model, perturbed(1)), ref)
     assert not np.array_equal(
-        predict_quantiles_batch(model, [perturbed(wc.k - RECEPTIVE_FIELD)]), ref
+        predict_quantiles_batch(model, perturbed(wc.k - RECEPTIVE_FIELD)), ref
     )
-    assert not np.array_equal(predict_quantiles_batch(model, [perturbed(wc.k - 1)]), ref)
+    assert not np.array_equal(predict_quantiles_batch(model, perturbed(wc.k - 1)), ref)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -461,36 +454,43 @@ def test_prediction_rejects_mismatched_samples():
     rng = np.random.default_rng(11)
     model = tiny_model("seq2seq")
     with pytest.raises(ValidationError, match="lookback"):
-        predict_quantiles_batch(model, [make_sample(rng, WindowConfig(h=2, cm=3))])[0]
+        predict_quantiles_batch(model, make_noise_windows(rng, WindowConfig(h=2, cm=3)))[0]
     with pytest.raises(ValidationError, match="horizon"):
-        predict_quantiles_batch(model, [make_sample(rng, WindowConfig(h=4, cm=1))])[0]
+        predict_quantiles_batch(model, make_noise_windows(rng, WindowConfig(h=4, cm=1)))[0]
     with pytest.raises(ValidationError, match="covariate"):
-        predict_quantiles_batch(model, [make_sample(rng, WC, n_cov=5)])[0]
+        predict_quantiles_batch(model, make_noise_windows(rng, WC, n_cov=5))[0]
     with pytest.raises(ValidationError, match="scenario dims"):
-        predict_quantiles_batch(model, [make_sample(rng, WC, n_static=2)])[0]
+        predict_quantiles_batch(model, make_noise_windows(rng, WC, n_static=2))[0]
     with pytest.raises(ValidationError, match="empty"):
         stack_windows([])
 
 
 @pytest.mark.parametrize(
-    "odd, names",
-    [
-        ({"wc": WindowConfig(h=2, cm=3)}, "lookback k"),
-        ({"wc": WindowConfig(h=4, cm=1)}, "horizon h"),
-        ({"n_cov": 5}, "covariate channels"),
-        ({"n_static": 2}, "scenario dims"),
-    ],
+    "odd",
+    [{"wc": WindowConfig(h=2, cm=3)}, {"wc": WindowConfig(h=4, cm=1)}, {"n_cov": 5},
+     {"n_static": 2}],
+    ids=["lookback", "horizon", "channels", "scenario-dims"],
 )
-def test_stacking_samples_of_different_shapes_names_the_mismatch(odd, names):
+def test_windows_of_different_shapes_cannot_share_a_batch(odd):
+    from forewarn.evaluation import evaluate_model
     from forewarn.training import TrainConfig, fit
 
     rng = np.random.default_rng(12)
-    mixed = batch_of(rng, 3) + [make_sample(rng, **{"wc": WC, **odd})]
-    with pytest.raises(ValidationError, match=names):
-        stack_windows(mixed)
-    with pytest.raises(ValidationError, match=names):
-        fit(ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"]), mixed, batch_of(rng, 2),
-            TrainConfig(epochs=1), **FIT_KW)
+    batch, other = batch_of(rng, 3), make_noise_windows(rng, **{"wc": WC, **odd})
+    mixed = [*batch, *other]
+    for call in (
+        lambda: stack_windows(mixed),
+        lambda: predict_quantiles_batch(tiny_model("seq2seq"), mixed),
+        lambda: evaluate_model(tiny_model("persistence"), mixed),
+        lambda: fit(ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"]), mixed, batch_of(rng, 2),
+                    TrainConfig(epochs=1), **FIT_KW),
+    ):
+        with pytest.raises(ValidationError, match="windows index different batches"):
+            call()
+    # a batch's columns agree on N and k, so it cannot hold such a window either
+    with pytest.raises(ValidationError, match="disagree"):
+        dataclasses.replace(batch, past_cov=np.zeros((3, WC.k + 1, 2)))
+    assert np.array_equal(stack_windows(list(batch[::-1]))["past_cov"], batch.past_cov[::-1])
 
 
 # ------------------------------------------------------------------ checkpoints

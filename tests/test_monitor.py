@@ -292,9 +292,8 @@ def test_push_forecasts_equal_predict_quantiles_on_make_windows(family):
     model = make_model(family, wc=WC, norm=SKEWED_NORM, **SMALL_HYPERS[family])
     cfg = MonitorConfig(model, decision_quantile=0.5, seed=9, n_paths=30)
     ep = make_episode(np.random.default_rng(18), t_len=30)
-    windows = {
-        w.origin_t: w for w in make_windows(ep, (0, ep.length), WC, SKEWED_NORM, target="m")
-    }
+    batch = make_windows(ep, (0, ep.length), WC, SKEWED_NORM, target="m")
+    windows = {t: batch[i] for i, t in enumerate(batch.origin_t.tolist())}
     monitor = SafetyMonitor(cfg, ep.scenario)
     y = ep.metric("m")
     compared = 0

@@ -8,9 +8,9 @@ ValidationError naming the setting.
 import numpy as np
 import pytest
 
-from _synth import FIT_KW, make_episode, make_model, make_sample
+from _synth import FIT_KW, make_episode, make_model, make_noise_windows
 from forewarn.cart import cross_validate, fit_cart
-from forewarn.core import ValidationError, WindowConfig, check_setting
+from forewarn.core import ValidationError, WindowConfig, WindowSample, check_setting
 from forewarn.evaluation import bench, evaluate, grid_tune
 from forewarn.forecasters import (
     ForecasterSpec, load_checkpoint, predict_quantiles, save_checkpoint, stack_windows,
@@ -24,7 +24,7 @@ ROWS = np.random.default_rng(0).random((20, 2))
 
 
 def _predict(**kw):
-    batch = stack_windows([make_sample(np.random.default_rng(1), WC)])
+    batch = stack_windows(make_noise_windows(np.random.default_rng(1), WC))
     return predict_quantiles(make_model("ar_rnn", wc=WC), batch, **{"mc_seed": 0, **kw})
 
 
@@ -51,8 +51,9 @@ SITES = {
     },
     "lhs_sample.n": (lambda v: lhs_sample(v, DEFAULT_DIMS, 0), "n", int, 0),
     "lhs_sample.seed": (lambda v: lhs_sample(3, DEFAULT_DIMS, v), "seed", int, -1),
-    "WindowSample.origin_t": (
-        lambda v: make_sample(np.random.default_rng(1), WC, origin_t=v), "origin_t", int, -1,
+    "WindowSample.index": (
+        lambda v: WindowSample(make_noise_windows(np.random.default_rng(1), WC), v), "window index",
+        int, -1,
     ),
     **{
         f"MonitorConfig.{key}": (

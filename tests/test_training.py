@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from _oracles import gaussian_nll, gru_step, pinball_loss
-from _synth import FIT_KW, make_learnable_windows, make_sample
+from _synth import FIT_KW, make_learnable_windows, make_noise_windows, window_batch
 from forewarn import forecasters, training
 from forewarn.autodiff import Tensor
-from forewarn.core import QuantileGrid, ValidationError, WindowConfig, WindowSample
+from forewarn.core import QuantileGrid, ValidationError, WindowBatch, WindowConfig
 from forewarn.data import NormStats
 from forewarn.evaluation import TuneResult, grid_tune
 from forewarn.forecasters import ForecasterSpec, init_params, stack_windows
@@ -37,7 +39,7 @@ TINY_HYPERS = {
 
 
 def tiny_batch(rng, n=3, wc=WC):
-    return stack_windows([make_sample(rng, wc) for _ in range(n)])
+    return stack_windows(make_noise_windows(rng, wc, n))
 
 
 # ------------------------------------------------------------------ config
@@ -354,6 +356,45 @@ def test_fit_logs_gradient_norms_per_epoch(family):
                for hi, f in zip(log["grad_norm_max"], log["clip_fraction"]))
 
 
+N_SELECT = 24
+
+
+@st.composite
+def _selections(draw):
+    """A slice, an int array with repeats, or a boolean mask over N_SELECT windows."""
+    kind = draw(st.sampled_from(["slice", "ints", "mask"]))
+    if kind == "slice":
+        ends = st.none() | st.integers(-N_SELECT - 2, N_SELECT + 2)
+        step = draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
+        return slice(draw(ends), draw(ends), step)
+    if kind == "ints":
+        return np.array(draw(st.lists(st.integers(0, N_SELECT - 1), min_size=1, max_size=40)))
+    return np.array(draw(st.lists(st.booleans(), min_size=N_SELECT, max_size=N_SELECT)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(sel=_selections())
+def test_selection_equals_the_rows_it_names_and_fits_as_its_handles(sel):
+    train, val = make_split_windows(seed=8, n_train=N_SELECT, n_val=6)
+    rows = np.arange(N_SELECT)[sel]
+    assume(rows.size)
+    got = train[sel]
+    assert isinstance(got, WindowBatch) and got.scenarios is train.scenarios
+    for name in (*WindowBatch.COLUMNS, "episode_ids", "origin_t"):
+        column = getattr(got, name)
+        assert len(column) == rows.size
+        for j, i in enumerate(rows):
+            assert np.array_equal(column[j], getattr(train, name)[i]), name
+    spec = ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"])
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
+    want = fit(spec, got, val, cfg, grid=QS, **FIT_KW)
+    for windows in (list(got), [train[i] for i in rows]):
+        model = fit(spec, windows, val, cfg, grid=QS, **FIT_KW)
+        assert model.training_log == want.training_log
+        for name, p in want.params.items():
+            assert model.params[name].tobytes() == p.tobytes(), name
+
+
 def test_fit_restores_best_epoch_parameters():
     train, val = make_split_windows(seed=3)
     spec = ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"])
@@ -402,16 +443,12 @@ def test_fit_rejects_empty_or_malformed_windows():
     with pytest.raises(ValidationError, match="non-empty"):
         fit(ForecasterSpec("persistence"), [], val, TrainConfig(), **FIT_KW)
     rng = np.random.default_rng(0)
-    bad = WindowSample(
-        scenario=train[0].scenario,
-        past_target=rng.standard_normal(3),
-        past_covariates=rng.standard_normal((3, 2)),
-        future_target=rng.standard_normal(2),
-        denorm=(0.0, 1.0),
-        origin_t=2,
+    bad = window_batch(
+        train.static[:1], rng.standard_normal((1, 3)), rng.standard_normal((1, 3, 2)),
+        rng.standard_normal((1, 2)), origin_t=2,
     )  # k=3 is not a multiple of h=2
     with pytest.raises(ValidationError, match="do not fit"):
-        fit(ForecasterSpec("persistence"), [bad], val, TrainConfig(), **FIT_KW)
+        fit(ForecasterSpec("persistence"), bad, val, TrainConfig(), **FIT_KW)
 
 
 @pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
