@@ -51,14 +51,21 @@ about 1e-15, not to the bit: predicted one at a time, each of the evaluate
 benchmark's 290 test windows at h=12 differed from its batched forecast, by at
 most 3.6e-15.
 
-Independent draws also make sample_paths' chunks of _CHUNK_ROWS rows the unit
-of parallel work: a batch of more than one chunk is decoded on a thread per
-CPU this process may use (numpy releases the GIL in its BLAS and ufunc loops).
-Chunk boundaries do not depend on the thread count, so the forecasts are the
-same to the bit for any number of threads, and there is no knob for it. One
-window, a monitor push, is one chunk and runs on the calling thread. The
-direct families predict a batch in one call: splitting it would change their
-GEMM row counts, and with them their bits on some BLAS builds.
+Two batch forwards run in chunks of rows on a thread per CPU that BLAS leaves
+free (numpy releases the GIL in its BLAS and ufunc loops): sample_paths' chunks
+of _CHUNK_ROWS Monte-Carlo rows, which independent draws make the unit of
+parallel work, and a predicting attn_seq2seq forward's chunks of at most
+_ATTN_CHUNK_ROWS windows. Chunk boundaries do not depend on the thread count,
+so the forecasts are the same to the bit for any number of threads, and there
+is no knob for it. On the evaluate benchmark (a 2-core Xeon, BLAS on one
+thread) the attention forward's 1160 windows ran 1.7x as fast in 10 chunks of
+116, which give the one-call forward's bits, and the round's memory peak fell
+from 252 to 189 MiB. One window, a monitor push, is one chunk and runs on the
+calling thread; so does training, whose tape-free validation stays one call,
+since a thread's malloc arena would raise fit's memory peak. seq2seq and
+convseq2seq predict a batch in one call: in 2 chunks on 2 threads, seq2seq ran
+15% and convseq2seq 5.5% slower, and convseq2seq's head, whose GEMM rounds by
+its row count, moved 244 of 1160 forecasts by up to 4.4e-16.
 """
 
 from __future__ import annotations
@@ -121,10 +128,35 @@ SIGMA_FLOOR = 1e-6
 # 100 paths in 0.55 s on one thread, against 0.84 s at 200 000 rows. The
 # forecast is the same for any number of workers; there is no knob for it.
 _CHUNK_ROWS = 1000
-# threads sample_paths decodes chunks on: the CPUs this process may use
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# most windows in one chunk of a predicting attn_seq2seq forward, the unit of
+# parallel work there: n windows are cut into ceil(n / _ATTN_CHUNK_ROWS) chunks
+# of ceil(n / chunks) windows (1160 windows: 10 of 116). Small chunks keep the
+# memory peak down: 2 chunks of 580 ran as fast as 10 of 116 on 2 threads, at a
+# 37% higher peak. The forecast is the same for any number of workers; there
+# is no knob for it.
+_ATTN_CHUNK_ROWS = 128
+
+
+def _pool_size() -> int:
+    """Threads for the chunks of a batch prediction: the usable CPUs over BLAS's threads.
+
+    BLAS's thread count is the first positive integer in OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS. With none set, BLAS already runs on
+    every CPU, so the chunks run inline rather than oversubscribe the cores.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+# threads _on_cores runs the chunks of a batch prediction on
+_WORKERS = _pool_size()
 # convseq2seq's kernel-3 causal layers conv0, conv1, ..., their dilations in
 # order; the last output step reads the last 1 + 2 * sum(dilations) inputs
 _CONV_DILATIONS = (1, 2)
@@ -442,16 +474,33 @@ def forward_quantiles(
     n_quantiles: int,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    on_cores: bool = False,
 ):
     """Normalized-scale quantile head outputs, shape (B, h, |Q|).
 
     A Tensor on the tape when the params are Tensors, a plain ndarray when
     they are arrays. Valid for the three direct quantile families; ar_rnn has
     a Gaussian head (see forward_gaussian / sample_paths).
+
+    on_cores, for predict_quantiles alone (plain arrays, train False), runs
+    attn_seq2seq's forward in chunks of at most _ATTN_CHUNK_ROWS windows, on up
+    to _WORKERS threads; the other families ignore it.
     """
     fam = spec.family
     static, past, cov = batch["static"], batch["past_target"], batch["past_cov"]
     bsz, k, n_cov = cov.shape
+    if fam == "attn_seq2seq" and on_cores and bsz > _ATTN_CHUNK_ROWS:
+        if train:
+            raise ValidationError("only prediction runs the forward on several cores")
+        out = np.empty((bsz, h, n_quantiles))
+        per_chunk = math.ceil(bsz / math.ceil(bsz / _ATTN_CHUNK_ROWS))
+
+        def run_chunk(sub: dict, dest: np.ndarray) -> None:
+            dest[...] = _attn_forward(spec, p, sub, h, False, None)
+
+        _on_cores(run_chunk, batch, per_chunk, out)
+        return out
     if fam == "seq2seq":
         x = concat([static, past, cov.reshape(bsz, k * n_cov)], axis=1)
         enc = dense(x, p["enc.W"], p["enc.b"], relu=True)
@@ -578,33 +627,42 @@ def sample_paths(
     next input, where forward_gaussian feeds the true target.
 
     The batch is decoded in chunks of max(1, _CHUNK_ROWS // n_paths) windows,
-    on up to _WORKERS threads when there is more than one chunk; each chunk
-    runs in a copy of the caller's context, so the caller's np.errstate (a
-    context variable since numpy 2) holds in it. Chunks write disjoint rows of
-    the result, so it is the same for any worker count.
+    by _on_cores, so the result is the same for any worker count.
     """
-    n = len(batch["origin_t"])
-    out = np.empty((n, n_paths, h))
-    per_chunk = max(1, _CHUNK_ROWS // n_paths)
+    out = np.empty((len(batch["origin_t"]), n_paths, h))
+    _on_cores(
+        lambda sub, dest: _decode_chunk(spec, params, sub, mc_seed, dest),
+        batch, max(1, _CHUNK_ROWS // n_paths), out,
+    )
+    return out
+
+
+def _on_cores(run_chunk, batch: dict[str, np.ndarray], per_chunk: int, out: np.ndarray) -> None:
+    """run_chunk(rows of batch, the same rows of out) for each chunk of per_chunk rows.
+
+    Chunks are cut at range(0, len(out), per_chunk), whatever the thread
+    count, and run on up to _WORKERS threads (numpy releases the GIL in its
+    BLAS and ufunc loops), each in a copy of the caller's context, so the
+    caller's np.errstate (a context variable since numpy 2) holds in it. One
+    chunk or one worker runs inline, with no pool. Chunks write disjoint rows
+    of out, so it is the same for any worker count.
+    """
     tasks = [
         ({k_: v[i : i + per_chunk] for k_, v in batch.items()}, out[i : i + per_chunk])
-        for i in range(0, n, per_chunk)
+        for i in range(0, len(out), per_chunk)
     ]
     workers = min(_WORKERS, len(tasks))
     if workers <= 1:
         for sub, dest in tasks:
-            _decode_chunk(spec, params, sub, mc_seed, dest)
-        return out
+            run_chunk(sub, dest)
+        return
     with ThreadPoolExecutor(workers) as pool:
         futures = [
-            pool.submit(
-                contextvars.copy_context().run, _decode_chunk, spec, params, sub, mc_seed, dest
-            )
+            pool.submit(contextvars.copy_context().run, run_chunk, sub, dest)
             for sub, dest in tasks
         ]
         for f in futures:
             f.result()
-    return out
 
 
 def _decode_chunk(spec, params, batch, mc_seed: int, out: np.ndarray) -> None:
@@ -710,7 +768,9 @@ def predict_quantiles(
         paths = sample_paths(model.spec, model.params, batch, h, n_paths, mc_seed)
         normalized = _path_quantiles(paths, qs)
     else:
-        normalized = forward_quantiles(model.spec, model.params, batch, h, len(qs))
+        normalized = forward_quantiles(
+            model.spec, model.params, batch, h, len(qs), on_cores=True
+        )
     mean = batch["denorm"][:, 0][:, None, None]
     std = batch["denorm"][:, 1][:, None, None]
     with np.errstate(over="ignore"):  # an overflow is refused below, by name

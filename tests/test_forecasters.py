@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +333,71 @@ def test_a_callers_errstate_holds_in_every_chunk(workers, monkeypatch):
     batch = _ragged_windows().columns()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         sample_paths(model.spec, model.params, batch, WC.h, 20, mc_seed=3)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("blas_threads", [None, 1, 2])
+def test_the_pool_takes_the_cpus_blas_leaves_free(blas_threads):
+    # _WORKERS is set at import, so each setting gets its own interpreter
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(blas_vars, str(blas_threads)))
+    env["PYTHONPATH"] = str(Path(forecasters.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from forewarn import forecasters; print(forecasters._WORKERS)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    cpus = len(os.sched_getaffinity(0))
+    # unset, BLAS runs a thread per CPU itself
+    assert int(proc.stdout) == (1 if blas_threads is None else max(1, cpus // blas_threads))
+
+
+def test_attn_seq2seq_forecasts_are_bit_identical_for_any_worker_count(monkeypatch):
+    windows = _ragged_windows(per_chunk=4)
+    model = tiny_model("attn_seq2seq")
+    monkeypatch.setattr(forecasters, "_ATTN_CHUNK_ROWS", 4)  # 35 windows: 9 chunks of 4, 8 + 3
+    batch = windows.columns()
+    got = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches, more chances for chunks to collide
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(forecasters, "_WORKERS", workers)
+            got[workers] = predict_quantiles_batch(model, windows)
+            chunked = forward_quantiles(
+                model.spec, model.params, batch, WC.h, len(QS), on_cores=True
+            )
+            # chunk boundaries stay put: each chunk's rows are that chunk predicted alone
+            for i in range(0, len(windows), 4):
+                chunk = windows[i : i + 4].columns()
+                alone = forward_quantiles(model.spec, model.params, chunk, WC.h, len(QS))
+                assert np.array_equal(chunked[i : i + 4], alone)
+    finally:
+        sys.setswitchinterval(switch)
+    assert np.array_equal(got[1], got[2]) and np.array_equal(got[1], got[3])
+    with pytest.raises(ValidationError, match="only prediction"):
+        forward_quantiles(
+            model.spec, model.params, batch, WC.h, len(QS), train=True,
+            rng=np.random.default_rng(0), on_cores=True,
+        )
+
+
+def test_each_attn_seq2seq_prediction_is_one_forward_quantiles_call(monkeypatch):
+    # benchmarks/tracing.py times the forward by wrapping this name, from one
+    # thread: the chunks' workers must not call it
+    forward, calls = forecasters.forward_quantiles, []
+
+    def counting(spec, params, batch, *args, **kwargs):
+        calls.append(len(batch["origin_t"]))
+        return forward(spec, params, batch, *args, **kwargs)
+
+    monkeypatch.setattr(forecasters, "forward_quantiles", counting)
+    monkeypatch.setattr(forecasters, "_ATTN_CHUNK_ROWS", 1)  # one window a chunk
+    monkeypatch.setattr(forecasters, "_WORKERS", 2)
+    windows = _ragged_windows()
+    predict_quantiles_batch(tiny_model("attn_seq2seq"), windows)
+    assert calls == [len(windows)]
 
 
 @pytest.mark.filterwarnings("error")

@@ -274,6 +274,24 @@ def test_fit_is_deterministic_to_the_byte():
     assert a.training_log == b.training_log
 
 
+def test_training_starts_no_thread(monkeypatch):
+    # only batch prediction runs on the pool: validation stays one call, so
+    # fit's memory peak does not grow by a malloc arena per thread
+    def boom(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(forecasters, "ThreadPoolExecutor", boom)
+    monkeypatch.setattr(forecasters, "_WORKERS", 2)
+    monkeypatch.setattr(forecasters, "_ATTN_CHUNK_ROWS", 4)  # 20 val windows: 5 chunks
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 1)  # one window a chunk
+    train, val = make_split_windows(seed=5)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=3)
+    for family in ("attn_seq2seq", "ar_rnn"):
+        model = fit(ForecasterSpec(family, TINY_HYPERS[family]), train, val, cfg, grid=QS, **FIT_KW)
+        with pytest.raises(AssertionError, match="thread pool"):  # prediction would start one
+            forecasters.predict_quantiles_batch(model, val, mc_seed=0, n_paths=10)
+
+
 @pytest.mark.parametrize("family", ["ar_rnn", "attn_seq2seq"])
 def test_fit_with_the_fused_gru_matches_the_composed_oracle(family, monkeypatch):
     train, val = make_split_windows(seed=3)
