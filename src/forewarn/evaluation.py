@@ -7,6 +7,9 @@ Metric conventions:
 * Classification uses +1 = violation predicted/observed (the sign of the
   horizon maximum). Counts are exact; precision at TP+FP=0 is defined as 1
   when nothing was missed and 0 otherwise, and flagged as degenerate.
+* Coverage of level q is the share of (window, lead) cells whose truth is <=
+  the q forecast; joint coverage the share of windows covered at every lead.
+  They report calibration only: no forecast or decision depends on them.
 * Repetition-based evaluation retrains the model per repetition and reports
   mean +- half of the 95% CI (normal approximation, 1.96 * s / sqrt(R)).
 * Family comparisons use the Mann-Whitney U test (two-sided, normal
@@ -113,7 +116,7 @@ def confusion(decisions: np.ndarray, truths: np.ndarray) -> Confusion:
     if d.shape != t.shape:
         raise ValidationError("decisions and truths must align")
     for arr, name in ((d, "decisions"), (t, "truths")):
-        if not np.all(np.isin(arr, (-1, 1))):
+        if not np.all((arr == 1) | (arr == -1)):
             raise ValidationError(f"{name} must be +-1 valued")
     return Confusion(
         tp=int(np.sum((d == 1) & (t == 1))),
@@ -232,26 +235,34 @@ def evaluate_model(
     mc_seed: int | None = None,
     n_paths: int = DEFAULT_N_PATHS,
 ) -> ModelEval:
-    """Forecast every test window once; exact counts and q-Risk per quantile."""
+    """Forecast every test window once; exact counts, q-Risk and coverage per quantile."""
     test = as_batch(test_windows)
     preds = predict_quantiles_batch(model, test, mc_seed=mc_seed, n_paths=n_paths)
     y_true = future_target_original(test.columns())
     truths = violation_sign(y_true, axis=1)
-    decisions = violation_sign(preds, axis=1)  # (N, |Q|)
+    # lead-major copies, (h, |Q|, N) and (h, 1, N), put the windows on the inner
+    # axis, where numpy's loops run fast: the max over leads and the coverage
+    # counts each take a fraction of their time on the (N, h, |Q|) block
+    by_lead = preds.transpose(1, 2, 0).copy()
+    decisions = violation_sign(by_lead, axis=0)  # (|Q|, N)
+    covered = np.ascontiguousarray(y_true.T)[:, None, :] <= by_lead
+    covered_throughout = np.logical_and.reduce(covered, axis=0)  # (|Q|, N)
     per_q: dict[float, dict] = {}
     for j, q in enumerate(model.grid.qs):
-        c = confusion(decisions[:, j], truths)
+        c = confusion(decisions[j], truths)
         p, r, degenerate = precision_recall(c)
         per_q[q] = {
             "q_risk": q_risk(y_true, preds[:, :, j], q),
             "tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn,
             "precision": p, "recall": r, "f_beta": f_beta(p, r),
             "degenerate_precision": degenerate,
+            "coverage": float(np.count_nonzero(covered[:, j]) / y_true.size),
+            "joint_coverage": float(np.count_nonzero(covered_throughout[j]) / len(truths)),
         }
     return ModelEval(
         quantiles=model.grid.qs,
         per_q=per_q,
-        decisions=decisions,
+        decisions=np.ascontiguousarray(decisions.T),  # (N, |Q|)
         truths=truths,
         episode_ids=test.episode_ids,
     )
@@ -266,12 +277,18 @@ class MetricSummary:
     @staticmethod
     def of(values: Sequence[float]) -> "MetricSummary":
         arr = np.asarray(values, dtype=np.float64)
+        if np.all(arr == arr[0]):
+            # equal values are their own mean, with no spread: arr.mean() of
+            # [0.2] * 3 is 0.20000000000000004, and its std 3e-17
+            return MetricSummary(float(arr[0]), 0.0, (float(arr[0]),) * arr.size)
         mean = float(arr.mean())
-        half = float(CI95_T * arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+        half = float(CI95_T * arr.std(ddof=1) / math.sqrt(arr.size))
         return MetricSummary(mean, half, tuple(float(v) for v in arr))
 
 
-METRIC_KEYS = ("q_risk", "precision", "recall", "f_beta", "tp", "fp", "fn", "tn")
+METRIC_KEYS = (
+    "q_risk", "precision", "recall", "f_beta", "tp", "fp", "fn", "tn", "coverage", "joint_coverage",
+)
 
 
 @dataclass(frozen=True)

@@ -774,7 +774,8 @@ def predict_quantiles(
     mean = batch["denorm"][:, 0][:, None, None]
     std = batch["denorm"][:, 1][:, None, None]
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
-        original = np.sort(normalized * std + mean, axis=2)
+        original = normalized * std + mean
+    original.sort(axis=2)  # in place: np.sort would copy first
     if not np.isfinite(original).all():
         raise ValidationError(f"{fam} forecast contains non-finite values")
     return original

@@ -162,3 +162,20 @@ def convseq2seq_forward(spec, p, batch, h: int, n_quantiles: int):
     for i in range(spec.get("decoder_layers")):
         x = autodiff.dense(x, p[f"dec{i}.W"], p[f"dec{i}.b"], relu=True)
     return autodiff.dense(x, p["head.W"], p["head.b"]).reshape(bsz, h, n_quantiles)
+
+
+def relu_array(x: np.ndarray) -> np.ndarray:
+    """The ReLU on an ndarray as np.where(x > 0, x, 0.0): NaN and -0.0 map to +0.0."""
+    return np.where(x > 0, x, 0.0)
+
+
+def dense_array(x: np.ndarray, W: np.ndarray, b: np.ndarray, relu: bool = False) -> np.ndarray:
+    """A dense layer on ndarrays as x @ W + b, then relu_array: one new array per op."""
+    pre = x @ W + b
+    return relu_array(pre) if relu else pre
+
+
+def violation_signs(values: np.ndarray, axis: int) -> np.ndarray:
+    """One verdict per horizon laid along `axis`: +1 where its max is >= 0, else -1."""
+    arr = np.asarray(values, dtype=np.float64)
+    return np.where(arr.max(axis=axis) >= 0.0, 1, -1)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import _oracles
-from _oracles import gru_step
+from _oracles import dense_array, gru_step, relu_array
 from forewarn.autodiff import (
-    Tensor, concat, dense, exp, gaussian_nll_mean, gru_cell, log, pinball_mean, relu, sigmoid,
-    softmax, softplus, square, tanh,
+    Tensor, _relu, concat, dense, exp, gaussian_nll_mean, gru_cell, log, pinball_mean, relu,
+    sigmoid, softmax, softplus, square, tanh,
 )
 
 # few examples, fixed per test, and no example database written to disk
@@ -415,6 +415,58 @@ def test_pinball_mean_matches_the_composed_oracle_property(batch, h, qs, seed):
         lambda p, t: _oracles.pinball_mean(p, t, qs),
         [pred, y], [True, False], lambda t: t,
     )
+
+
+# values a float64 ReLU can get wrong: signed zeros, infinities, NaN of either
+# sign, the extreme subnormals and normals
+_EDGE_FLOATS = (
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@PROPERTY
+@given(
+    x=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+        elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_subnormal=True)),
+    )
+)
+def test_relu_has_the_bits_of_the_where_form_property(x):
+    want = _bits(relu_array(x))
+    assert np.array_equal(_bits(_relu(x)), want)
+    assert np.array_equal(_bits(relu(x)), want)
+    assert np.array_equal(_bits(relu(Tensor(x)).data), want)
+    out = x.copy()
+    assert _relu(out, out=out) is out and np.array_equal(_bits(out), want)
+
+
+@PROPERTY
+@given(
+    lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    d_in=st.integers(1, 4),
+    d_out=st.integers(1, 4),
+    use_relu=st.booleans(),
+    data=st.data(),
+)
+def test_dense_on_arrays_has_the_bits_of_the_composed_expression_property(
+    lead, d_in, d_out, use_relu, data
+):
+    # x is (B, d_in) or (B, T, d_in); signed zeros in x, W and b give pre-activations of -0.0
+    elements = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-10.0, 10.0))
+    x = data.draw(hnp.arrays(np.float64, (*lead, d_in), elements=elements))
+    W = data.draw(hnp.arrays(np.float64, (d_in, d_out), elements=elements))
+    b = data.draw(hnp.arrays(np.float64, (d_out,), elements=elements))
+    want = dense_array(x, W, b, relu=use_relu)
+    got = dense(x, W, b, relu=use_relu)
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+    taped = dense(Tensor(x), Tensor(W), Tensor(b), relu=use_relu)
+    assert np.array_equal(_bits(taped.data), _bits(want))
 
 
 def test_fused_ops_at_a_kink_give_the_composed_subgradient():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from _oracles import safety_metric_fn
+from _oracles import safety_metric_fn, violation_signs
 from _synth import make_episode as make_synth_episode
 from _synth import make_model
 from forewarn.core import (
@@ -98,6 +101,27 @@ def test_violation_sign_along_an_axis_is_the_verdict_of_each_row():
     assert violation_sign(x, axis=1).tolist() == [violation_sign(row) for row in x]
     assert violation_sign(x, axis=0).tolist() == [violation_sign(col) for col in x.T]
     assert type(violation_sign(x)) is int and type(violation_sign(x[0])) is int
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    axis=st.integers(0, 2),
+    data=st.data(),
+)
+def test_violation_sign_along_an_axis_matches_the_max_form_property(axis, data):
+    # one-step horizons (a side of 1), exact and signed zeros, NaN cells and whole NaN rows
+    shape = data.draw(hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=4))
+    elements = st.one_of(
+        st.sampled_from((0.0, -0.0, np.nan, -np.inf, np.inf)), st.floats(-3.0, 3.0)
+    )
+    arr = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+    nan_row = data.draw(st.integers(-1, shape[0] - 1))
+    if nan_row >= 0:
+        arr[nan_row] = np.nan
+    got = violation_sign(arr, axis=axis)
+    want = violation_signs(arr, axis)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_first_violation_index_hand_values():

@@ -3,12 +3,17 @@
 import math
 import re
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _synth import FIT_KW, make_episode, make_learnable_windows, make_model, make_noise_windows
+from forewarn import evaluation
 from forewarn.core import QuantileGrid, Scenario, ValidationError, WindowConfig
 from forewarn.data import build_split, fit_norm, windows_for_phase
 from forewarn.evaluation import (
@@ -103,6 +108,16 @@ def test_confusion_rejects_other_labels():
         confusion(np.array([0, 1]), np.array([1, 1]))
     with pytest.raises(ValidationError, match="align"):
         confusion(np.array([1, 1]), np.array([1]))
+
+
+@pytest.mark.parametrize("bad", [0, 2, 1.5, np.nan])
+def test_confusion_refuses_a_label_other_than_plus_or_minus_one(bad):
+    good = np.array([1.0, -1.0, 1.0])
+    with_bad = np.array([1.0, -1.0, bad])
+    with pytest.raises(ValidationError, match=r"^decisions must be \+-1 valued$"):
+        confusion(with_bad, good)
+    with pytest.raises(ValidationError, match=r"^truths must be \+-1 valued$"):
+        confusion(good, with_bad)
 
 
 def test_precision_recall_degenerate_conventions():
@@ -238,6 +253,44 @@ def test_evaluate_model_exact_confusion_and_qrisk():
         assert abs(row["q_risk"] - brute_q_risk(y_true, pred, q)) < 1e-12
 
 
+def test_evaluate_model_coverage_counts_a_truth_equal_to_its_forecast_as_covered(monkeypatch):
+    model = make_model("persistence", wc=WC, qs=(0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.995))
+    future = [[0.0, 0.0], [1.0, -1.0], [0.5, 0.5], [-2.0, 3.0]]
+    windows = windows_with([0.0] * 4, future, np.random.default_rng(6))
+    # every cell's forecast at level j is levels[j]; ties at 0.0, 0.5, 1.0, -1.0 and 3.0
+    levels = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+    preds = np.broadcast_to(levels, (4, WC.h, levels.size)).copy()
+    monkeypatch.setattr(evaluation, "predict_quantiles_batch", lambda *a, **kw: preds)
+    ev = evaluate_model(model, windows)
+    cells = [ev.per_q[q]["coverage"] * 8 for q in model.grid.qs]
+    joint = [ev.per_q[q]["joint_coverage"] * 4 for q in model.grid.qs]
+    assert cells == [2, 2, 4, 6, 7, 7, 8]
+    assert joint == [0, 0, 1, 2, 3, 3, 4]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_coverage_rises_with_the_level_and_bounds_joint_coverage_property(data):
+    n, h, n_q = data.draw(hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6))
+    # a few small integers, so truths often tie with forecasts and levels with each other
+    values = st.integers(-3, 3).map(float)
+    y = data.draw(hnp.arrays(np.float64, (n, h), elements=values))
+    assume(np.any(y != 0.0))  # q-risk refuses an all-zero target
+    preds = np.sort(data.draw(hnp.arrays(np.float64, (n, h, n_q), elements=values)), axis=2)
+    wc = WindowConfig(h=h, cm=2)
+    model = make_model("persistence", wc=wc, qs=tuple((np.arange(n_q) + 1.0) / (n_q + 1)))
+    windows = replace(make_noise_windows(np.random.default_rng(0), wc, n), future_target=y)
+    with patch.object(evaluation, "predict_quantiles_batch", lambda *a, **kw: preds):
+        ev = evaluate_model(model, windows)
+    coverage = np.array([ev.per_q[q]["coverage"] for q in model.grid.qs])
+    joint = np.array([ev.per_q[q]["joint_coverage"] for q in model.grid.qs])
+    covered = y[:, :, None] <= preds
+    assert coverage.tolist() == [covered[:, :, j].sum() / (n * h) for j in range(n_q)]
+    assert joint.tolist() == [covered[:, :, j].all(axis=1).sum() / n for j in range(n_q)]
+    assert np.all(np.diff(coverage) >= 0) and np.all(np.diff(joint) >= 0)
+    assert np.all(joint <= coverage)
+
+
 @pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
 def test_evaluate_model_on_a_window_batch_equals_it_on_its_samples(family):
     rng = np.random.default_rng(8)
@@ -314,6 +367,8 @@ def test_metric_summary():
     assert s.mean == 2.0
     assert abs(s.half_ci - 1.96 * 1.0 / math.sqrt(3)) < 1e-12
     assert MetricSummary.of([4.0]).half_ci == 0.0
+    # equal values are their own mean with no spread, though 0.2 * 3 / 3 is not 0.2
+    assert MetricSummary.of([0.2, 0.2, 0.2]) == MetricSummary(0.2, 0.0, (0.2, 0.2, 0.2))
 
 
 def test_evaluate_repetitions_and_determinism():
