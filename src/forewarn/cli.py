@@ -506,9 +506,10 @@ def _cmd_sweep(cfg: dict) -> int:
         else:
             keep["qrisk_sum_mean"] = row["qrisk_sum_mean"]
             report = row["report"]
-            keep["f_beta_mean"] = {
-                f"{q:g}": report.per_q[q]["f_beta"].mean for q in report.quantiles
-            }
+            for key in ("f_beta", "coverage", "joint_coverage"):
+                keep[f"{key}_mean"] = {
+                    f"{q:g}": report.per_q[q][key].mean for q in report.quantiles
+                }
             print(line + f"q_risk_sum={row['qrisk_sum_mean']:.4f}")
         json_rows.append(keep)
     _write_outputs(cfg, "sweep", {"sweep.json": {"rows": json_rows}})
@@ -550,13 +551,17 @@ def _cmd_analyze(cfg: dict) -> int:
     model, episodes, test = _test_windows(cfg, "analyze")
     ev = evaluate_model(model, test, mc_seed=cfg["seed"], n_paths=cfg["n_paths"])
     q = cfg["q"]
-    features, f3, names = scenario_f3_table(ev, q, episodes)
+    features, f3, names = scenario_f3_table(ev, q, episodes)  # checks q is in the grid
+    coverage, joint = ev.per_q[q]["coverage"], ev.per_q[q]["joint_coverage"]
     cv = cross_validate(
         features, f3, max_depths=cfg["depths"], min_leaves=cfg["leaves"],
         k=cfg["folds"], seed=cfg["seed"],
     )
     rules = extract_rules(cv.tree)
-    print(f"scenario rules for F3 at q={q:g} over {features.shape[0]} episodes")
+    print(
+        f"scenario rules for F3 at q={q:g} over {features.shape[0]} episodes "
+        f"(coverage={coverage:.4f} joint_coverage={joint:.4f})"
+    )
     print(
         f"selected max_depth={cv.max_depth} min_samples_leaf={cv.min_samples_leaf} "
         f"cv_mse={cv.cv_mse:.6f} r2={cv.r2:.4f}"
@@ -565,6 +570,8 @@ def _cmd_analyze(cfg: dict) -> int:
         print("  " + rule.text(names))
     _write_outputs(cfg, "analyze", {"analysis.json": {
         "q": q,
+        "coverage": coverage,
+        "joint_coverage": joint,
         "episodes": int(features.shape[0]),
         "feature_names": list(names),
         "max_depth": cv.max_depth,

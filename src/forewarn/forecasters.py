@@ -52,20 +52,29 @@ benchmark's 290 test windows at h=12 differed from its batched forecast, by at
 most 3.6e-15.
 
 Two batch forwards run in chunks of rows on a thread per CPU that BLAS leaves
-free (numpy releases the GIL in its BLAS and ufunc loops): sample_paths' chunks
-of _CHUNK_ROWS Monte-Carlo rows, which independent draws make the unit of
-parallel work, and a predicting attn_seq2seq forward's chunks of at most
-_ATTN_CHUNK_ROWS windows. Chunk boundaries do not depend on the thread count,
-so the forecasts are the same to the bit for any number of threads, and there
-is no knob for it. On the evaluate benchmark (a 2-core Xeon, BLAS on one
-thread) the attention forward's 1160 windows ran 1.7x as fast in 10 chunks of
-116, which give the one-call forward's bits, and the round's memory peak fell
-from 252 to 189 MiB. One window, a monitor push, is one chunk and runs on the
-calling thread; so does training, whose tape-free validation stays one call,
-since a thread's malloc arena would raise fit's memory peak. seq2seq and
-convseq2seq predict a batch in one call: in 2 chunks on 2 threads, seq2seq ran
-15% and convseq2seq 5.5% slower, and convseq2seq's head, whose GEMM rounds by
-its row count, moved 244 of 1160 forecasts by up to 4.4e-16.
+free (numpy releases the GIL in its BLAS and ufunc loops): sample_paths'
+decode, in chunks of _CHUNK_ROWS Monte-Carlo rows, and a predicting
+attn_seq2seq forward's chunks of at most _ATTN_CHUNK_ROWS windows.
+sample_paths warms the cell up over the lookback and draws every window's
+normals once, over the whole batch, on the calling thread: each chunk's own
+warm-up was many GRU steps on arrays too small for numpy to release the GIL,
+and cost more than the threads gained. So a chunk's paths are the ones that
+chunk gives decoded alone up to the rounding of the warm-up's GEMMs over the
+batch's row count. With numpy 2.4's bundled OpenBLAS that is to the bit for
+the default 40-node cell, except a chunk of one window (n_paths >=
+_CHUNK_ROWS, or a trailing chunk of one), and within 1.3e-15 for a 100-node
+GRU, whose products over fewer than about 128 rows round apart. Chunk
+boundaries do not depend on the thread count, so the forecasts are the same
+to the bit for any number of threads, and there is no knob for it. On the
+evaluate benchmark (a 2-core Xeon, BLAS on one thread) the attention forward's
+1160 windows ran 1.7x as fast in 10 chunks of 116, which give the one-call
+forward's bits, and the round's memory peak fell from 252 to 189 MiB. One
+window, a monitor push, is one chunk and runs on the calling thread; so does
+training, whose tape-free validation stays one call, since a thread's malloc
+arena would raise fit's memory peak. seq2seq and convseq2seq predict a batch
+in one call: in 2 chunks on 2 threads, seq2seq ran 15% and convseq2seq 5.5%
+slower, and convseq2seq's head, whose GEMM rounds by its row count, moved 244
+of 1160 forecasts by up to 4.4e-16.
 """
 
 from __future__ import annotations
@@ -123,10 +132,11 @@ DEFAULT_N_PATHS = 100
 
 SIGMA_FLOOR = 1e-6
 # ar_rnn Monte-Carlo rows (windows x paths) decoded at once, the unit of
-# parallel work in sample_paths. Draws are per window, so this sets only speed
-# and BLAS rounding: on a 2-core Xeon, 1000 rows decoded 290 h=12 windows at
-# 100 paths in 0.55 s on one thread, against 0.84 s at 200 000 rows. The
-# forecast is the same for any number of workers; there is no knob for it.
+# parallel work in sample_paths; the warm-up and the draws run before, over the
+# whole batch. Draws are per window, so this sets only speed and BLAS rounding:
+# on a 2-core Xeon, 1000 rows decoded 290 h=12 windows at 100 paths in 0.55 s
+# on one thread, against 0.84 s at 200 000 rows. The forecast is the same for
+# any number of workers; there is no knob for it.
 _CHUNK_ROWS = 1000
 # most windows in one chunk of a predicting attn_seq2seq forward, the unit of
 # parallel work there: n windows are cut into ceil(n / _ATTN_CHUNK_ROWS) chunks
@@ -624,15 +634,25 @@ def sample_paths(
     tape). Window i draws its (h, n_paths) standard normals from
     default_rng(derived_seed(mc_seed, batch["origin_t"][i])), lead by lead;
     path p's lead j is mu + sigma * z[j, p], and that draw is fed back as the
-    next input, where forward_gaussian feeds the true target.
+    next input, where forward_gaussian feeds the true target. n_paths must be
+    an int >= 1 and mc_seed an int >= 0, or it raises ValidationError.
 
-    The batch is decoded in chunks of max(1, _CHUNK_ROWS // n_paths) windows,
-    by _on_cores, so the result is the same for any worker count.
+    The warm-up and the draws run once over the whole batch, on the calling
+    thread. Only the decode runs in chunks, of max(1, _CHUNK_ROWS // n_paths)
+    windows, by _on_cores, so the result is the same for any worker count (see
+    the module docstring).
     """
+    mc_seed = check_setting(f"{spec.family} prediction mc_seed", mc_seed)
+    n_paths = check_setting("n_paths", n_paths, low=1)
+    state = _ar_warmup(spec, params, batch["static"], batch["past_target"])
+    # an lstm's (h, c) state goes to the chunks as two columns, cut by row like static
+    warm = dict(zip(("h", "c"), state)) if isinstance(state, tuple) else {"h": state}
     out = np.empty((len(batch["origin_t"]), n_paths, h))
+    for i, t in enumerate(batch["origin_t"].tolist()):
+        out[i] = np.random.default_rng(derived_seed(mc_seed, t)).standard_normal((h, n_paths)).T
     _on_cores(
-        lambda sub, dest: _decode_chunk(spec, params, sub, mc_seed, dest),
-        batch, max(1, _CHUNK_ROWS // n_paths), out,
+        lambda sub, dest: _decode_chunk(spec, params, sub, dest),
+        {"static": batch["static"], **warm}, max(1, _CHUNK_ROWS // n_paths), out,
     )
     return out
 
@@ -665,20 +685,21 @@ def _on_cores(run_chunk, batch: dict[str, np.ndarray], per_chunk: int, out: np.n
             f.result()
 
 
-def _decode_chunk(spec, params, batch, mc_seed: int, out: np.ndarray) -> None:
-    """sample_paths' decoding of one chunk of windows into out, its (b, n_paths, h) rows."""
-    _, n_paths, h = out.shape
-    static = batch["static"]
-    state = _ar_warmup(spec, params, static, batch["past_target"])
+def _decode_chunk(spec, params, chunk: dict[str, np.ndarray], out: np.ndarray) -> None:
+    """sample_paths' decoding of one chunk of windows, from their warm state.
 
-    def tile(a: np.ndarray) -> np.ndarray:  # replicate each sample's rows across paths
+    chunk holds the windows' static rows and warm cell state (h, and c for an
+    lstm); out, their (b, n_paths, h) rows, holds the standard normals on entry
+    and the sample paths on return.
+    """
+    _, n_paths, h = out.shape
+
+    def tile(a: np.ndarray) -> np.ndarray:  # replicate each window's rows across paths
         return np.repeat(a, n_paths, axis=0)
 
-    state = tuple(map(tile, state)) if isinstance(state, tuple) else tile(state)
-    static = tile(static)
-    for i, t in enumerate(batch["origin_t"].tolist()):  # the standard normals, then the paths
-        out[i] = np.random.default_rng(derived_seed(mc_seed, t)).standard_normal((h, n_paths)).T
-    out = out.reshape(-1, h)  # a view, rows ordered (sample, path) like state and static
+    state = (tile(chunk["h"]), tile(chunk["c"])) if "c" in chunk else tile(chunk["h"])
+    static = tile(chunk["static"])
+    out = out.reshape(-1, h)  # a view, rows ordered (window, path) like state and static
     for j in range(h):
         if j > 0:
             state = _ar_consume(spec, params, out[:, j - 1 : j], static, state)
@@ -763,8 +784,6 @@ def predict_quantiles(
         normalized = np.repeat(last[:, None, None], h, axis=1)
         normalized = np.repeat(normalized, len(qs), axis=2)
     elif fam in SAMPLING_FAMILIES:
-        mc_seed = check_setting(f"{fam} prediction mc_seed", mc_seed)
-        n_paths = check_setting("n_paths", n_paths, low=1)
         paths = sample_paths(model.spec, model.params, batch, h, n_paths, mc_seed)
         normalized = _path_quantiles(paths, qs)
     else:

@@ -282,6 +282,23 @@ def test_sweep_reports_and_skips(workdir, tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+def test_sweep_rows_give_coverage_next_to_f_beta(workdir, tmp_path):
+    assert main([
+        "sweep", "--families", "persistence", "--h-values", "3", "--cm-values", "1",
+        "--quantiles", "0.5,0.9,0.995", "--data", str(workdir / "data"), "--out", str(tmp_path),
+    ]) == 0
+    (row,) = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    levels = ["0.5", "0.9", "0.995"]
+    assert list(row["f_beta_mean"]) == list(row["coverage_mean"]) == levels
+    assert list(row["joint_coverage_mean"]) == levels
+    coverage = [row["coverage_mean"][q] for q in levels]
+    joint = [row["joint_coverage_mean"][q] for q in levels]
+    # forecasts are sorted across levels, so a higher level covers at least as much,
+    # and a window covered at every lead covers each of its cells
+    assert coverage == sorted(coverage) and joint == sorted(joint)
+    assert all(0.0 <= j <= c <= 1.0 for j, c in zip(joint, coverage))
+
+
 # ----------------------------------------------------------------- bench
 
 
@@ -499,6 +516,32 @@ def test_analyze_prints_rules_and_writes_json(workdir, tmp_path, capsys):
         )
     ]
     assert len(hits) == 1  # rules partition the scenario box
+
+
+def test_analyze_reports_coverage_at_its_quantile(workdir, tmp_path, capsys, monkeypatch):
+    scored, evaluate_model = [], cli.evaluate_model
+
+    def recording(*args, **kw):
+        scored.append(evaluate_model(*args, **kw))
+        return scored[-1]
+
+    monkeypatch.setattr(cli, "evaluate_model", recording)
+    assert main([
+        "analyze", "--model", _ckpt(workdir), "--data", str(workdir / "data"),
+        "--folds", "3", "--depths", "1", "--leaves", "2", "--q", "0.95", "--out", str(tmp_path),
+    ]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    result = json.loads((tmp_path / "analysis.json").read_text())
+    (ev,) = scored
+    want = ev.per_q[0.95]
+    assert result["q"] == 0.95
+    assert result["coverage"] == want["coverage"]
+    assert result["joint_coverage"] == want["joint_coverage"]
+    assert 0.0 <= want["joint_coverage"] <= want["coverage"] <= 1.0
+    assert header.startswith("scenario rules for F3 at q=0.95 over 8 episodes")
+    assert header.endswith(
+        f"(coverage={want['coverage']:.4f} joint_coverage={want['joint_coverage']:.4f})"
+    )
 
 
 # ----------------------------------------------------------------- outputs

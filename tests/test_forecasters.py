@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,49 @@ def test_each_ar_rnn_prediction_is_one_sample_paths_call(monkeypatch):
     windows = _ragged_windows()
     predict_quantiles_batch(tiny_model("ar_rnn"), windows, mc_seed=3, n_paths=20)
     assert calls == [len(windows)]
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_ar_rnn_warms_up_and_draws_once_and_only_decodes_in_chunks(cell, monkeypatch):
+    windows = _ragged_windows()
+    model = tiny_model("ar_rnn", cell=cell)
+    calls = {"warmup": [], "draw": [], "decode": []}  # (thread, rows or seed) per call
+
+    def counting(kind, fn, rows):
+        def wrapper(*args):
+            calls[kind].append((threading.get_ident(), rows(*args)))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(forecasters, "_ar_warmup", counting(
+        "warmup", forecasters._ar_warmup, lambda spec, p, static, past: len(past)
+    ))
+    monkeypatch.setattr(np.random, "default_rng", counting(
+        "draw", np.random.default_rng, lambda seed: seed
+    ))
+    monkeypatch.setattr(forecasters, "_decode_chunk", counting(
+        "decode", forecasters._decode_chunk, lambda spec, p, chunk, out: len(out)
+    ))
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 60)  # 3 windows of 20 paths a chunk
+    monkeypatch.setattr(forecasters, "_WORKERS", 2)
+    sample_paths(model.spec, model.params, windows.columns(), WC.h, 20, mc_seed=3)
+    caller = threading.get_ident()
+    assert calls["warmup"] == [(caller, len(windows))]
+    assert calls["draw"] == [(caller, derived_seed(3, t)) for t in windows.origin_t.tolist()]
+    assert sorted(rows for _, rows in calls["decode"]) == [2] + [3] * (len(windows) // 3)
+    assert all(thread != caller for thread, _ in calls["decode"])
+
+
+@pytest.mark.parametrize("n_paths, mc_seed, match", [
+    (0, 3, "n_paths must be an int >= 1, got 0"),
+    (-5, 3, "n_paths must be an int >= 1, got -5"),
+    (20, None, "ar_rnn prediction mc_seed must be an int >= 0, got None"),
+], ids=["no_paths", "negative_paths", "no_seed"])
+def test_sample_paths_checks_its_own_settings(n_paths, mc_seed, match):
+    model = tiny_model("ar_rnn")
+    batch = _ragged_windows().columns()
+    with pytest.raises(ValidationError, match=match):
+        sample_paths(model.spec, model.params, batch, WC.h, n_paths, mc_seed)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
