@@ -13,7 +13,11 @@ may scale one in place (training clips leaf gradients that way). A buffer is
 made by the first gradient that reaches the node (adopted when that array is
 new, copied when it is a view or another node's), and later ones add into it.
 
-The op set is exactly what the forecaster families need. Gradients are
+Most ops serve the forecaster families' forwards and losses. Five serve only
+the composed reference implementations in the tests (tests/_oracles.py), which
+the fused ops are checked against: log, square, negation, reflected
+subtraction (an array or scalar minus a Tensor) and Tensor.mean; the module
+function mean serves the fused losses on plain arrays too. Gradients are
 verified against central finite differences in the test suite.
 
 Four ops are fused: each records one tape node with a hand-written backward

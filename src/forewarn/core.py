@@ -13,7 +13,7 @@ speaks in these types. Two conventions hold package-wide:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from typing import Optional, Sequence
 
@@ -310,37 +310,35 @@ class WindowBatch:
 
     ``past_target`` (N, k) and ``future_target`` (N, h) are the safety metric,
     ``past_cov`` (N, k, D_o) the learned-component outputs, all normalized;
-    ``static`` (N, S) holds the scenario unit values and ``denorm`` (N, 2) the
-    (mean, std) that takes a window's forecasts back to the original scale.
+    ``static`` (N, S) holds the scenario unit values, in the order of the S
+    names in ``scenario_dims``. The scale that takes forecasts and targets back
+    to the original one is the model's (its NormStats), not the batch's.
     ``episode_ids`` and ``origin_t`` (N,) say where each window was cut, origin_t
     being the episode step its lookback ends at, which also seeds its
-    Monte-Carlo draws; ``scenarios`` maps every episode id to its Scenario. The
-    batch is checked once, as a whole: the arrays agree on N and k, every float
-    is finite, every std is > 0 and every origin_t is an int >= 0. ``batch[i]``
-    is a WindowSample handle on window i; a slice, an int array or a boolean
-    mask selects a WindowBatch.
+    Monte-Carlo draws. The batch is checked once, as a whole: the arrays agree
+    on N and k, static has one column per scenario dim, every float is finite
+    and every origin_t is an int >= 0. ``batch[i]`` is a WindowSample handle on
+    window i; a slice, an int array or a boolean mask selects a WindowBatch.
     """
 
     static: np.ndarray
     past_target: np.ndarray
     past_cov: np.ndarray
     future_target: np.ndarray
-    denorm: np.ndarray
     episode_ids: np.ndarray
     origin_t: np.ndarray
-    scenarios: dict[str, Scenario] = field(repr=False)
+    scenario_dims: tuple[str, ...]
 
-    COLUMNS = ("static", "past_target", "past_cov", "future_target", "denorm")
+    COLUMNS = ("static", "past_target", "past_cov", "future_target")
 
     def __post_init__(self) -> None:
-        for name, ndim in zip(self.COLUMNS, (2, 2, 3, 2, 2)):
+        for name, ndim in zip(self.COLUMNS, (2, 2, 3, 2)):
             object.__setattr__(self, name, _as_float_array(getattr(self, name), name, ndim))
         n, k = self.past_target.shape
         for name, got, want in (
             ("static rows", self.static.shape[:1], (n,)),
             ("past_cov (N, k)", self.past_cov.shape[:2], (n, k)),
             ("future_target rows", self.future_target.shape[:1], (n,)),
-            ("denorm", self.denorm.shape, (n, 2)),
             ("episode_ids", np.shape(self.episode_ids), (n,)),
             ("origin_t", np.shape(self.origin_t), (n,)),
         ):
@@ -349,8 +347,12 @@ class WindowBatch:
                     f"window batch columns disagree: {name} is {got}, "
                     f"past_target {(n, k)} needs {want}"
                 )
-        if not np.all(self.denorm[:, 1] > 0):
-            raise ValidationError("denorm std must be > 0 in every window")
+        dims = tuple(self.scenario_dims)
+        if self.static.shape[1] != len(dims):
+            raise ValidationError(
+                f"static has {self.static.shape[1]} columns, scenario dims {dims} name {len(dims)}"
+            )
+        object.__setattr__(self, "scenario_dims", dims)
         origin_t = np.asarray(self.origin_t)
         if origin_t.dtype.kind not in "iu":
             raise ValidationError(f"origin_t must be ints, got dtype {origin_t.dtype}")
@@ -368,12 +370,12 @@ class WindowBatch:
         if isinstance(index, Integral) and not isinstance(index, bool):
             return WindowSample(self, range(len(self))[index])
         return WindowBatch(  # a slice, an int array or a boolean mask selects rows
-            *(getattr(self, f.name)[index] for f in fields(self) if f.name != "scenarios"),
-            scenarios=self.scenarios,
+            *(getattr(self, f.name)[index] for f in fields(self) if f.name != "scenario_dims"),
+            scenario_dims=self.scenario_dims,
         )
 
     def columns(self) -> dict[str, np.ndarray]:
-        """The five forward arrays and origin_t, by the names the forward passes read."""
+        """The four forward arrays and origin_t, by the names the forward passes read."""
         return {name: getattr(self, name) for name in (*self.COLUMNS, "origin_t")}
 
 

@@ -282,7 +282,7 @@ def _cut(
     norm: NormStats,
     target: str,
 ) -> dict:
-    """One episode's window origins, target (mean, std) and per-window columns.
+    """One episode's window origins and per-window columns.
 
     The columns are strided views into the episode's normalized series.
     """
@@ -295,15 +295,14 @@ def _cut(
     cov_mean, cov_std = np.array([norm.stats(name) for name in episode.lc_names]).T
     cov_n = (episode.lc_outputs - cov_mean) / cov_std
     origins = np.arange(max(s0 - 1, k - 1), s1 - h)
-    cut = {"origin_t": origins, "denorm": (mean, std)}
     if not origins.size:
-        return {**cut, "past_target": np.empty((0, k)),
+        return {"origin_t": origins, "past_target": np.empty((0, k)),
                 "past_cov": np.empty((0, k, cov_n.shape[1])), "future_target": np.empty((0, h))}
     # window i starts at origins[i] - k + 1: its lookback, then its horizon
     rows = slice(origins[0] - k + 1, origins[-1] - k + 2)
     spans = np.lib.stride_tricks.sliding_window_view(metric_n, k + h)[rows]
     cov = np.lib.stride_tricks.sliding_window_view(cov_n, k, axis=0)[rows]
-    return {**cut, "past_target": spans[:, :k], "past_cov": cov.transpose(0, 2, 1),
+    return {"origin_t": origins, "past_target": spans[:, :k], "past_cov": cov.transpose(0, 2, 1),
             "future_target": spans[:, k:]}
 
 
@@ -314,9 +313,8 @@ def _batch(episodes: Sequence[Episode], cuts: list[dict]) -> WindowBatch:
         static=np.repeat([ep.scenario.unit_values() for ep in episodes], counts, axis=0),
         **{name: np.concatenate([c[name] for c in cuts])
            for name in ("past_target", "past_cov", "future_target", "origin_t")},
-        denorm=np.repeat([c["denorm"] for c in cuts], counts, axis=0),
         episode_ids=np.repeat([ep.id for ep in episodes], counts),
-        scenarios={ep.id: ep.scenario for ep in episodes},
+        scenario_dims=episodes[0].scenario.names,
     )
 
 

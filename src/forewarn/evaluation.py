@@ -43,7 +43,6 @@ from .forecasters import (
     GRIDS,
     ForecasterSpec,
     TrainedForecaster,
-    future_target_original,
     init_params,
     predict_quantiles_batch,
 )
@@ -235,10 +234,14 @@ def evaluate_model(
     mc_seed: int | None = None,
     n_paths: int = DEFAULT_N_PATHS,
 ) -> ModelEval:
-    """Forecast every test window once; exact counts, q-Risk and coverage per quantile."""
+    """Forecast every test window once; exact counts, q-Risk and coverage per quantile.
+
+    Forecasts and truths are taken back to the original scale by the model's norm.
+    """
     test = as_batch(test_windows)
     preds = predict_quantiles_batch(model, test, mc_seed=mc_seed, n_paths=n_paths)
-    y_true = future_target_original(test.columns())
+    mean, std = model.norm.stats(model.target)
+    y_true = test.future_target * std + mean
     truths = violation_sign(y_true, axis=1)
     # lead-major copies, (h, |Q|, N) and (h, 1, N), put the windows on the inner
     # axis, where numpy's loops run fast: the max over leads and the coverage

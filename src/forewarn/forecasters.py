@@ -94,7 +94,6 @@ from .autodiff import Tensor, concat, dense, gru_cell, relu, sigmoid, softmax, s
 from .core import (
     Episode,
     QuantileGrid,
-    Scenario,
     ValidationError,
     WindowBatch,
     WindowConfig,
@@ -114,7 +113,6 @@ __all__ = [
     "TrainedForecaster",
     "init_params",
     "stack_windows",
-    "future_target_original",
     "forward_quantiles",
     "forward_gaussian",
     "sample_paths",
@@ -304,13 +302,13 @@ class TrainedForecaster:
                 f"episode {episode.id}: channels {episode.lc_names} do not match model "
                 f"{self.lc_names}"
             )
-        self.check_scenario(episode.scenario, f"episode {episode.id}: ")
+        self.check_scenario(episode.scenario.names, f"episode {episode.id}: ")
 
-    def check_scenario(self, scenario: Scenario, where: str = "") -> None:
-        """ValidationError unless the scenario names the model's dims in its order."""
-        if scenario.names != self.scenario_dims:
+    def check_scenario(self, dims: tuple[str, ...], where: str = "") -> None:
+        """ValidationError unless `dims` names the model's scenario dims in its order."""
+        if dims != self.scenario_dims:
             raise ValidationError(
-                f"{where}scenario dims {scenario.names} do not match model {self.scenario_dims}"
+                f"{where}scenario dims {dims} do not match model {self.scenario_dims}"
             )
 
 
@@ -320,11 +318,6 @@ class TrainedForecaster:
 def stack_windows(windows: WindowBatch | Sequence[WindowSample]) -> dict[str, np.ndarray]:
     """The columns of as_batch(windows): the forward arrays, and origin_t for ar_rnn's draws."""
     return as_batch(windows).columns()
-
-
-def future_target_original(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """(N, h) future targets of stacked windows on the original scale."""
-    return arrays["future_target"] * arrays["denorm"][:, 1:] + arrays["denorm"][:, :1]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -715,7 +708,6 @@ def _check_fits(model: TrainedForecaster, arrays: dict[str, np.ndarray]) -> None
         ("lookback", arrays["past_target"].shape[1], model.wc.k),
         ("horizon", arrays["future_target"].shape[1], model.wc.h),
         ("covariate channels", arrays["past_cov"].shape[2], len(model.lc_names)),
-        ("scenario dims", arrays["static"].shape[1], model.n_static),
     ):
         if n != n_model:
             raise ValidationError(f"windows have {what} {n}, model expects {n_model}")
@@ -750,11 +742,10 @@ def predict_quantiles_batch(
 ) -> np.ndarray:
     """predict_quantiles on windows checked against the model: (N, h, |Q|).
 
-    Each scenario must name the model's dims in its order, as in the monitor.
+    The batch must name the model's scenario dims in its order, as in the monitor.
     """
     batch = as_batch(windows)
-    for episode_id, scenario in batch.scenarios.items():
-        model.check_scenario(scenario, f"episode {episode_id}: ")
+    model.check_scenario(batch.scenario_dims)
     arrays = stack_windows(batch)
     _check_fits(model, arrays)
     return predict_quantiles(model, arrays, mc_seed=mc_seed, n_paths=n_paths)
@@ -769,11 +760,13 @@ def predict_quantiles(
     """Original-scale forecasts of stack_windows-shaped arrays already fit to the model.
 
     The one predictor, behind predict_quantiles_batch and SafetyMonitor.push. It
-    reads static, past_target, past_cov and denorm, and origin_t for the
-    sampling families; future_target it never reads. Its caller vouches for
-    what _check_fits and WindowBatch check: shapes that match the model, finite
-    normalized inputs, finite denorm with std > 0, origin_t ints >= 0. It
-    checks its own output, once: a non-finite forecast raises ValidationError.
+    reads static, past_target and past_cov, and origin_t for the sampling
+    families; future_target it never reads. The scale back to the original one
+    is the model's: norm.stats(target), which NormStats has checked to be
+    finite with std > 0. Its caller vouches for what _check_fits and
+    WindowBatch check: shapes that match the model, finite normalized inputs
+    cut with the model's norm, origin_t ints >= 0. It checks its own output,
+    once: a non-finite forecast raises ValidationError.
     A window's forecast is the same in any batch or chunk up to BLAS rounding,
     about 1e-15 (see the module docstring).
     """
@@ -790,8 +783,7 @@ def predict_quantiles(
         normalized = forward_quantiles(
             model.spec, model.params, batch, h, len(qs), on_cores=True
         )
-    mean = batch["denorm"][:, 0][:, None, None]
-    std = batch["denorm"][:, 1][:, None, None]
+    mean, std = model.norm.stats(model.target)
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         original = normalized * std + mean
     original.sort(axis=2)  # in place: np.sort would copy first

@@ -10,13 +10,15 @@ positive.
 Everything a push reuses is built at construction: a doubled ring buffer of
 shape (2k, 1 + D_o) holding normalized [metric, learned-component outputs]
 rows, the normalization means and stds as two rows, and the forecaster's batch
-dict (scenario, denorm, origin; each push adds the lookback). A push normalizes its observation
-once and checks that row for finiteness once; only then does it count the row
-and write it twice, so a refused observation changes nothing and the lookback
-is one contiguous slice of the ring, forecast by forecasters.predict_quantiles
-as a one-window batch. A push allocates only the normalized (1 + D_o) row, the
-forecaster's fixed-size arrays for one window (for ar_rnn, its n_paths sample
-paths) and the QuantileForecast, never anything proportional to stream length.
+dict (scenario, origin; each push adds the lookback); forecasts come back on
+the model's target scale, the one the ring is normalized with. A push
+normalizes its observation once and checks that row for finiteness once; only
+then does it count the row and write it twice, so a refused observation changes
+nothing and the lookback is one contiguous slice of the ring, forecast by
+forecasters.predict_quantiles as a one-window batch. A push allocates only the
+normalized (1 + D_o) row, the forecaster's fixed-size arrays for one window
+(for ar_rnn, its n_paths sample paths) and the QuantileForecast, never anything
+proportional to stream length.
 Every push hands the forecaster the configured seed and its origin t; ar_rnn
 draws from both, as it does for any batch of windows, so a push's forecast is
 the one batch prediction gives that window, up to BLAS rounding (about 1e-15: a
@@ -84,7 +86,7 @@ class SafetyMonitor:
 
     def __init__(self, cfg: MonitorConfig, scenario: Scenario) -> None:
         model = cfg.model
-        model.check_scenario(scenario)
+        model.check_scenario(scenario.names)
         # TrainedForecaster has checked that the stats cover every channel,
         # NormStats that they are finite with std > 0
         stats = np.array([model.norm.stats(c) for c in (model.target, *model.lc_names)])
@@ -97,7 +99,6 @@ class SafetyMonitor:
         self._ring = np.zeros((2 * k, len(stats)))
         self._batch = {
             "static": scenario.unit_values()[None, :],
-            "denorm": stats[:1],
             "origin_t": np.zeros(1, dtype=np.int64),
         }
         self._count = 0

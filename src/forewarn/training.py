@@ -158,14 +158,6 @@ def _infer_window_config(arrays: dict[str, np.ndarray]) -> WindowConfig:
     return WindowConfig(h=h, cm=k // h)
 
 
-def _scenario_dims(windows: WindowBatch) -> tuple[str, ...]:
-    """The scenario dim names the windows share; ValidationError if they differ."""
-    names = {s.names for s in windows.scenarios.values()}
-    if len(names) != 1:
-        raise ValidationError(f"windows differ in scenario dims: names {sorted(names)}")
-    return names.pop()
-
-
 def _check_divergence(loss: float, epoch: int, what: str) -> None:
     if not math.isfinite(loss) or abs(loss) > DIVERGENCE_THRESHOLD:
         raise TrainingDivergedError(f"{what} loss diverged at epoch {epoch}: {loss!r}")
@@ -206,9 +198,9 @@ def fit(
 
     persistence is a no-op baseline. `norm` is the normalization the windows
     were cut with, and `target` and `lc_names` name their channels; the model
-    stores all three, and the scenario dim names the windows share, so its
-    checkpoint is self-describing and the monitor normalizes its inputs
-    exactly as the windows were.
+    stores all three, and the train windows' scenario dim names, which the val
+    windows must share, so its checkpoint is self-describing and the monitor
+    normalizes its inputs exactly as the windows were.
 
     training_log holds one entry per epoch run for the train and val loss and
     for the steps' raw gradient norms (before clipping): their median, their
@@ -216,11 +208,10 @@ def fit(
     """
     if not train_windows or not val_windows:
         raise ValidationError("fit needs non-empty train and val window sets")
-    train_windows = as_batch(train_windows)
+    train_windows, val_windows = as_batch(train_windows), as_batch(val_windows)
     train_arrays = stack_windows(train_windows)
     wc = _infer_window_config(train_arrays)
     n_cov = train_arrays["past_cov"].shape[2]
-    scenario_dims = _scenario_dims(train_windows)
     if len(lc_names) != n_cov:
         raise ValidationError(
             f"lc_names names {len(lc_names)} covariate channels, the windows have {n_cov}"
@@ -229,9 +220,11 @@ def fit(
     # built first, so a norm missing a channel fails before any training
     model = TrainedForecaster(
         spec=spec, wc=wc, grid=grid, target=target, lc_names=lc_names,
-        scenario_dims=scenario_dims, norm=norm, params={},
+        scenario_dims=train_windows.scenario_dims, norm=norm, params={},
         training_log={"note": "persistence baseline needs no training", "seed": cfg.seed},
     )
+    # the val windows' static columns are read by position, as the train windows' are
+    model.check_scenario(val_windows.scenario_dims, "val windows: ")
     if spec.family == "persistence":
         return model
 

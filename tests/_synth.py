@@ -7,9 +7,13 @@ from forewarn.data import NormStats
 from forewarn.forecasters import ForecasterSpec, TrainedForecaster, init_params
 
 
-def identity_norm(n_cov=2, target="m"):
-    """Pass-through (0, 1) stats for the target and the covariates c0, c1, ..."""
-    return NormStats({target: (0.0, 1.0), **{f"c{i}": (0.0, 1.0) for i in range(n_cov)}})
+def identity_norm(n_cov=2, target="m", scale=(0.0, 1.0)):
+    """Pass-through (0, 1) stats for the covariates c0, c1, ...; the target's are `scale`.
+
+    `scale` is the target's (mean, std): the model takes its forecasts back to
+    the original scale by it.
+    """
+    return NormStats({target: scale, **{f"c{i}": (0.0, 1.0) for i in range(n_cov)}})
 
 
 # fit's channel keywords for windows of the default two covariates
@@ -20,11 +24,11 @@ def unit_dims(n):
     return tuple(ScenarioDim(f"s{i}", 0.0, 1.0) for i in range(n))
 
 
-def window_batch(static, past, cov, future, denorm=(0.0, 1.0), origin_t=0):
+def window_batch(static, past, cov, future, origin_t=0):
     """A WindowBatch of the given rows, window i cut from its own episode ep{i:04d}.
 
-    Each episode's Scenario has the window's static row as its values on unit
-    dims, so the batch's static column is its scenarios' unit values.
+    The static columns are the values of the unit dims s0, s1, ..., which are
+    their own unit values.
     """
     static = np.asarray(static, dtype=np.float64)
     n, n_static = static.shape
@@ -34,14 +38,13 @@ def window_batch(static, past, cov, future, denorm=(0.0, 1.0), origin_t=0):
         past_target=past,
         past_cov=cov,
         future_target=future,
-        denorm=np.tile(denorm, (n, 1)),
         episode_ids=ids,
         origin_t=np.full(n, origin_t),
-        scenarios={i: Scenario(tuple(row), unit_dims(n_static)) for i, row in zip(ids, static)},
+        scenario_dims=tuple(d.name for d in unit_dims(n_static)),
     )
 
 
-def make_noise_windows(rng, wc, n=1, n_cov=2, n_static=3, denorm=(0.0, 1.0), origin_t=None):
+def make_noise_windows(rng, wc, n=1, n_cov=2, n_static=3, origin_t=None):
     """n windows filled with unstructured standard-normal noise, as one WindowBatch.
 
     Each window draws its scenario, lookback, covariates and future in turn.
@@ -54,12 +57,10 @@ def make_noise_windows(rng, wc, n=1, n_cov=2, n_static=3, denorm=(0.0, 1.0), ori
         for _ in range(n)
     ]
     static, past, cov, future = map(np.array, zip(*draws))
-    return window_batch(
-        static, past, cov, future, denorm, wc.k - 1 if origin_t is None else origin_t
-    )
+    return window_batch(static, past, cov, future, wc.k - 1 if origin_t is None else origin_t)
 
 
-def make_learnable_windows(rng, n, wc, n_cov=2, n_static=3, noise=0.05, denorm=(0.0, 1.0)):
+def make_learnable_windows(rng, n, wc, n_cov=2, n_static=3, noise=0.05):
     """n windows whose future is a fixed function of the recent past and scenario.
 
     future ~= 0.6*past[-1] - 0.2*past[-2] + 0.5*static[0] + noise, so a small
@@ -73,7 +74,7 @@ def make_learnable_windows(rng, n, wc, n_cov=2, n_static=3, noise=0.05, denorm=(
         base = 0.6 * past[-1][-1] - 0.2 * prev + 0.5 * static[-1][0]
         cov.append(rng.standard_normal((wc.k, n_cov)))
         future.append(base + noise * rng.standard_normal(wc.h))
-    return window_batch(static, past, cov, future, denorm, wc.k - 1)
+    return window_batch(static, past, cov, future, wc.k - 1)
 
 
 def make_model(

@@ -267,7 +267,6 @@ def test_scenario_f3_table_pools_per_episode():
         past_target=past,
         future_target=np.array([[0.5, -1.0], [-0.5, -1.0], [2.0, 2.0], [3.0, 3.0]]),
         episode_ids=np.array(["ep_good", "ep_good", "ep_bad", "ep_bad"]),
-        scenarios={"ep_good": s.scenarios["ep0000"], "ep_bad": s.scenarios["ep0002"]},
     )
     ev = evaluate_model(model, windows)
 

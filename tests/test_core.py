@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,55 +271,54 @@ def test_quantile_forecast_column():
 
 
 def test_window_sample_is_a_row_handle_its_batch_checks():
-    scen = Scenario((0.5, 0.5, 0.0, 0.0), DIMS)
+    names = tuple(d.name for d in DIMS)
 
-    def one(cov, denorm):  # a one-window batch, cut from episode ep0
+    def one(cov, static_width=4):  # a one-window batch, cut from episode ep0
         return WindowBatch(
-            static=np.zeros((1, 4)), past_target=np.zeros((1, 9)), past_cov=cov[None],
-            future_target=np.zeros((1, 3)), denorm=np.array([denorm]),
-            episode_ids=np.array(["ep0"]), origin_t=np.array([10]), scenarios={"ep0": scen},
+            static=np.zeros((1, static_width)), past_target=np.zeros((1, 9)), past_cov=cov[None],
+            future_target=np.zeros((1, 3)), episode_ids=np.array(["ep0"]),
+            origin_t=np.array([10]), scenario_dims=names,
         )
 
-    batch = one(np.zeros((9, 2)), (1.5, 2.0))
+    batch = one(np.zeros((9, 2)))
     s = batch[0]
     assert (s.batch, s.index, s.episode_id) == (batch, 0, "ep0")
-    assert tuple(batch.denorm[s.index]) == (1.5, 2.0)
     assert batch[-1].index == 0
     with pytest.raises(ValidationError, match="window index must be an int >= 0 and < 1"):
         WindowSample(batch, 1)
     with pytest.raises(IndexError):
         batch[1]
     with pytest.raises(ValidationError, match="disagree"):
-        one(np.zeros((8, 2)), (0.0, 1.0))
-    with pytest.raises(ValidationError, match="std"):
-        one(np.zeros((9, 2)), (0.0, 0.0))
+        one(np.zeros((8, 2)))
+    message = re.escape(f"static has 3 columns, scenario dims {names} name 4")
+    with pytest.raises(ValidationError, match=message):
+        one(np.zeros((9, 2)), static_width=3)
 
 
 def test_window_batch_is_checked_once_as_a_whole():
-    scen = Scenario((0.5, 0.5, 0.0, 0.0), DIMS)
+    names = tuple(d.name for d in DIMS)
 
-    def batch(n=3, ids=3, std=1.0, cov=None, origin_t=None):
+    def batch(n=3, ids=3, dims=names, cov=None, origin_t=None):
         return WindowBatch(
             static=np.zeros((n, 4)),
             past_target=np.zeros((n, 9)),
             past_cov=np.zeros((n, 9, 2)) if cov is None else cov,
             future_target=np.zeros((n, 3)),
-            denorm=np.tile([0.0, std], (n, 1)),
             episode_ids=np.full(ids, "ep0"),
             origin_t=np.arange(n) if origin_t is None else origin_t,
-            scenarios={"ep0": scen},
+            scenario_dims=dims,
         )
 
-    ok = batch()
+    ok = batch(dims=list(names))
     assert len(ok) == 3 and ok.origin_t[ok[1].index] == 1
-    assert ok.scenarios[ok[1].episode_id] == scen
+    assert ok.scenario_dims == names and ok[::2].scenario_dims == names
     assert isinstance(ok[::2], WindowBatch) and len(ok[::2]) == 2
     with pytest.raises(ValidationError, match="disagree"):
         batch(ids=2)
     with pytest.raises(ValidationError, match="disagree"):
         batch(cov=np.zeros((3, 8, 2)))
-    with pytest.raises(ValidationError, match="std"):
-        batch(std=0.0)
+    with pytest.raises(ValidationError, match="static has 4 columns, scenario dims .* name 5"):
+        batch(dims=(*names, "extra"))
     cov = np.zeros((3, 9, 2))
     cov[2, 4, 1] = np.nan
     with pytest.raises(ValidationError, match="past_cov contains non-finite"):

@@ -272,7 +272,7 @@ def test_window_contents_match_enumeration_oracle():
         past, future = batch.past_target[i], batch.future_target[i]
         assert np.allclose(past, (metric[t - wc.k + 1 : t + 1] - mean) / std, atol=1e-15)
         assert np.allclose(future, (metric[t + 1 : t + 1 + wc.h] - mean) / std, atol=1e-15)
-        back = future * batch.denorm[i, 1] + batch.denorm[i, 0]
+        back = future * std + mean
         assert np.max(np.abs(back - metric[t + 1 : t + 1 + wc.h])) < 1e-12
         for j, name in enumerate(ep.lc_names):
             m, sd = norm.channels[name]
@@ -298,7 +298,6 @@ def _enumerated_windows(ep, segment, wc, norm, target):
             "past_target": metric_n[t - k + 1 : t + 1],
             "past_cov": cov_n[t - k + 1 : t + 1],
             "future_target": metric_n[t + 1 : t + 1 + h],
-            "denorm": (mean, std),
             "episode_ids": ep.id,
             "origin_t": t,
         }
@@ -308,7 +307,7 @@ def _enumerated_windows(ep, segment, wc, norm, target):
 
 def _assert_batch_equals_samples(batch, samples, k, h, n_cov, n_static):
     shapes = {"static": (n_static,), "past_target": (k,), "past_cov": (k, n_cov),
-              "future_target": (h,), "denorm": (2,), "episode_ids": (), "origin_t": ()}
+              "future_target": (h,), "episode_ids": (), "origin_t": ()}
     want = {
         name: np.array([s[name] for s in samples]).reshape(-1, *shape)
         for name, shape in shapes.items()
@@ -341,7 +340,7 @@ def test_columnar_windows_equal_per_window_enumeration(cuts, seed):
     _assert_batch_equals_samples(batch[1::2], want[1::2], wc.k, h, n_cov=2, n_static=len(DIMS))
     for i, (got, ref) in enumerate(zip(batch, want)):  # int indexing gives a row handle
         assert (got.batch, got.index, got.episode_id) == (batch, i, ref["episode_ids"])
-        assert batch.scenarios[got.episode_id] == ep.scenario
+    assert batch.scenario_dims == batch[1::2].scenario_dims == ep.scenario.names
 
 
 def test_windows_for_phase_concatenates_episode_batches_in_order():

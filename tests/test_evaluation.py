@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _synth import FIT_KW, make_episode, make_learnable_windows, make_model, make_noise_windows
+from _synth import (
+    FIT_KW, identity_norm, make_episode, make_learnable_windows, make_model, make_noise_windows,
+)
 from forewarn import evaluation
 from forewarn.core import QuantileGrid, Scenario, ValidationError, WindowConfig
 from forewarn.data import build_split, fit_norm, windows_for_phase
@@ -327,9 +329,7 @@ def test_windows_whose_scenario_dims_differ_from_the_models_are_refused(dims):
     ]
     batch = windows_for_phase(eps, split, WC, norm, "test", target="m")
     names = tuple(d.name for d in other)
-    message = re.escape(
-        f"episode ep0: scenario dims {names} do not match model {model.scenario_dims}"
-    )
+    message = re.escape(f"scenario dims {names} do not match model {model.scenario_dims}")
     for call in (predict_quantiles_batch, evaluate_model):
         with pytest.raises(ValidationError, match=message):
             call(model, batch)
@@ -353,9 +353,11 @@ def test_a_non_finite_batch_forecast_is_refused_not_scored():
     # a 1e308 head bias overflows once denormalized by std 2; an inf forecast
     # would otherwise count as a predicted violation, a NaN one as none
     rng = np.random.default_rng(9)
-    model = make_model("seq2seq", wc=WC, decoder_layers=1, neurons=20)
+    model = make_model(
+        "seq2seq", wc=WC, norm=identity_norm(scale=(0.0, 2.0)), decoder_layers=1, neurons=20
+    )
     model.params["head.b"][:] = 1e308
-    windows = make_noise_windows(rng, WC, 4, denorm=(0.0, 2.0))
+    windows = make_noise_windows(rng, WC, 4)
     with pytest.raises(ValidationError, match="non-finite"):
         predict_quantiles_batch(model, windows)
     with pytest.raises(ValidationError, match="non-finite"):

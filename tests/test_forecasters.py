@@ -47,7 +47,9 @@ TINY_HYPERS = {
 }
 
 
-def tiny_model(family, wc=WC, n_cov=2, n_static=3, qs=QS, seed=0, zero=False, **hyper):
+def tiny_model(
+    family, wc=WC, n_cov=2, n_static=3, qs=QS, seed=0, zero=False, scale=(0.0, 1.0), **hyper
+):
     spec = ForecasterSpec(family, {**TINY_HYPERS[family], **hyper})
     params = init_params(spec, wc, len(qs), n_cov, n_static, seed)
     if zero:
@@ -59,7 +61,7 @@ def tiny_model(family, wc=WC, n_cov=2, n_static=3, qs=QS, seed=0, zero=False, **
         target="m",
         lc_names=tuple(f"c{i}" for i in range(n_cov)),
         scenario_dims=tuple(d.name for d in unit_dims(n_static)),
-        norm=identity_norm(n_cov),
+        norm=identity_norm(n_cov, scale=scale),
         params=params,
         training_log={"seed": seed},
     )
@@ -142,9 +144,9 @@ def test_attn_state_must_divide_by_heads():
 
 def test_zero_params_forecast_the_denorm_mean():
     rng = np.random.default_rng(0)
-    samples = batch_of(rng, 4, denorm=(3.0, 2.0))
+    samples = batch_of(rng, 4)
     for family in ("seq2seq", "convseq2seq", "attn_seq2seq"):
-        model = tiny_model(family, zero=True)
+        model = tiny_model(family, zero=True, scale=(3.0, 2.0))
         preds = predict_quantiles_batch(model, samples)
         assert preds.shape == (4, WC.h, len(QS))
         assert np.all(preds == 3.0), family
@@ -221,8 +223,8 @@ def test_sample_paths_first_lead_is_the_gaussian_head_draw(cell):
 
 def test_persistence_repeats_last_value_on_original_scale():
     rng = np.random.default_rng(3)
-    sample = make_noise_windows(rng, WC, denorm=(1.5, 0.5))
-    model = tiny_model("persistence", n_cov=2, n_static=3)
+    sample = make_noise_windows(rng, WC)
+    model = tiny_model("persistence", n_cov=2, n_static=3, scale=(1.5, 0.5))
     fc = predict_quantiles_batch(model, sample)[0]
     want = sample.past_target[0, -1] * 0.5 + 1.5
     assert fc.shape == (WC.h, len(QS))
@@ -449,8 +451,8 @@ def test_each_attn_seq2seq_prediction_is_one_forward_quantiles_call(monkeypatch)
 def test_a_forecast_that_overflows_denormalized_is_only_a_named_error(family):
     # the normalized forecast is about 1e308 and the std 2: only the named
     # error may come out, no numpy RuntimeWarning before it
-    model = tiny_model(family)
-    sample = make_noise_windows(np.random.default_rng(18), WC, denorm=(0.0, 2.0))
+    model = tiny_model(family, scale=(0.0, 2.0))
+    sample = make_noise_windows(np.random.default_rng(18), WC)
     if family == "seq2seq":
         model.params["head.b"][:] = 1e308
     else:
@@ -476,9 +478,9 @@ def test_dropout_needs_rng_in_train_mode():
 
 def test_batch_prediction_matches_single_calls():
     rng = np.random.default_rng(8)
-    samples = batch_of(rng, 3, denorm=(0.7, 1.3))
+    samples = batch_of(rng, 3)
     for family in ("persistence", "seq2seq", "convseq2seq", "attn_seq2seq"):
-        model = tiny_model(family)
+        model = tiny_model(family, scale=(0.7, 1.3))
         batched = predict_quantiles_batch(model, samples)
         for i, s in enumerate(samples):
             single = predict_quantiles_batch(model, [s])[0]

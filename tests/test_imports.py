@@ -142,7 +142,7 @@ def test_no_module_reads_a_private_attribute_it_does_not_define(path):
 UNREACHED = {
     "make_windows": "one episode's windows, the unit the windowing oracle test compares",
     "replay": "the monitor's decisions collected, the base of batched replay (ROADMAP item 1)",
-    "compare_samples": "the paper's family comparison, to be wired into sweep (ROADMAP item 5)",
+    "compare_samples": "the paper's family comparison, to be wired into sweep (ROADMAP item 6)",
 }
 
 

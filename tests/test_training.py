@@ -1,6 +1,8 @@
 """Losses, optimizer steps, the fit loop, and grid tuning."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -397,7 +399,7 @@ def test_selection_equals_the_rows_it_names_and_fits_as_its_handles(sel):
     rows = np.arange(N_SELECT)[sel]
     assume(rows.size)
     got = train[sel]
-    assert isinstance(got, WindowBatch) and got.scenarios is train.scenarios
+    assert isinstance(got, WindowBatch) and got.scenario_dims == train.scenario_dims
     for name in (*WindowBatch.COLUMNS, "episode_ids", "origin_t"):
         column = getattr(got, name)
         assert len(column) == rows.size
@@ -467,6 +469,19 @@ def test_fit_rejects_empty_or_malformed_windows():
     )  # k=3 is not a multiple of h=2
     with pytest.raises(ValidationError, match="do not fit"):
         fit(ForecasterSpec("persistence"), bad, val, TrainConfig(), **FIT_KW)
+
+
+@pytest.mark.parametrize("family", ["persistence", "seq2seq"])
+@pytest.mark.parametrize("dims", [("s2", "s1", "s0"), ("s0", "s1", "x2")])
+def test_fit_refuses_val_windows_whose_scenario_dims_differ_from_the_train_windows(family, dims):
+    # the val windows' static columns are read by position, so a val set that
+    # orders or names its dims otherwise would be scored against the wrong inputs
+    train, val = make_split_windows(seed=7, n_train=4, n_val=2)
+    val = dataclasses.replace(val, scenario_dims=dims)
+    spec = ForecasterSpec(family, TINY_HYPERS.get(family, {}))
+    message = f"val windows: scenario dims {dims} do not match model ('s0', 's1', 's2')"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fit(spec, train, val, TrainConfig(epochs=1), grid=QS, **FIT_KW)
 
 
 @pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
