@@ -535,11 +535,13 @@ class BenchReport:
 def bench(cfg: MonitorConfig, episode: Episode, warmup: int = 50, iters: int = 500) -> BenchReport:
     """Wall-clock latency and peak allocation of the monitor's decided pushes.
 
-    The episode streams through SafetyMonitor.push, as in `forewarn monitor`, through a
-    fresh monitor each time it runs out. Building a monitor and its k warm-up pushes
-    are never timed; the first `warmup` decided pushes are timed but dropped. The peak
-    is traced over one more decided push, as the tracemalloc hook slows allocation.
+    The episode, checked as `decisions` checks it, streams through SafetyMonitor.push,
+    as in `forewarn monitor`, through a fresh monitor each time it runs out. Building a
+    monitor and its k warm-up pushes are never timed; the first `warmup` decided pushes
+    are timed but dropped. The peak is traced over one more decided push, as the
+    tracemalloc hook slows allocation.
     """
+    cfg.model.check_channels(episode)
     warmup = check_setting("warmup", warmup)
     iters = check_setting("iters", iters, low=1)
     model, k = cfg.model, cfg.model.wc.k

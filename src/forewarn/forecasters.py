@@ -311,6 +311,18 @@ class TrainedForecaster:
                 f"{where}scenario dims {dims} do not match model {self.scenario_dims}"
             )
 
+    def check_windows(self, batch: WindowBatch, where: str = "") -> None:
+        """ValidationError unless the batch is cut the way the model reads windows:
+        with the model's scenario dims, lookback, horizon and covariate width."""
+        self.check_scenario(batch.scenario_dims, where)
+        for what, n, n_model in (
+            ("lookback", batch.past_target.shape[1], self.wc.k),
+            ("horizon", batch.future_target.shape[1], self.wc.h),
+            ("covariate channels", batch.past_cov.shape[2], len(self.lc_names)),
+        ):
+            if n != n_model:
+                raise ValidationError(f"{where}windows have {what} {n}, model expects {n_model}")
+
 
 # ----------------------------------------------------------------- helpers
 
@@ -703,16 +715,6 @@ def _decode_chunk(spec, params, chunk: dict[str, np.ndarray], out: np.ndarray) -
 # ----------------------------------------------------------------- prediction
 
 
-def _check_fits(model: TrainedForecaster, arrays: dict[str, np.ndarray]) -> None:
-    for what, n, n_model in (
-        ("lookback", arrays["past_target"].shape[1], model.wc.k),
-        ("horizon", arrays["future_target"].shape[1], model.wc.h),
-        ("covariate channels", arrays["past_cov"].shape[2], len(model.lc_names)),
-    ):
-        if n != n_model:
-            raise ValidationError(f"windows have {what} {n}, model expects {n_model}")
-
-
 def _path_quantiles(paths: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Linearly interpolated quantiles over axis 1: (B, n_paths, h) -> (B, h, |Q|).
 
@@ -742,13 +744,12 @@ def predict_quantiles_batch(
 ) -> np.ndarray:
     """predict_quantiles on windows checked against the model: (N, h, |Q|).
 
-    The batch must name the model's scenario dims in its order, as in the monitor.
+    model.check_windows checks the batch first: its scenario dims (names and
+    order, as in the monitor), lookback, horizon and covariate width.
     """
     batch = as_batch(windows)
-    model.check_scenario(batch.scenario_dims)
-    arrays = stack_windows(batch)
-    _check_fits(model, arrays)
-    return predict_quantiles(model, arrays, mc_seed=mc_seed, n_paths=n_paths)
+    model.check_windows(batch)
+    return predict_quantiles(model, stack_windows(batch), mc_seed=mc_seed, n_paths=n_paths)
 
 
 def predict_quantiles(
@@ -763,7 +764,7 @@ def predict_quantiles(
     reads static, past_target and past_cov, and origin_t for the sampling
     families; future_target it never reads. The scale back to the original one
     is the model's: norm.stats(target), which NormStats has checked to be
-    finite with std > 0. Its caller vouches for what _check_fits and
+    finite with std > 0. Its caller vouches for what check_windows and
     WindowBatch check: shapes that match the model, finite normalized inputs
     cut with the model's norm, origin_t ints >= 0. It checks its own output,
     once: a non-finite forecast raises ValidationError.

@@ -198,39 +198,35 @@ def fit(
 
     persistence is a no-op baseline. `norm` is the normalization the windows
     were cut with, and `target` and `lc_names` name their channels; the model
-    stores all three, and the train windows' scenario dim names, which the val
-    windows must share, so its checkpoint is self-describing and the monitor
-    normalizes its inputs exactly as the windows were.
+    stores all three, and the train windows' (h, cm) and scenario dims, so its
+    checkpoint is self-describing and the monitor normalizes its inputs exactly
+    as the windows were. Before any training, model.check_windows refuses train
+    windows without len(lc_names) covariate channels, and val windows cut
+    unlike the train windows: in scenario dims, lookback, horizon or width.
 
     training_log holds one entry per epoch run for the train and val loss and
     for the steps' raw gradient norms (before clipping): their median, their
     maximum, and the fraction of steps that were clipped.
     """
-    if not train_windows or not val_windows:
-        raise ValidationError("fit needs non-empty train and val window sets")
     train_windows, val_windows = as_batch(train_windows), as_batch(val_windows)
     train_arrays = stack_windows(train_windows)
     wc = _infer_window_config(train_arrays)
-    n_cov = train_arrays["past_cov"].shape[2]
-    if len(lc_names) != n_cov:
-        raise ValidationError(
-            f"lc_names names {len(lc_names)} covariate channels, the windows have {n_cov}"
-        )
 
-    # built first, so a norm missing a channel fails before any training
+    # built and checked first: a norm missing a channel fails before any training
     model = TrainedForecaster(
         spec=spec, wc=wc, grid=grid, target=target, lc_names=lc_names,
         scenario_dims=train_windows.scenario_dims, norm=norm, params={},
         training_log={"note": "persistence baseline needs no training", "seed": cfg.seed},
     )
-    # the val windows' static columns are read by position, as the train windows' are
-    model.check_scenario(val_windows.scenario_dims, "val windows: ")
+    model.check_windows(train_windows, "train windows: ")
+    model.check_windows(val_windows, "val windows: ")
     if spec.family == "persistence":
         return model
 
     val_arrays = stack_windows(val_windows)
     params = init_params(
-        spec, wc, len(grid), n_cov, model.n_static, seed=np.random.SeedSequence((cfg.seed, 1))
+        spec, wc, len(grid), len(lc_names), model.n_static,
+        seed=np.random.SeedSequence((cfg.seed, 1)),
     )
     # each parameter becomes a view into one buffer, which one Adam step updates
     shapes = {name: v.shape for name, v in params.items()}

@@ -527,6 +527,19 @@ def test_bench_ar_rnn_runs_with_paths():
     assert report.parameter_bytes == report.parameter_count * 8
 
 
+def test_bench_refuses_an_episode_whose_channels_are_not_the_models():
+    # the model reads its channels by position: swapped ones would be timed as valid input
+    from forewarn.monitor import replay
+
+    model = make_model("persistence", wc=WC)
+    swapped = replace(make_episode(np.random.default_rng(14)), lc_names=("c1", "c0"))
+    message = re.escape("episode ep0: channels ('c1', 'c0') do not match model ('c0', 'c1')")
+    for run in (lambda: bench(MonitorConfig(model), swapped, warmup=0, iters=1),
+                lambda: replay(swapped, MonitorConfig(model))):
+        with pytest.raises(ValidationError, match=message):
+            run()
+
+
 def test_bench_needs_an_episode_that_outlasts_the_lookback():
     model = make_model("persistence", wc=WC)
     short = make_episode(np.random.default_rng(13), t_len=WC.k)

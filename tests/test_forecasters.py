@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -564,26 +565,43 @@ def test_convseq2seq_reads_only_its_receptive_field_property(h, cm, fill, seed):
         np.testing.assert_allclose(plain, want, rtol=0.0, atol=1e-12)
 
 
-def test_prediction_rejects_mismatched_samples():
-    rng = np.random.default_rng(11)
-    model = tiny_model("seq2seq")
-    with pytest.raises(ValidationError, match="lookback"):
-        predict_quantiles_batch(model, make_noise_windows(rng, WindowConfig(h=2, cm=3)))[0]
-    with pytest.raises(ValidationError, match="horizon"):
-        predict_quantiles_batch(model, make_noise_windows(rng, WindowConfig(h=4, cm=1)))[0]
-    with pytest.raises(ValidationError, match="covariate"):
-        predict_quantiles_batch(model, make_noise_windows(rng, WC, n_cov=5))[0]
-    with pytest.raises(ValidationError, match="scenario dims"):
-        predict_quantiles_batch(model, make_noise_windows(rng, WC, n_static=2))[0]
+def test_no_windows_cannot_be_stacked():
     with pytest.raises(ValidationError, match="empty"):
         stack_windows([])
 
 
+# windows cut unlike a WC model's, by what differs, and the refusal they earn
+ODD_WINDOWS = {
+    "lookback": ({"wc": WindowConfig(h=2, cm=3)}, "windows have lookback 6, model expects 4"),
+    "horizon": ({"wc": WindowConfig(h=4, cm=1)}, "windows have horizon 4, model expects 2"),
+    "channels": ({"n_cov": 5}, "windows have covariate channels 5, model expects 2"),
+    "scenario-dims": (
+        {"n_static": 2}, "scenario dims ('s0', 's1') do not match model ('s0', 's1', 's2')"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", [*NEURAL_FAMILIES, "predict_quantiles_batch"])
+@pytest.mark.parametrize("what", list(ODD_WINDOWS))
+def test_windows_cut_unlike_the_model_are_refused_by_name(what, call):
+    # fit checks its val windows against the model its train windows build,
+    # before an epoch is scored on them; prediction checks its windows likewise
+    from forewarn.training import TrainConfig, fit
+
+    odd, refusal = ODD_WINDOWS[what]
+    rng = np.random.default_rng(11)
+    windows = make_noise_windows(rng, n=2, **{"wc": WC, **odd})
+    if call == "predict_quantiles_batch":
+        with pytest.raises(ValidationError, match=f"^{re.escape(refusal)}$"):
+            predict_quantiles_batch(tiny_model("seq2seq"), windows)
+    else:
+        spec = ForecasterSpec(call, TINY_HYPERS[call])
+        with pytest.raises(ValidationError, match=f"^val windows: {re.escape(refusal)}$"):
+            fit(spec, batch_of(rng, 4), windows, TrainConfig(epochs=1), grid=QS, **FIT_KW)
+
+
 @pytest.mark.parametrize(
-    "odd",
-    [{"wc": WindowConfig(h=2, cm=3)}, {"wc": WindowConfig(h=4, cm=1)}, {"n_cov": 5},
-     {"n_static": 2}],
-    ids=["lookback", "horizon", "channels", "scenario-dims"],
+    "odd", [odd for odd, _ in ODD_WINDOWS.values()], ids=list(ODD_WINDOWS)
 )
 def test_windows_of_different_shapes_cannot_share_a_batch(odd):
     from forewarn.evaluation import evaluate_model

@@ -460,7 +460,7 @@ def test_fit_persistence_is_a_no_op():
 
 def test_fit_rejects_empty_or_malformed_windows():
     train, val = make_split_windows(seed=7, n_train=4, n_val=2)
-    with pytest.raises(ValidationError, match="non-empty"):
+    with pytest.raises(ValidationError, match="empty window batch"):
         fit(ForecasterSpec("persistence"), [], val, TrainConfig(), **FIT_KW)
     rng = np.random.default_rng(0)
     bad = window_batch(
@@ -490,8 +490,11 @@ def test_fit_rejects_lc_names_of_another_width(family):
     # forecast them, nor load from its own checkpoint
     train, val = make_split_windows(seed=7, n_train=4, n_val=2)
     spec = ForecasterSpec(family, TINY_HYPERS.get(family, {}))
-    with pytest.raises(ValidationError, match="1 covariate channels, the windows have 2"):
-        fit(spec, train, val, TrainConfig(epochs=1), grid=QS, **{**FIT_KW, "lc_names": ("speed",)})
+    one_channel = {**FIT_KW, "norm": NormStats({"m": (0.0, 1.0), "speed": (0.0, 1.0)}),
+                   "lc_names": ("speed",)}
+    message = "train windows: windows have covariate channels 2, model expects 1"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fit(spec, train, val, TrainConfig(epochs=1), grid=QS, **one_channel)
 
 
 @pytest.mark.parametrize("family", ["persistence", "seq2seq"])
