@@ -103,11 +103,11 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_bw")
     __array_ufunc__ = None  # ndarray <op> Tensor calls the Tensor's reflected op
 
-    def __init__(self, data, parents: tuple = (), bw=None):
+    def __init__(self, data, parents: tuple = ()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._bw = bw
+        self._bw = None  # an op sets its backward here after construction
 
     # ------------------------------------------------------------- plumbing
 

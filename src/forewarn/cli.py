@@ -9,8 +9,10 @@ reproduced from its output directory alone, and identical seeds give
 byte-identical summaries.
 
 Exit codes: 0 on success, 1 with a structured message on stderr for runtime
-failures (missing inputs, bad data or checkpoints, divergence), 2 for usage
-errors, among them unknown or mistyped config values.
+failures (missing inputs, paths that cannot be opened or written, bad data or
+checkpoints, divergence), 2 for usage errors, among them unknown or mistyped
+config values, a null where the default is not null, and a config file that is
+not UTF-8.
 """
 
 from __future__ import annotations
@@ -213,10 +215,14 @@ def _scalar(kind: type, value):
     return value
 
 
-def _coerce(key: str, value):
-    """One merged setting as the type of its default; UsageError names the key."""
+def _coerce(key: str, value, nullable: bool):
+    """One merged setting as the type of its default; UsageError names the key.
+
+    None (a config file's null) stays None where nullable, that is where the
+    command's own default is None, and is mistyped anywhere else.
+    """
     typed = _TYPED.get(key, "")
-    if value is None:
+    if value is None and nullable:
         return None
     kind = type(typed).__name__
     try:
@@ -243,7 +249,9 @@ def _read_config(path: Path, cmd: str) -> dict:
         raise FileNotFoundError(str(path))
     try:
         file_cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -262,7 +270,9 @@ def _merged(cmd: str, args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if k in DEFAULTS[cmd]}
     file_cfg = _read_config(Path(args.config), cmd) if args.config is not None else {}
     merged = {**DEFAULTS[cmd], **file_cfg, **flags}
-    return {key: _coerce(key, value) for key, value in merged.items()}
+    return {
+        key: _coerce(key, value, DEFAULTS[cmd][key] is None) for key, value in merged.items()
+    }
 
 
 def _require(cfg: dict, cmd: str, key: str):
@@ -654,6 +664,9 @@ def main(argv=None) -> int:
         # downstream consumer (head, jq) closed the pipe; leave quietly, and
         # point stdout at devnull so the shutdown flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # a path that cannot be opened or written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -143,7 +143,7 @@ def _parse_record(obj: dict, lineno: int) -> Episode:
         )
     except DatasetError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"line {lineno}: malformed episode record: {exc}") from exc
 
 
@@ -152,20 +152,26 @@ def read_episode_lines(lines) -> Iterator[Episode]:
 
     A record is parsed only when the caller asks for it, so a stream's earlier
     episodes are usable before a later malformed line raises DatasetError.
+    Lines may also be bytes, which must be ASCII, as write_episodes writes them.
     """
     for lineno, line in enumerate(lines, 1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"line {lineno}: not ASCII: {exc}") from None
         if not line.strip():
             raise DatasetError(f"line {lineno}: empty record")
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from exc
         yield _parse_record(obj, lineno)
 
 
 def read_episodes(path) -> list[Episode]:
     """Parse a line-delimited episode file; errors carry the 1-based line number."""
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "rb") as f:  # decoded line by line, so a bad byte names its line
         return list(read_episode_lines(f))
 
 

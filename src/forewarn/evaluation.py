@@ -146,11 +146,12 @@ def precision_recall(c: Confusion) -> tuple[float, float, bool]:
     return precision, recall, degenerate
 
 
-def f_beta(precision: float, recall: float, beta: float = 3.0) -> float:
-    """(1+b^2) P R / (b^2 P + R); 0 when both are 0 (recall-weighted for b>1)."""
+def f_beta(precision: float, recall: float) -> float:
+    """F3, the paper's score: (1+b^2) P R / (b^2 P + R) with b = 3, so recall
+    weighs more than precision; 0 when both are 0."""
     if precision == 0.0 and recall == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = 3.0 * 3.0
     return (1.0 + b2) * precision * recall / (b2 * precision + recall)
 
 

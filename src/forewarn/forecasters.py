@@ -337,11 +337,10 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> 
     return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
 
 
-def _dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None) -> Tensor:
-    if not train or p <= 0.0:
+def _dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with masks drawn from rng; without an rng (prediction) it is a no-op."""
+    if rng is None or p <= 0.0:
         return x
-    if rng is None:
-        raise ValidationError("dropout in train mode needs an rng")
     mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
     return x * mask
 
@@ -487,7 +486,6 @@ def forward_quantiles(
     batch: dict[str, np.ndarray],
     h: int,
     n_quantiles: int,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     *,
     on_cores: bool = False,
@@ -496,9 +494,10 @@ def forward_quantiles(
 
     A Tensor on the tape when the params are Tensors, a plain ndarray when
     they are arrays. Valid for the three direct quantile families; ar_rnn has
-    a Gaussian head (see forward_gaussian / sample_paths).
+    a Gaussian head (see forward_gaussian / sample_paths). Dropout runs if and
+    only if a dropout rng is given, as in training; prediction gives none.
 
-    on_cores, for predict_quantiles alone (plain arrays, train False), runs
+    on_cores, for predict_quantiles alone (plain arrays, no rng), runs
     attn_seq2seq's forward in chunks of at most _ATTN_CHUNK_ROWS windows, on up
     to _WORKERS threads; the other families ignore it.
     """
@@ -506,13 +505,13 @@ def forward_quantiles(
     static, past, cov = batch["static"], batch["past_target"], batch["past_cov"]
     bsz, k, n_cov = cov.shape
     if fam == "attn_seq2seq" and on_cores and bsz > _ATTN_CHUNK_ROWS:
-        if train:
+        if rng is not None:
             raise ValidationError("only prediction runs the forward on several cores")
         out = np.empty((bsz, h, n_quantiles))
         per_chunk = math.ceil(bsz / math.ceil(bsz / _ATTN_CHUNK_ROWS))
 
         def run_chunk(sub: dict, dest: np.ndarray) -> None:
-            dest[...] = _attn_forward(spec, p, sub, h, False, None)
+            dest[...] = _attn_forward(spec, p, sub, h, None)
 
         _on_cores(run_chunk, batch, per_chunk, out)
         return out
@@ -533,11 +532,11 @@ def forward_quantiles(
         out = _mlp_decoder(p, x[:, -1, :], spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "attn_seq2seq":
-        return _attn_forward(spec, p, batch, h, train, rng)
+        return _attn_forward(spec, p, batch, h, rng)
     raise ValidationError(f"{fam} has no direct quantile head")
 
 
-def _attn_forward(spec, p, batch, h, train, rng):
+def _attn_forward(spec, p, batch, h, rng):
     d = spec.get("state")
     heads = spec.get("heads")
     drop = spec.get("dropout")
@@ -562,19 +561,19 @@ def _attn_forward(spec, p, batch, h, train, rng):
     q4, k4, v4 = split(queries, h), split(keys, k), split(values, k)
     scores = (q4 @ k4.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     attn = softmax(scores, axis=-1)
-    attn = _dropout(attn, drop, train, rng)
+    attn = _dropout(attn, drop, rng)
     ctx = (attn @ v4).transpose((0, 2, 1, 3)).reshape(bsz, h, d) @ p["attn.Wo"]
     static_tiled = np.zeros((bsz, h, d)) + static_emb.reshape(bsz, 1, d)
     dec_in = concat([ctx, static_tiled], axis=2)
     hid = dense(dec_in, p["dec.W1"], p["dec.b1"], relu=True)
-    hid = _dropout(hid, drop, train, rng)
+    hid = _dropout(hid, drop, rng)
     return dense(hid, p["dec.W2"], p["dec.b2"])  # (B, h, |Q|)
 
 
-def _ar_head(spec, p, state, train: bool, rng):
+def _ar_head(spec, p, state, rng):
     """(mu, sigma) of the Gaussian head, each (B, 1), from the cell's output."""
     out = state[0] if isinstance(state, tuple) else state  # lstm state is (h, c)
-    out = _dropout(out, spec.get("dropout"), train, rng)
+    out = _dropout(out, spec.get("dropout"), rng)
     mu = dense(out, p["head.W_mu"], p["head.b_mu"])
     sigma = softplus(dense(out, p["head.W_sigma"], p["head.b_sigma"])) + SIGMA_FLOOR
     return mu, sigma
@@ -602,13 +601,12 @@ def forward_gaussian(
     p: dict,
     batch: dict[str, np.ndarray],
     h: int,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ):
     """Teacher-forced ar_rnn pass: (mu, sigma) of shape (B, h).
 
     Tensors on the tape when the params are Tensors, plain ndarrays when they
-    are arrays.
+    are arrays. Dropout runs if and only if a dropout rng is given.
     """
     if spec.family != "ar_rnn":
         raise ValidationError("forward_gaussian is only for ar_rnn")
@@ -619,7 +617,7 @@ def forward_gaussian(
     for j in range(h):
         if j > 0:
             state = _ar_consume(spec, p, future[:, j - 1].reshape(bsz, 1), static, state)
-        leads.append(_ar_head(spec, p, state, train, rng))
+        leads.append(_ar_head(spec, p, state, rng))
     mus, sigmas = zip(*leads)
     return concat(mus, axis=1), concat(sigmas, axis=1)
 
@@ -708,7 +706,7 @@ def _decode_chunk(spec, params, chunk: dict[str, np.ndarray], out: np.ndarray) -
     for j in range(h):
         if j > 0:
             state = _ar_consume(spec, params, out[:, j - 1 : j], static, state)
-        mu, sigma = _ar_head(spec, params, state, False, None)
+        mu, sigma = _ar_head(spec, params, state, None)
         out[:, j : j + 1] = mu + sigma * out[:, j : j + 1]
 
 
@@ -877,8 +875,11 @@ def load_checkpoint(path) -> TrainedForecaster:
             raise
         except KeyError as exc:
             raise ValidationError(f"checkpoint header has no {exc} entry") from None
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
-            # ValueError covers JSON and UTF-8 decoding errors
+        except (
+            AttributeError, IndexError, TypeError, ValueError, OverflowError, RecursionError
+        ) as exc:
+            # ValueError covers JSON and UTF-8 decoding errors, OverflowError a
+            # number too large for a float, RecursionError JSON nested too deep
             raise ValidationError(f"malformed checkpoint header: {exc}") from None
         shapes = {n_: p_.shape for n_, p_ in expected.items()}
         if named != shapes or len(stored) != len(named):

@@ -122,12 +122,7 @@ def _bias(cfg: SimConfig, scenario_map: dict[str, float]) -> float:
     return cfg.bias_gain * (scenario_map.get("cloud_cover", 0.0) - 0.5)
 
 
-def simulate_episode(
-    scenario: Scenario,
-    cfg: SimConfig,
-    requirements: Sequence[SafetyRequirement] = DEFAULT_REQUIREMENTS,
-    index: int = 0,
-) -> Episode:
+def simulate_episode(scenario: Scenario, cfg: SimConfig, index: int = 0) -> Episode:
     """Run the closed loop for cfg.episode_len steps from one scenario point.
 
     Per step: the estimator produces (cte_est, he_est) = truth + bias + noise,
@@ -138,8 +133,9 @@ def simulate_episode(
         he  <- he  + u * dt,  u = clamp(-k_c*cte_est - k_h*he_est, +-u_max)
 
     Recorded state/estimates/metrics at step t describe the plant *before*
-    the step-t control is applied. The noise stream is seeded by
-    (cfg.seed, index), so episode `index` is reproducible in isolation.
+    the step-t control is applied; the metrics are DEFAULT_REQUIREMENTS'. The
+    noise stream is seeded by (cfg.seed, index), so episode `index` is
+    reproducible in isolation.
     """
     smap = scenario.as_dict()
     if "cte_start" not in smap or "he_start" not in smap:
@@ -171,7 +167,7 @@ def simulate_episode(
 
     state_names = ("cte_act", "he_act")
     metric_cols = []
-    for req in requirements:
+    for req in DEFAULT_REQUIREMENTS:
         j = state_names.index(req.channel)
         metric_cols.append(np.abs(state[:, j]) - req.threshold)
     return Episode(
@@ -183,18 +179,11 @@ def simulate_episode(
         safety_metric=np.column_stack(metric_cols),
         lc_names=("cte_est", "he_est"),
         state_names=state_names,
-        metric_names=tuple(req.name for req in requirements),
+        metric_names=tuple(req.name for req in DEFAULT_REQUIREMENTS),
     )
 
 
-def generate_dataset(
-    cfg: SimConfig,
-    dims: Sequence[ScenarioDim] = DEFAULT_DIMS,
-    requirements: Sequence[SafetyRequirement] = DEFAULT_REQUIREMENTS,
-) -> list[Episode]:
-    """One episode per LHS scenario point, ids ep0000.. in sampling order."""
-    scenarios = lhs_sample(cfg.n_scenarios, dims, cfg.seed)
-    return [
-        simulate_episode(s, cfg, requirements, index=i)
-        for i, s in enumerate(scenarios)
-    ]
+def generate_dataset(cfg: SimConfig) -> list[Episode]:
+    """One episode per LHS point of the DEFAULT_DIMS box, ids ep0000.. in sampling order."""
+    scenarios = lhs_sample(cfg.n_scenarios, DEFAULT_DIMS, cfg.seed)
+    return [simulate_episode(s, cfg, index=i) for i, s in enumerate(scenarios)]

@@ -4,11 +4,13 @@ Training happens on the normalized scale: quantile families minimize mean
 pinball loss over every (sample, lead, quantile) cell; ar_rnn minimizes the
 Gaussian negative log-likelihood, teacher-forced over the horizon. Each loss
 is one fused autodiff op (pinball_mean, gaussian_nll_mean). Adam is
-bias-corrected and gradients are clipped to a global norm *before* the step.
-fit keeps every parameter as a view into one flat float64 buffer and Adam's
-two moments in one buffer each: the clipped gradients are gathered into one
-flat gradient, and one elementwise Adam step on the buffers updates every
-parameter with the bits a step per parameter gives.
+bias-corrected with fixed betas and eps (ADAM_BETA1, ...), and gradients are
+clipped to a global norm *before* the step. fit keeps every parameter as a
+view into one flat float64 buffer and Adam's two moments in one buffer each:
+the clipped gradients are gathered into one flat gradient, and one elementwise
+Adam step on the buffers updates every parameter with the bits a step per
+parameter gives. Dropout runs exactly when a dropout rng is passed: fit passes
+one, validation and prediction pass none.
 
 Everything is deterministic given TrainConfig.seed: parameter init, batch
 shuffling, and dropout masks all derive from it, so two fits on the same data
@@ -44,12 +46,12 @@ __all__ = [
     "TrainConfig",
     "loss_and_grads",
     "clip_global_norm",
-    "init_adam_state",
     "adam_step",
     "fit",
 ]
 
 DIVERGENCE_THRESHOLD = 1e12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 _EVAL_CHUNK = 4096  # validation windows per forward pass
 
 
@@ -80,22 +82,22 @@ def loss_and_grads(
     params: dict[str, np.ndarray],
     batch: dict[str, np.ndarray],
     grid: QuantileGrid,
-    train: bool = True,
     rng: np.random.Generator | None = None,
     compute_grads: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One forward (and optionally backward) pass over a stacked batch.
 
-    Without grads the forward runs on the plain arrays and builds no tape; the
-    loss is the same bits either way.
+    Dropout runs if and only if rng is given, as in training. Without grads the
+    forward runs on the plain arrays and builds no tape; the loss is the same
+    bits either way.
     """
     p = {name: Tensor(v) for name, v in params.items()} if compute_grads else params
     h = batch["future_target"].shape[1]
     if spec.family == "ar_rnn":
-        mu, sigma = forward_gaussian(spec, p, batch, h, train=train, rng=rng)
+        mu, sigma = forward_gaussian(spec, p, batch, h, rng=rng)
         loss = gaussian_nll_mean(mu, sigma, batch["future_target"])
     else:
-        pred = forward_quantiles(spec, p, batch, h, len(grid), train=train, rng=rng)
+        pred = forward_quantiles(spec, p, batch, h, len(grid), rng=rng)
         loss = pinball_mean(pred, batch["future_target"], np.array(grid.qs))
     if not compute_grads:
         return loss.item(), {}
@@ -116,36 +118,17 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
-def init_adam_state(params: dict[str, np.ndarray]) -> dict:
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
-    }
-
-
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float
 ) -> None:
-    """Bias-corrected Adam update, in place."""
-    state["t"] += 1
-    t = state["t"]
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for name, g in grads.items():
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    """Step t (from 1) of bias-corrected Adam: updates param and its moments m, v in place."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ----------------------------------------------------------------- fitting
@@ -168,7 +151,7 @@ def _eval_loss(spec, params, arrays, grid) -> float:
     total = 0.0
     for i in range(0, n, _EVAL_CHUNK):
         sub = {k: v[i : i + _EVAL_CHUNK] for k, v in arrays.items()}
-        loss, _ = loss_and_grads(spec, params, sub, grid, train=False, compute_grads=False)
+        loss, _ = loss_and_grads(spec, params, sub, grid, compute_grads=False)
         total += loss * sub["future_target"].shape[0]
     return total / n
 
@@ -232,8 +215,8 @@ def fit(
     shapes = {name: v.shape for name, v in params.items()}
     flat = np.concatenate([v.ravel() for v in params.values()])
     params = _views(flat, shapes)
-    flat_grad = np.empty_like(flat)
-    adam = init_adam_state({"params": flat})
+    flat_grad, adam_m, adam_v = np.empty_like(flat), np.zeros_like(flat), np.zeros_like(flat)
+    step = 0
     shuffle_rng = np.random.default_rng((cfg.seed, 2))
     dropout_rng = np.random.default_rng((cfg.seed, 3))
     n = train_arrays["future_target"].shape[0]
@@ -254,11 +237,12 @@ def fit(
         for i in range(0, n, cfg.batch_size):
             idx = perm[i : i + cfg.batch_size]
             sub = {k: v[idx] for k, v in train_arrays.items()}
-            loss, grads = loss_and_grads(spec, params, sub, grid, train=True, rng=dropout_rng)
+            loss, grads = loss_and_grads(spec, params, sub, grid, rng=dropout_rng)
             _check_divergence(loss, epoch, "training")
             norms.append(clip_global_norm(grads, cfg.clip_norm))
             np.concatenate([g.ravel() for g in grads.values()], out=flat_grad)
-            adam_step({"params": flat}, {"params": flat_grad}, adam, cfg.lr)
+            step += 1
+            adam_step(flat, flat_grad, adam_m, adam_v, step, cfg.lr)
             epoch_loss += loss * len(idx)
         train_losses.append(epoch_loss / n)
         norm_medians.append(float(np.median(norms)))

@@ -198,12 +198,12 @@ def test_03_gradient_checks_all_layers():
             rng = np.random.default_rng((30, seed))
             params = init_params(spec, wc, len(grid), 2, 3, seed=seed)
             batch = stack_windows(make_noise_windows(rng, wc, 3))
-            _, grads = loss_and_grads(spec, params, batch, grid, train=False)
+            _, grads = loss_and_grads(spec, params, batch, grid)
             assert sorted(grads) == sorted(params)
 
             def loss_at():
                 return loss_and_grads(
-                    spec, params, batch, grid, train=False, compute_grads=False
+                    spec, params, batch, grid, compute_grads=False
                 )[0]
 
             step = 1e-4

@@ -113,6 +113,54 @@ def test_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, cmd, key
     assert not (tmp_path / "out").exists()
 
 
+NON_NULL_SETTINGS = [
+    (cmd, key)
+    for cmd, settings in sorted(DEFAULTS.items())
+    for key, default in settings.items()
+    if default is not None
+]
+
+
+@pytest.mark.parametrize("cmd, key", NON_NULL_SETTINGS)
+def test_config_null_where_the_default_is_not_exits_2_naming_the_key(tmp_path, capsys, cmd, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    assert main([cmd, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and repr(key) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"seed": 1, "out": "d\xff"}', "not UTF-8"),
+    (b"[" * 100_000, "not valid JSON"),
+], ids=["not_utf8", "nested_too_deep"])
+def test_config_file_not_utf8_or_nested_too_deep_exits_2(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["model_is_a_directory", "config_is_a_directory", "out_is_a_file"])
+def test_a_path_that_cannot_be_opened_or_written_exits_1(workdir, tmp_path, capsys, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argv = {
+        "model_is_a_directory": ["monitor", "--model", str(tmp_path)],
+        "config_is_a_directory": ["simulate", "--config", str(tmp_path), "--out", str(a_file)],
+        "out_is_a_file": [
+            "simulate", "--scenarios", "1", "--episode-len", "10", "--out", str(a_file),
+        ],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+
+
 def test_config_values_are_recorded_as_they_ran(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"scenarios": 3.0, "episode_len": "30", "dt": 2}')
@@ -477,6 +525,10 @@ MALFORMED_CHECKPOINTS = {
     ),
     "scenario_dims_reordered": _edit_header_entries(lambda h: h["scenario_dims"].reverse()),
     "scenario_dims_not_names": _edit_model(lambda m: setattr(m, "scenario_dims", [1, 2, 3])),
+    "norm_mean_overflows_float": _edit_header_entries(
+        lambda h: h["norm"][h["target"]].__setitem__(0, 10**400)
+    ),
+    "header_nested_too_deep": _edit_header(lambda h: b"[" * 100_000),
 }
 
 

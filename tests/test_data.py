@@ -122,6 +122,22 @@ def test_missing_field_names_line(tmp_path):
         read_episodes(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line.replace(b'"e2"', b'"e\x802"'), "line 2: not ASCII"),
+    (lambda line: line.replace(b'"dt":0.5', b'"dt":' + b"9" * 400), "line 2: malformed"),
+    (lambda line: b"[" * 100_000 + b"\n", "line 2: invalid JSON"),
+], ids=["non_ascii", "overflowing_number", "nested_too_deep"])
+def test_non_ascii_overflowing_or_too_deep_line_names_line(tmp_path, edit, message):
+    path = tmp_path / "eps.jsonl"
+    write_episodes(path, [make_episode(eid="e1"), make_episode(eid="e2")])
+    first, second = path.read_bytes().splitlines(keepends=True)
+    edited = edit(second)
+    assert edited != second
+    path.write_bytes(first + edited)
+    with pytest.raises(DatasetError, match=message):
+        read_episodes(path)
+
+
 def test_empty_file_reads_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -135,7 +135,7 @@ def test_precision_recall_degenerate_conventions():
 def test_f_beta_values():
     assert abs(f_beta(0.993, 0.985) - 0.986) < 5e-4  # beta=3 weighs recall
     assert f_beta(0.0, 0.0) == 0.0
-    assert abs(f_beta(0.5, 0.5, beta=1.0) - 0.5) < 1e-15
+    assert f_beta(0.5, 0.5) == 0.5  # at P = R, F-beta is P for any beta
     # closed form: (1+9)*p*r / (9p + r)
     p, r = 0.4, 0.9
     assert abs(f_beta(p, r) - 10 * p * r / (9 * p + r)) < 1e-15

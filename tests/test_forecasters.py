@@ -425,7 +425,7 @@ def test_attn_seq2seq_forecasts_are_bit_identical_for_any_worker_count(monkeypat
     assert np.array_equal(got[1], got[2]) and np.array_equal(got[1], got[3])
     with pytest.raises(ValidationError, match="only prediction"):
         forward_quantiles(
-            model.spec, model.params, batch, WC.h, len(QS), train=True,
+            model.spec, model.params, batch, WC.h, len(QS),
             rng=np.random.default_rng(0), on_cores=True,
         )
 
@@ -462,18 +462,16 @@ def test_a_forecast_that_overflows_denormalized_is_only_a_named_error(family):
         predict_quantiles_batch(model, sample)
 
 
-def test_dropout_needs_rng_in_train_mode():
+def test_dropout_runs_only_with_an_rng():
     rng = np.random.default_rng(7)
     model = tiny_model("attn_seq2seq", dropout=0.3)
     batch = stack_windows(batch_of(rng, 3))
     p = {k: Tensor(v) for k, v in model.params.items()}
-    with pytest.raises(ValidationError, match="rng"):
-        forward_quantiles(model.spec, p, batch, WC.h, len(QS), train=True, rng=None)
-    eval_a = forward_quantiles(model.spec, p, batch, WC.h, len(QS), train=False)
-    eval_b = forward_quantiles(model.spec, p, batch, WC.h, len(QS), train=False)
+    eval_a = forward_quantiles(model.spec, p, batch, WC.h, len(QS))
+    eval_b = forward_quantiles(model.spec, p, batch, WC.h, len(QS))
     assert np.array_equal(eval_a.data, eval_b.data)
-    tr_a = forward_quantiles(model.spec, p, batch, WC.h, len(QS), train=True, rng=np.random.default_rng(0))
-    tr_b = forward_quantiles(model.spec, p, batch, WC.h, len(QS), train=True, rng=np.random.default_rng(1))
+    tr_a = forward_quantiles(model.spec, p, batch, WC.h, len(QS), rng=np.random.default_rng(0))
+    tr_b = forward_quantiles(model.spec, p, batch, WC.h, len(QS), rng=np.random.default_rng(1))
     assert not np.array_equal(tr_a.data, tr_b.data)
 
 

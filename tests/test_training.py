@@ -25,7 +25,6 @@ from forewarn.training import (
     adam_step,
     clip_global_norm,
     fit,
-    init_adam_state,
     loss_and_grads,
 )
 
@@ -93,7 +92,7 @@ def test_batch_pinball_matches_pointwise():
     params = init_params(spec, WC, len(QS), 2, 3, seed=0)
     params = {k: np.zeros_like(v) for k, v in params.items()}
     batch = tiny_batch(rng, n=4)
-    loss, grads = loss_and_grads(spec, params, batch, QS, train=False, compute_grads=False)
+    loss, grads = loss_and_grads(spec, params, batch, QS, compute_grads=False)
     assert grads == {}
     y = batch["future_target"]
     want = np.mean(
@@ -108,7 +107,7 @@ def test_batch_nll_matches_pointwise():
     params = init_params(spec, WC, len(QS), 2, 3, seed=0)
     params = {k: np.zeros_like(v) for k, v in params.items()}
     batch = tiny_batch(rng, n=4)
-    loss, _ = loss_and_grads(spec, params, batch, QS, train=False, compute_grads=False)
+    loss, _ = loss_and_grads(spec, params, batch, QS, compute_grads=False)
     sigma = math.log(2.0) + 1e-6
     y = batch["future_target"]
     want = np.mean([gaussian_nll(y[i, t], 0.0, sigma) for i in range(4) for t in range(WC.h)])
@@ -134,40 +133,37 @@ def test_clip_global_norm():
 
 def test_adam_first_step_hand_value():
     # bias correction makes the first step -lr * g/(|g|+eps) exactly
-    params = {"w": np.array([0.0])}
-    state = init_adam_state(params)
-    adam_step(params, {"w": np.array([1.0])}, state, lr=1e-3)
-    assert state["t"] == 1
-    assert abs(params["w"][0] - (-1e-3 / (1.0 + 1e-8))) < 1e-18
+    w, m, v = np.array([0.0]), np.zeros(1), np.zeros(1)
+    adam_step(w, np.array([1.0]), m, v, 1, lr=1e-3)
+    assert abs(w[0] - (-1e-3 / (1.0 + 1e-8))) < 1e-18
 
 
 def test_adam_matches_reference_iteration():
     rng = np.random.default_rng(2)
     w = rng.standard_normal(4)
-    params = {"w": w.copy()}
-    state = init_adam_state(params)
+    got, got_m, got_v = w.copy(), np.zeros(4), np.zeros(4)
     ref_w = w.copy()
     m = np.zeros(4)
     v = np.zeros(4)
     lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
     for t in range(1, 6):
         g = rng.standard_normal(4)
-        adam_step(params, {"w": g.copy()}, state, lr=lr)
+        adam_step(got, g.copy(), got_m, got_v, t, lr=lr)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref_w -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-    assert np.allclose(params["w"], ref_w, rtol=1e-14, atol=0)
+    assert np.allclose(got, ref_w, rtol=1e-14, atol=0)
 
 
 # ------------------------------------------------------------------ gradients
 
 
 def _gradcheck(spec, params, batch, grid, rng, coords_per_tensor=3, step=1e-4):
-    loss, grads = loss_and_grads(spec, params, batch, grid, train=False)
+    loss, grads = loss_and_grads(spec, params, batch, grid)
     assert sorted(grads) == sorted(params)
 
     def f():
-        return loss_and_grads(spec, params, batch, grid, train=False, compute_grads=False)[0]
+        return loss_and_grads(spec, params, batch, grid, compute_grads=False)[0]
 
     worst = 0.0
     worst_where = ""
@@ -212,13 +208,13 @@ def test_validation_loss_on_arrays_equals_tape_loss(family, monkeypatch):
     spec = ForecasterSpec(family, hyper)
     params = init_params(spec, WC, len(QS), 2, 3, seed=4)
     batch = tiny_batch(np.random.default_rng(11), n=9)
-    tape_loss, _ = loss_and_grads(spec, params, batch, QS, train=False)
+    tape_loss, _ = loss_and_grads(spec, params, batch, QS)
     made = []
     original_init = Tensor.__init__
     monkeypatch.setattr(
         Tensor, "__init__", lambda t, *a, **k: made.append(1) or original_init(t, *a, **k)
     )
-    array_loss, grads = loss_and_grads(spec, params, batch, QS, train=False, compute_grads=False)
+    array_loss, grads = loss_and_grads(spec, params, batch, QS, compute_grads=False)
     assert grads == {} and made == []  # validation builds no tape
     assert array_loss == tape_loss  # the same bits
     assert _eval_loss(spec, params, batch, QS) == tape_loss * 9 / 9
@@ -330,18 +326,20 @@ def _per_parameter_adam_epochs(spec, train, cfg):
     """fit's training steps with one Adam state per parameter: the params after each epoch."""
     arrays = stack_windows(train)
     params = init_params(spec, WC, len(QS), 2, 3, seed=np.random.SeedSequence((cfg.seed, 1)))
-    adam = init_adam_state(params)
+    moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
     shuffle_rng = np.random.default_rng((cfg.seed, 2))
     dropout_rng = np.random.default_rng((cfg.seed, 3))
     n = arrays["future_target"].shape[0]
-    epochs = []
+    epochs, t = [], 0
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         for i in range(0, n, cfg.batch_size):
             sub = {k: v[perm[i : i + cfg.batch_size]] for k, v in arrays.items()}
-            _, grads = loss_and_grads(spec, params, sub, QS, train=True, rng=dropout_rng)
+            _, grads = loss_and_grads(spec, params, sub, QS, rng=dropout_rng)
             clip_global_norm(grads, cfg.clip_norm)
-            adam_step(params, grads, adam, cfg.lr)
+            t += 1
+            for name, g in grads.items():
+                adam_step(params[name], g, *moments[name], t, cfg.lr)
         epochs.append({k: v.copy() for k, v in params.items()})
     return epochs
 
@@ -424,7 +422,7 @@ def test_fit_restores_best_epoch_parameters():
     assert log["best_val_loss"] == min(log["val_loss"])
     assert log["val_loss"][log["best_epoch"] - 1] == log["best_val_loss"]
     recomputed, _ = loss_and_grads(
-        model.spec, model.params, stack_windows(val), QS, train=False, compute_grads=False
+        model.spec, model.params, stack_windows(val), QS, compute_grads=False
     )
     assert abs(recomputed - log["best_val_loss"]) < 1e-12
 
