@@ -134,7 +134,7 @@ DEFAULTS: dict[str, dict] = {
         "model": None,
         "data": None,
         "out": None,
-        "q": 0.995,
+        "q": _defaults(MonitorConfig)["decision_quantile"],
         "seed": 0,
         "n_paths": DEFAULT_N_PATHS,
         "depths": [1, 2, 3, 4, 5],
@@ -541,7 +541,7 @@ def _cmd_monitor(cfg: dict) -> int:
     model = load_checkpoint(_require(cfg, "monitor", "model"))
     mon_cfg = _from_cfg(MonitorConfig, cfg, model=model)
     # one line at a time: a line's decisions go out before the next is parsed
-    for ep in read_episode_lines(sys.stdin):
+    for ep in read_episode_lines(sys.stdin.buffer):
         for t, decision, alarm, forecast in decisions(ep, mon_cfg):
             column = forecast.column(mon_cfg.decision_quantile)
             # flush per line: downstream consumers act on decisions as they

@@ -404,24 +404,13 @@ def violation_sign(values: Sequence[float], axis: int | None = None):
 
     sign(0) is +1: touching the threshold counts as a violation. With `axis`,
     an int array of verdicts, one per horizon laid along that axis.
-
-    With `axis`, the max is taken one horizon step at a time by np.maximum,
-    which gives arr.max(axis)'s verdicts: on an (N, 12, 7) block over axis 1
-    about 3.5x faster (numpy reduces over a middle axis slowly), and faster
-    still on a copy with the steps outermost, as evaluate_model passes. It
-    costs a call per step, so a single (1, 3, 7) window takes about 2x longer
-    (7 -> 16 us); no hot path does that, as the monitor passes axis=None.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValidationError("empty horizon")
     if axis is None:
         return 1 if float(arr.max()) >= 0.0 else -1
-    steps = np.moveaxis(arr, axis, 0)
-    top = steps[0].copy()
-    for step in steps[1:]:
-        np.maximum(top, step, out=top)
-    return np.where(top >= 0.0, 1, -1)
+    return np.where(arr.max(axis=axis) >= 0.0, 1, -1)
 
 
 def first_violation_index(values: Sequence[float]) -> Optional[int]:

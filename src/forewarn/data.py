@@ -1,9 +1,9 @@
 """Episode serialization, normalization, splits, and window extraction.
 
-File format: line-delimited JSON, one episode per line. Floats are written
-with 17 significant digits, which round-trips IEEE doubles exactly, and the
-writer emits keys in a fixed order, so identical inputs produce identical
-bytes (dataset hashes are stable).
+File format: line-delimited ASCII JSON, one episode per line, written by
+json.dumps with keys in a fixed order, so identical inputs produce identical
+bytes (dataset hashes are stable). Each float is the shortest text that reads
+back to the same double, -0.0 included, so a round trip keeps every bit.
 
 Splits are time-based per episode, with fixed fractions: the first
 floor(0.7*T) steps train, the next floor(0.1*T) validate, the rest test; an
@@ -64,43 +64,31 @@ class DatasetError(ValueError):
 # --------------------------------------------------------------- serialization
 
 
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        raise DatasetError(f"non-finite value {x!r} cannot be serialized")
-    return format(float(x), ".17g")
-
-
-def _fmt_arr(xs) -> str:
-    return "[" + ",".join(_fmt(x) for x in xs) + "]"
-
-
 def _episode_line(ep: Episode) -> str:
     dims = ep.scenario.dims
-    parts = [
-        '{"id":', json.dumps(ep.id),
-        ',"scenario":{"names":', json.dumps(list(ep.scenario.names)),
-        ',"values":', _fmt_arr(ep.scenario.values),
-        ',"lo":', _fmt_arr([d.lo for d in dims]),
-        ',"hi":', _fmt_arr([d.hi for d in dims]),
-        ',"kind":', json.dumps([d.kind for d in dims]),
-        '},"dt":', _fmt(ep.dt_seconds),
-        ',"roles":', json.dumps(
-            {"lc": list(ep.lc_names), "state": list(ep.state_names),
-             "metric": list(ep.metric_names)}
-        ),
-        ',"columns":{',
-    ]
-    cols = []
-    for names, arr in (
-        (ep.lc_names, ep.lc_outputs),
-        (ep.state_names, ep.raw_state),
-        (ep.metric_names, ep.safety_metric),
-    ):
-        for j, name in enumerate(names):
-            cols.append(json.dumps(name) + ":" + _fmt_arr(arr[:, j]))
-    parts.append(",".join(cols))
-    parts.append("}}")
-    return "".join(parts)
+    record = {
+        "id": ep.id,
+        "scenario": {
+            "names": list(ep.scenario.names),
+            "values": list(ep.scenario.values),
+            "lo": [float(d.lo) for d in dims],
+            "hi": [float(d.hi) for d in dims],
+            "kind": [d.kind for d in dims],
+        },
+        "dt": float(ep.dt_seconds),
+        "roles": {"lc": list(ep.lc_names), "state": list(ep.state_names),
+                  "metric": list(ep.metric_names)},
+        "columns": {
+            name: column
+            for names, arr in (
+                (ep.lc_names, ep.lc_outputs),
+                (ep.state_names, ep.raw_state),
+                (ep.metric_names, ep.safety_metric),
+            )
+            for name, column in zip(names, arr.T.tolist())
+        },
+    }
+    return json.dumps(record, separators=(",", ":"), allow_nan=False)
 
 
 def write_episodes(path, episodes: Iterable[Episode]) -> None:
@@ -148,18 +136,17 @@ def _parse_record(obj: dict, lineno: int) -> Episode:
 
 
 def read_episode_lines(lines) -> Iterator[Episode]:
-    """Parse line-delimited episode records lazily, one per string of `lines`.
+    """Parse line-delimited episode records lazily, one per bytes line of `lines`.
 
     A record is parsed only when the caller asks for it, so a stream's earlier
     episodes are usable before a later malformed line raises DatasetError.
-    Lines may also be bytes, which must be ASCII, as write_episodes writes them.
+    Each line must be ASCII, as write_episodes writes it.
     """
     for lineno, line in enumerate(lines, 1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"line {lineno}: not ASCII: {exc}") from None
+        try:
+            line = line.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"line {lineno}: not ASCII: {exc}") from None
         if not line.strip():
             raise DatasetError(f"line {lineno}: empty record")
         try:

@@ -243,13 +243,14 @@ def evaluate_model(
     preds = predict_quantiles_batch(model, test, mc_seed=mc_seed, n_paths=n_paths)
     mean, std = model.norm.stats(model.target)
     y_true = test.future_target * std + mean
-    truths = violation_sign(y_true, axis=1)
-    # lead-major copies, (h, |Q|, N) and (h, 1, N), put the windows on the inner
+    # lead-major copies, (h, N) and (h, |Q|, N), put the windows on the inner
     # axis, where numpy's loops run fast: the max over leads and the coverage
     # counts each take a fraction of their time on the (N, h, |Q|) block
+    true_by_lead = np.ascontiguousarray(y_true.T)
+    truths = violation_sign(true_by_lead, axis=0)
     by_lead = preds.transpose(1, 2, 0).copy()
     decisions = violation_sign(by_lead, axis=0)  # (|Q|, N)
-    covered = np.ascontiguousarray(y_true.T)[:, None, :] <= by_lead
+    covered = true_by_lead[:, None, :] <= by_lead
     covered_throughout = np.logical_and.reduce(covered, axis=0)  # (|Q|, N)
     per_q: dict[float, dict] = {}
     for j, q in enumerate(model.grid.qs):

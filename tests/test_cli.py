@@ -4,6 +4,11 @@ import argparse
 import dataclasses
 import io
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,11 +370,16 @@ def test_bench_prints_report(workdir, capsys):
 # ----------------------------------------------------------------- monitor
 
 
+def _stdin(text: str) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin holding `text` as UTF-8; the monitor reads its .buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
 def test_monitor_streams_one_line_per_decision(workdir, capsys, monkeypatch):
     text = "".join(
         (workdir / "data" / "dataset.jsonl").read_text().splitlines(keepends=True)[:2]
     )
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     assert main(["monitor", "--model", _ckpt(workdir)]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     # h=3, cm=2 -> k=6; every length-40 episode yields 40 - 6 decisions
@@ -397,7 +407,7 @@ def test_monitor_rejects_channel_mismatch(workdir, capsys, monkeypatch):
     record["roles"] = {
         key: [f"x_{n}" for n in names] for key, names in record["roles"].items()
     }
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record) + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(json.dumps(record) + "\n"))
     code = main(["monitor", "--model", _ckpt(workdir)])
     assert code == 1
     assert "do not match" in capsys.readouterr().err
@@ -412,7 +422,7 @@ def _reverse_scenario_dims(line: str) -> str:
 
 def test_monitor_rejects_reordered_scenario_dims(workdir, capsys, monkeypatch):
     lines = (workdir / "data" / "dataset.jsonl").read_text().splitlines()
-    monkeypatch.setattr("sys.stdin", io.StringIO(_reverse_scenario_dims(lines[0])))
+    monkeypatch.setattr("sys.stdin", _stdin(_reverse_scenario_dims(lines[0])))
     assert main(["monitor", "--model", _ckpt(workdir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -431,16 +441,60 @@ def test_test_window_commands_reject_reordered_scenario_dims(workdir, tmp_path, 
 
 def test_monitor_decides_each_line_before_reading_the_next(workdir, capsys, monkeypatch):
     first = (workdir / "data" / "dataset.jsonl").read_text().splitlines(keepends=True)[0]
-    monkeypatch.setattr("sys.stdin", io.StringIO(first + "{bad\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(first + "{bad\n"))
     assert main(["monitor", "--model", _ckpt(workdir)]) == 1
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 34  # line 1's decisions, then the error
     assert "line 2" in captured.err
 
 
+def test_monitor_refuses_a_non_ascii_line_on_stdin(workdir, capsys, monkeypatch):
+    record = json.loads((workdir / "data" / "dataset.jsonl").read_text().splitlines()[0])
+    record["id"] = "ep\u00e9"  # valid UTF-8 on stdin, refused in a dataset file
+    monkeypatch.setattr("sys.stdin", _stdin(json.dumps(record, ensure_ascii=False) + "\n"))
+    assert main(["monitor", "--model", _ckpt(workdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 1: not ASCII" in captured.err
+
+
+def _monitor_argv(workdir) -> list[str]:
+    return [sys.executable, "-m", "forewarn", "monitor", "--model", _ckpt(workdir)]
+
+
+def _env(**extra) -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **extra}
+
+
+def test_monitor_names_an_undecodable_stdin_byte_under_strict_decoding(workdir):
+    proc = subprocess.run(
+        _monitor_argv(workdir), input=b"\xff\xfe\n", capture_output=True, timeout=120,
+        env=_env(PYTHONIOENCODING="utf-8:strict"),
+    )
+    assert proc.returncode == 1
+    assert b"line 1: not ASCII" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_monitor_decides_a_piped_line_before_the_next_is_written(workdir):
+    first, second = (workdir / "data" / "dataset.jsonl").read_bytes().splitlines(keepends=True)[:2]
+    with subprocess.Popen(
+        _monitor_argv(workdir), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=_env(),
+    ) as proc:
+        proc.stdin.write(first)
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 120)
+        assert ready, "no decision within 120 s of the first line"
+        assert json.loads(proc.stdout.readline())["t"] == 6
+        proc.stdin.write(second)
+        proc.stdin.close()
+        rest = proc.stdout.read().splitlines()
+        assert proc.wait(timeout=120) == 0, proc.stderr.read()
+    assert len(rest) == 2 * 34 - 1
+
+
 def test_monitor_prints_the_records_of_the_decision_stream(workdir, capsys, monkeypatch):
     data = workdir / "data" / "dataset.jsonl"
-    monkeypatch.setattr("sys.stdin", io.StringIO(data.read_text()))
+    monkeypatch.setattr("sys.stdin", _stdin(data.read_text()))
     assert main(["monitor", "--model", _ckpt(workdir), "--hysteresis", "3"]) == 0
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     cfg = MonitorConfig(load_checkpoint(_ckpt(workdir)), hysteresis=3)
@@ -702,7 +756,7 @@ def test_negative_seed_exits_1_with_named_error(
         "monitor_ar_rnn": ["monitor", "--model", ar_rnn_ckpt],
     }[case]
     first = (workdir / "data" / "dataset.jsonl").read_text().splitlines(keepends=True)[0]
-    monkeypatch.setattr("sys.stdin", io.StringIO(first))  # read by monitor only
+    monkeypatch.setattr("sys.stdin", _stdin(first))  # read by monitor only
     capsys.readouterr()
     assert main([*argv, "--seed", "-1"]) == 1
     captured = capsys.readouterr()

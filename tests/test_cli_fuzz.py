@@ -1,10 +1,15 @@
-"""Byte fuzz of the two files the CLI parses: episode datasets and config files.
+"""Byte fuzz of the inputs the CLI parses: episode datasets, the monitor's stdin
+and config files.
 
-Whatever bytes a dataset line or a config file holds, `cli.main` ends in an
-exit code (0 or 1 for data, 0, 1 or 2 for config), never in a traceback.
+Whatever bytes a dataset line, a stdin line or a config file holds, `cli.main`
+ends in an exit code (0 or 1 for data, 0, 1 or 2 for config), never in a
+traceback.
 """
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +34,20 @@ def files(tmp_path_factory):
 
 
 @st.composite
-def _mutations(draw, size):
-    """A single-byte overwrite or a short slice replacement of `size` bytes: (start, stop, new)."""
-    start = draw(st.integers(0, size - 1))
+def _mutations(draw, base):
+    """A single-byte overwrite or a short slice replacement of `base`: (start, stop, new).
+
+    The line comes first and the offset is a fraction of its length, so the
+    edits spread over every record, its last columns included; a byte offset
+    drawn over the whole file lands mostly in the first record's header.
+    """
+    lines = base.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    fraction = draw(st.floats(0, 1, exclude_max=True))
+    start = sum(map(len, lines[:i])) + int(fraction * len(lines[i]))
     if draw(st.booleans()):
         return start, start + 1, bytes([draw(st.integers(0, 255))])
-    stop = min(size, start + draw(st.integers(0, 8)))
+    stop = min(len(base), start + draw(st.integers(0, 8)))
     return start, stop, draw(st.sampled_from(TOKENS) | st.binary(max_size=4))
 
 
@@ -54,10 +67,29 @@ def test_the_unmutated_dataset_trains(files):
 @given(data=st.data())
 def test_a_mutated_dataset_exits_0_or_1(files, data):
     root, base = files
-    start, stop, new = data.draw(_mutations(len(base)))
+    start, stop, new = data.draw(_mutations(base))
     path = root / "mutated.jsonl"
     path.write_bytes(base[:start] + new + base[stop:])
     assert _train(path, root / "out") in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(files):
+    """One seq2seq checkpoint trained on the unmutated dataset."""
+    root, _ = files
+    assert _train(root / "base.jsonl", root / "model") == 0
+    return str(root / "model" / "seq2seq_h1_cm1.ckpt")
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_mutated_stream_to_monitor_exits_0_or_1(files, checkpoint, data):
+    _, base = files
+    start, stop, new = data.draw(_mutations(base))
+    stdin = io.TextIOWrapper(io.BytesIO(base[:start] + new + base[stop:]))
+    # hypothesis refuses function-scoped fixtures, so no monkeypatch or capsys
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["monitor", "--model", checkpoint]) in (0, 1)
 
 
 ODD_VALUES = (

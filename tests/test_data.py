@@ -83,6 +83,54 @@ def test_write_read_roundtrip_is_identity(tmp_path):
         assert a.metric_names == b.metric_names
 
 
+# finite doubles, with the edges a lossy writer gets wrong drawn often
+FINITE = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _episodes_of_any_finite_doubles(draw):
+    """An episode whose columns hold any finite doubles; dt and the bounds are numpy ints."""
+    t = draw(st.integers(1, 4))
+    lo = draw(st.integers(-5, 4))
+    hi = draw(st.integers(lo + 1, 5))
+    value = draw(st.sampled_from([float(lo), -0.0 if lo <= 0 <= hi else float(hi)])
+                 | st.floats(lo, hi))
+    def column(width):
+        return np.array(draw(st.lists(FINITE, min_size=t * width, max_size=t * width)),
+                        dtype=np.float64).reshape(t, width)
+    return Episode(
+        id=draw(st.text(min_size=1, max_size=4)),
+        scenario=Scenario((value,), (ScenarioDim("d", np.int64(lo), np.int64(hi)),)),
+        dt_seconds=np.int64(draw(st.integers(1, 10))),
+        lc_outputs=column(2),
+        raw_state=column(2),
+        safety_metric=column(1),
+        lc_names=("a", "b"),
+        state_names=("c", "d"),
+        metric_names=("m",),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ep=_episodes_of_any_finite_doubles())
+def test_an_episode_round_trips_to_the_bit(tmp_path_factory, ep):
+    path = tmp_path_factory.mktemp("roundtrip") / "eps.jsonl"
+    write_episodes(path, [ep])
+    (back,) = read_episodes(path)
+    def bits(*xs):
+        return np.array(xs, dtype=np.float64).tobytes()
+    assert back.id == ep.id
+    assert bits(back.dt_seconds) == bits(ep.dt_seconds)
+    assert bits(*back.scenario.values) == bits(*ep.scenario.values)
+    (dim,), (dim_back,) = ep.scenario.dims, back.scenario.dims
+    assert bits(dim_back.lo, dim_back.hi) == bits(dim.lo, dim.hi)
+    for name in ("lc_outputs", "raw_state", "safety_metric"):
+        assert getattr(back, name).tobytes() == getattr(ep, name).tobytes(), name
+
+
 def test_write_is_byte_deterministic(tmp_path):
     eps = [make_episode(seed=s, eid=f"ep{s}") for s in range(2)]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
