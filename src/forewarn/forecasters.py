@@ -36,11 +36,13 @@ dense layer (autodiff.dense): the seq2seq encoder, every MLP decoder layer and
 quantile head, attn_seq2seq's static embedding and decoder, and ar_rnn's mu and
 sigma heads. The causal convolutions stay composed: their three overlapping
 taps would make the bits of an input gradient depend on the order they are
-summed in. They run only on the lookback steps the decoder's input reads (the
-last step's receptive field), so a longer lookback costs them nothing; the
-forecast is the full-length stack's, up to the rounding of GEMMs with fewer
-rows. The LSTM cell stays composed of elementwise ops too: only the
-non-default ar_rnn cell runs it.
+summed in. Each runs only at the steps the decoder reads: conv1 at the last
+lookback step, conv0 at the three steps that one reads, so a longer lookback
+costs them nothing. The forecast, loss and gradients are still the full-length
+stack's to the bit: a product rounds the same over any number of rows but one
+(numpy's gemv path), and the forward takes a one-row product only where the
+full-length stack does, at a lookback of 1. The LSTM cell stays composed of
+elementwise ops too: only the non-default ar_rnn cell runs it.
 
 ar_rnn's Monte-Carlo draws for a window come from its own generator,
 default_rng(derived_seed(mc_seed, origin_t)), so a window's draws do not depend
@@ -165,10 +167,10 @@ def _pool_size() -> int:
 
 # threads _on_cores runs the chunks of a batch prediction on
 _WORKERS = _pool_size()
-# convseq2seq's kernel-3 causal layers conv0, conv1, ..., their dilations in
-# order; the last output step reads the last 1 + 2 * sum(dilations) inputs
-_CONV_DILATIONS = (1, 2)
-_CONV_FIELD = 1 + 2 * sum(_CONV_DILATIONS)
+# convseq2seq's kernel-3 causal layers are conv0 (dilation 1) and conv1
+# (dilation 2). The decoder reads conv1 at the last step k-1 alone, which reads
+# conv0 at k-5, k-3 and k-1, which read the last _CONV_FIELD inputs
+_CONV_FIELD = 7
 
 # model hyperparameter grids; training knobs (batch, lr, clip) live in TrainConfig
 GRIDS: dict[str, dict[str, tuple]] = {
@@ -403,7 +405,7 @@ def init_params(
         ch = spec.get("channels")
         n = spec.get("neurons")
         cin = 1 + n_cov + n_static
-        for i in range(len(_CONV_DILATIONS)):
+        for i in range(2):
             for tap in range(3):
                 p[f"conv{i}.W{tap}"] = _glorot(rng, cin * 3, ch, shape=(cin, ch))
             p[f"conv{i}.b"] = np.zeros(ch)
@@ -464,22 +466,6 @@ def _mlp_decoder(p: dict, x, layers: int):
     return dense(x, p["head.W"], p["head.b"])
 
 
-def _causal_conv(p: dict, pre: str, x, dilation: int):
-    """Kernel-3 causal 1-D convolution along axis 1 of (B, k, C_in).
-
-    It computes every one of the k output steps, zero-padding before the first
-    input step; the caller crops x to the steps its outputs need.
-    """
-    bsz, k, c_in = x.shape
-    xp = concat([np.zeros((bsz, 2 * dilation, c_in)), x], axis=1)
-    out = None
-    for tap in range(3):
-        start = tap * dilation
-        piece = xp[:, start : start + k, :] @ p[f"{pre}.W{2 - tap}"]
-        out = piece if out is None else out + piece
-    return out + p[f"{pre}.b"]
-
-
 def forward_quantiles(
     spec: ForecasterSpec,
     p: dict,
@@ -521,15 +507,33 @@ def forward_quantiles(
         out = _mlp_decoder(p, enc, spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "convseq2seq":
-        # the decoder reads only the last step, which sees only the last
-        # _CONV_FIELD inputs: the stack runs on those, and its zero padding
-        # never reaches the last step
-        w = min(k, _CONV_FIELD)
-        tiled = np.repeat(static[:, None, :], w, axis=1)
-        x = concat([past[:, k - w :, None], cov[:, k - w :], tiled], axis=2)
-        for i, dilation in enumerate(_CONV_DILATIONS):
-            x = relu(_causal_conv(p, f"conv{i}", x, dilation))
-        out = _mlp_decoder(p, x[:, -1, :], spec.get("decoder_layers"))
+        # each layer runs only at the steps that reach conv1's last one (see
+        # _CONV_FIELD). conv0 runs at the last min(k, 3) of steps k-5, k-3 and
+        # k-1, each tap a strided slice of the n inputs those read, zero-padded
+        # in front. min(k, 3) rows, not only the steps at or after step 0,
+        # keep the full-length stack's bits: a product rounds the same over
+        # any row count but one (numpy's gemv path), and the full-length
+        # stack's products have one row exactly when k is 1
+        n = min(2 * k + 1, _CONV_FIELD)
+        w = min(k, n)
+        x = np.zeros((bsz, n, 1 + n_cov + static.shape[1]))
+        x[:, n - w :, 0] = past[:, k - w :]
+        x[:, n - w :, 1 : 1 + n_cov] = cov[:, k - w :]
+        x[:, n - w :, 1 + n_cov :] = static[:, None, :]
+        y0 = relu(
+            x[:, 0 : n - 2 : 2] @ p["conv0.W2"]
+            + x[:, 1 : n - 1 : 2] @ p["conv0.W1"]
+            + x[:, 2:n:2] @ p["conv0.W0"]
+            + p["conv0.b"]
+        )
+        # conv1 runs at k-1 alone. Each tap's product runs over conv0's rows
+        # and keeps one, since one window's one-row product would be a gemv; a
+        # tap whose conv0 step is before step 0 would read the full-length
+        # stack's zero padding, which adds nothing, so it is left out
+        taps = [(y0 @ p[f"conv1.W{2 - j}"])[:, j - 3] for j in range(3) if k >= 5 - 2 * j]
+        y1 = sum(taps[1:], taps[0])
+        y1 = relu(y1 + p["conv1.b"])
+        out = _mlp_decoder(p, y1, spec.get("decoder_layers"))
         return out.reshape(bsz, h, n_quantiles)
     if fam == "attn_seq2seq":
         return _attn_forward(spec, p, batch, h, rng)

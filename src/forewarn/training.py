@@ -102,7 +102,12 @@ def loss_and_grads(
     if not compute_grads:
         return loss.item(), {}
     loss.backward()
-    return loss.item(), {name: p[name].grad for name in params}
+    # a parameter the loss does not read gets zeros: a convseq2seq lookback
+    # under 5 steps skips conv1's taps that would read only zero padding
+    return loss.item(), {
+        name: np.zeros_like(v) if p[name].grad is None else p[name].grad
+        for name, v in params.items()
+    }
 
 
 # ----------------------------------------------------------------- optimizer

@@ -146,11 +146,12 @@ def _causal_conv(p: dict, pre: str, x, dilation: int):
 
 
 def convseq2seq_forward(spec, p, batch, h: int, n_quantiles: int):
-    """convseq2seq's forward over the whole lookback, the family's branch of forward_quantiles.
+    """convseq2seq's full-length forward, the reference for forward_quantiles' branch.
 
-    Both causal layers (dilations 1 and 2) run on all k lookback steps, and
-    the decoder reads the last step of the second. A Tensor when p holds
-    Tensors, else an ndarray.
+    Both causal layers (dilations 1 and 2) run on all k lookback steps, each
+    zero-padded in front, and the decoder reads the last step of the second;
+    the package runs each layer only at the steps that reach that one. A
+    Tensor when p holds Tensors, else an ndarray.
     """
     static, past, cov = batch["static"], batch["past_target"], batch["past_cov"]
     bsz, k, _ = cov.shape

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import _oracles
 from _synth import FIT_KW, identity_norm, make_episode, make_noise_windows, unit_dims
 from forewarn import forecasters
-from forewarn.autodiff import Tensor
+from forewarn.autodiff import Tensor, pinball_mean
 from forewarn.core import QuantileGrid, ValidationError, WindowConfig, derived_seed, violation_sign
 from forewarn.data import make_windows
 from forewarn.forecasters import (
@@ -561,6 +561,47 @@ def test_convseq2seq_reads_only_its_receptive_field_property(h, cm, fill, seed):
         assert np.array_equal(plain, want)
     else:
         np.testing.assert_allclose(plain, want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    h=st.integers(1, 4),
+    cm=st.integers(1, 8),
+    bsz=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=1, cm=1, bsz=1, seed=0)  # k = 1: the full-length stack's products have one row
+@example(h=2, cm=1, bsz=2, seed=1)  # k = 2: one tap of conv1, over two conv0 rows
+@example(h=1, cm=4, bsz=3, seed=2)  # k = 4: conv0 at k-5 would be relu(b), not padding
+@example(h=1, cm=7, bsz=1, seed=3)  # k = 7: the field is the whole lookback
+@example(h=4, cm=8, bsz=1, seed=4)  # k = 32
+def test_convseq2seq_is_the_full_length_stack_to_the_bit_property(h, cm, bsz, seed):
+    # the forward runs the causal layers only at the steps the decoder reads;
+    # forecast, loss and gradients are still the full-length stack's, bit for
+    # bit, on the tape and off it, at any lookback and for any batch size
+    wc = WindowConfig(h=h, cm=cm)
+    spec = ForecasterSpec("convseq2seq", TINY_HYPERS["convseq2seq"])
+    rng = np.random.default_rng(seed)
+    # random biases too: relu(b) in place of conv1's zero padding would show
+    params = {
+        name: v + rng.normal(0.0, 0.5, v.shape)
+        for name, v in init_params(spec, wc, len(QS), 2, 3, seed).items()
+    }
+    batch = stack_windows(batch_of(rng, bsz, wc=wc))
+    tensors = {name: Tensor(v) for name, v in params.items()}
+
+    want = _oracles.convseq2seq_forward(spec, params, batch, h, len(QS))
+    assert np.array_equal(forward_quantiles(spec, params, batch, h, len(QS)), want)
+    assert np.array_equal(forward_quantiles(spec, tensors, batch, h, len(QS)).data, want)
+
+    pred = _oracles.convseq2seq_forward(spec, tensors, batch, h, len(QS))
+    want_loss = pinball_mean(pred, batch["future_target"], np.array(QS.qs))
+    want_loss.backward()
+    loss, grads = loss_and_grads(spec, params, batch, QS)
+    assert loss == want_loss.item()
+    assert sorted(grads) == sorted(params)
+    for name, g in grads.items():
+        assert np.array_equal(g, tensors[name].grad), name
 
 
 def test_no_windows_cannot_be_stacked():
