@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Optional, Sequence
 
@@ -116,7 +117,7 @@ class Scenario:
                     f"dimension {d.name!r}: value {v} outside [{d.lo}, {d.hi}]"
                 )
 
-    @property
+    @cached_property  # built on first use; not a field, so eq, hash and repr ignore it
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dims)
 

@@ -10,8 +10,11 @@ floor(0.7*T) steps train, the next floor(0.1*T) validate, the rest test; an
 episode needs T >= 10. Window extraction is rolling-origin with one window
 per origin: a window's lookback may reach backward across a split boundary,
 its targets may not leave the segment. Windows come as one columnar
-WindowBatch per episode or phase, cut as strided views of each episode's
-normalized series and copied once into the batch's arrays.
+WindowBatch per episode or phase, taken in one gather: the stretches of all
+the call's episodes that its windows read are joined into one series per
+column and normalized once, and each column is one fancy index at the
+windows' starts on a strided view of that series. A call whose segments are
+all too short for a window gives an empty batch.
 Normalization statistics are fit on training segments only. phase_windows
 does the whole step once: split, fit the statistics, cut the three phases.
 """
@@ -268,45 +271,66 @@ def build_split(episodes: Sequence[Episode]) -> dict[str, EpisodeSplit]:
 # --------------------------------------------------------------- windows
 
 
-def _cut(
-    episode: Episode,
-    segment: tuple[int, int],
+def _gather(
+    pairs: Iterable[tuple[Episode, tuple[int, int]]],
     wc: WindowConfig,
     norm: NormStats,
     target: str,
-) -> dict:
-    """One episode's window origins and per-window columns.
+    phase: str | None = None,
+) -> WindowBatch:
+    """Every (episode, segment) pair's windows, in pair order, as one WindowBatch.
 
-    The columns are strided views into the episode's normalized series.
+    Each pair is checked in turn: segment bounds, target stats, target metric,
+    channel stats. The stretches its windows read, from the first lookback to
+    the segment end, are joined into one series per column and normalized
+    once; the columns are then taken at each window's start in one fancy index
+    each. With `phase`, a pair that yields no window is logged as excluded.
     """
-    s0, s1 = segment
-    if not (0 <= s0 <= s1 <= episode.length):
-        raise DatasetError(f"segment {segment} out of bounds for T={episode.length}")
     k, h = wc.k, wc.h
-    mean, std = norm.stats(target)
-    metric_n = (episode.metric(target) - mean) / std
-    cov_mean, cov_std = np.array([norm.stats(name) for name in episode.lc_names]).T
-    cov_n = (episode.lc_outputs - cov_mean) / cov_std
-    origins = np.arange(max(s0 - 1, k - 1), s1 - h)
-    if not origins.size:
-        return {"origin_t": origins, "past_target": np.empty((0, k)),
-                "past_cov": np.empty((0, k, cov_n.shape[1])), "future_target": np.empty((0, h))}
-    # window i starts at origins[i] - k + 1: its lookback, then its horizon
-    rows = slice(origins[0] - k + 1, origins[-1] - k + 2)
-    spans = np.lib.stride_tricks.sliding_window_view(metric_n, k + h)[rows]
-    cov = np.lib.stride_tricks.sliding_window_view(cov_n, k, axis=0)[rows]
-    return {"origin_t": origins, "past_target": spans[:, :k], "past_cov": cov.transpose(0, 2, 1),
-            "future_target": spans[:, k:]}
-
-
-def _batch(episodes: Sequence[Episode], cuts: list[dict]) -> WindowBatch:
-    """Concatenate the episodes' cuts, in order, into one WindowBatch."""
-    counts = [c["origin_t"].size for c in cuts]
+    episodes, firsts, counts, targets, covs = [], [], [], [], []
+    for ep, segment in pairs:
+        s0, s1 = segment
+        if not (0 <= s0 <= s1 <= ep.length):
+            raise DatasetError(f"segment {segment} out of bounds for T={ep.length}")
+        mean, std = norm.stats(target)
+        metric = ep.metric(target)
+        cov_stats = [norm.stats(name) for name in ep.lc_names]
+        first = max(s0 - 1, k - 1)  # origins first .. s1 - h - 1
+        n = max(s1 - h - first, 0)
+        if n:  # its windows read steps first - k + 1 .. s1 - 1, joined back to back
+            targets.append(metric[first - k + 1 : s1])
+            covs.append(ep.lc_outputs[first - k + 1 : s1])
+        elif phase is not None:
+            logger.warning(
+                "episode %s: %s segment %s too short for windows (k=%d, h=%d); excluded",
+                ep.id, phase, segment, k, h,
+            )
+        episodes.append(ep)
+        firsts.append(first)
+        counts.append(n)
+    if targets:
+        # a stretch is its n windows' n + k + h - 1 steps, so window j of the i-th
+        # stretch starts (k + h - 1) * i + j steps into the joined series
+        stretch = np.repeat(np.arange(len(targets)), [n for n in counts if n])
+        starts = np.arange(stretch.size) + (k + h - 1) * stretch
+        cov_mean, cov_std = np.array(cov_stats).T  # one channel order for every pair
+        target_n = (np.concatenate(targets) - mean) / std
+        cov_n = (np.concatenate(covs) - cov_mean) / cov_std
+        windows = np.lib.stride_tricks.sliding_window_view
+        past_target = windows(target_n, k)[starts]
+        future_target = windows(target_n[k:], h)[starts]
+        past_cov = windows(cov_n, k, axis=0).transpose(0, 2, 1)[starts]
+    else:  # no pair has a window, and a view of k + h steps needs that many
+        past_target, future_target = np.empty((0, k)), np.empty((0, h))
+        past_cov = np.empty((0, k, episodes[0].lc_outputs.shape[1]))
+    cum = np.cumsum(counts) - counts  # windows before each pair
     return WindowBatch(
         static=np.repeat([ep.scenario.unit_values() for ep in episodes], counts, axis=0),
-        **{name: np.concatenate([c[name] for c in cuts])
-           for name in ("past_target", "past_cov", "future_target", "origin_t")},
+        past_target=past_target,
+        past_cov=past_cov,
+        future_target=future_target,
         episode_ids=np.repeat([ep.id for ep in episodes], counts),
+        origin_t=np.arange(sum(counts)) + np.repeat(np.subtract(firsts, cum), counts),
         scenario_dims=episodes[0].scenario.names,
     )
 
@@ -325,7 +349,7 @@ def make_windows(
     never before the episode start. The batch is empty when the segment is
     too short.
     """
-    return _batch([episode], [_cut(episode, segment, wc, norm, target)])
+    return _gather([(episode, segment)], wc, norm, target)
 
 
 def windows_for_phase(
@@ -344,21 +368,18 @@ def windows_for_phase(
     if not episodes:
         raise DatasetError("no episodes to cut windows from")
     first = episodes[0]
-    cuts = []
-    for ep in episodes:
-        if (ep.lc_names, ep.scenario.names) != (first.lc_names, first.scenario.names):
-            raise DatasetError(
-                f"episode {ep.id}: channels {ep.lc_names} and scenario dims {ep.scenario.names} "
-                f"differ from episode {first.id}'s {first.lc_names} and {first.scenario.names}"
-            )
-        seg = split[ep.id].segment(phase)
-        cuts.append(_cut(ep, seg, wc, norm, target))
-        if not cuts[-1]["origin_t"].size:
-            logger.warning(
-                "episode %s: %s segment %s too short for windows (k=%d, h=%d); excluded",
-                ep.id, phase, seg, wc.k, wc.h,
-            )
-    return _batch(episodes, cuts)
+
+    def pairs():  # checked as the gather reaches each episode, so errors keep episode order
+        for ep in episodes:
+            if (ep.lc_names, ep.scenario.names) != (first.lc_names, first.scenario.names):
+                raise DatasetError(
+                    f"episode {ep.id}: channels {ep.lc_names} and scenario dims "
+                    f"{ep.scenario.names} differ from episode {first.id}'s "
+                    f"{first.lc_names} and {first.scenario.names}"
+                )
+            yield ep, split[ep.id].segment(phase)
+
+    return _gather(pairs(), wc, norm, target, phase)
 
 
 def phase_windows(

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +153,13 @@ def test_scenario_roundtrip_and_unit_values():
     assert s.as_dict()["cloud_cover"] == 1.0
     u = s.unit_values()
     assert u == pytest.approx([0.25, 1.0, 0.0, 1.0])
+
+
+def test_scenario_names_are_built_once_and_stay_out_of_eq_hash_and_repr():
+    s, fresh = Scenario((0.25, 1.0, -8.0, 10.0), DIMS), Scenario((0.25, 1.0, -8.0, 10.0), DIMS)
+    assert s.names is s.names == tuple(d.name for d in DIMS)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert replace(s, values=(0.5, 0.5, 0.0, 0.0)) != s
 
 
 def test_scenario_out_of_range():

@@ -2,12 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from forewarn.core import Episode, Scenario, ScenarioDim, WindowBatch, WindowConfig
+from forewarn.core import (
+    Episode, Scenario, ScenarioDim, ValidationError, WindowBatch, WindowConfig,
+)
 from forewarn.data import (
     DatasetError,
+    EpisodeSplit,
+    NormStats,
     STD_EPSILON,
     build_split,
     dataset_hash,
@@ -369,17 +373,21 @@ def _enumerated_windows(ep, segment, wc, norm, target):
     ]
 
 
-def _assert_batch_equals_samples(batch, samples, k, h, n_cov, n_static):
+def _assert_batch_equals_samples(batch, samples, k, h, n_cov, n_static, ids):
+    """Every column equal to the samples', dtype included; `ids` are the ids the call was given."""
     shapes = {"static": (n_static,), "past_target": (k,), "past_cov": (k, n_cov),
               "future_target": (h,), "episode_ids": (), "origin_t": ()}
+    dtypes = dict.fromkeys(shapes, np.float64) | {"episode_ids": np.array(ids).dtype,
+                                                  "origin_t": np.dtype(int)}
     want = {
-        name: np.array([s[name] for s in samples]).reshape(-1, *shape)
+        name: np.array([s[name] for s in samples], dtype=dtypes[name]).reshape(-1, *shape)
         for name, shape in shapes.items()
     }
     assert isinstance(batch, WindowBatch) and len(batch) == len(samples)
     for name, arr in want.items():
         got = getattr(batch, name)
-        assert got.shape == arr.shape and np.array_equal(got, arr), name
+        assert got.dtype == arr.dtype and got.shape == arr.shape, name
+        assert np.array_equal(got, arr), name
 
 
 @st.composite
@@ -400,11 +408,142 @@ def test_columnar_windows_equal_per_window_enumeration(cuts, seed):
     wc = WindowConfig(h=h, cm=cm)
     want = _enumerated_windows(ep, segment, wc, norm, "margin_he")
     batch = make_windows(ep, segment, wc, norm, target="margin_he")
-    _assert_batch_equals_samples(batch, want, wc.k, h, n_cov=2, n_static=len(DIMS))
-    _assert_batch_equals_samples(batch[1::2], want[1::2], wc.k, h, n_cov=2, n_static=len(DIMS))
+    for got, ref in ((batch, want), (batch[1::2], want[1::2])):
+        _assert_batch_equals_samples(got, ref, wc.k, h, n_cov=2, n_static=len(DIMS), ids=[ep.id])
     for i, (got, ref) in enumerate(zip(batch, want)):  # int indexing gives a row handle
         assert (got.batch, got.index, got.episode_id) == (batch, i, ref["episode_ids"])
     assert batch.scenario_dims == batch[1::2].scenario_dims == ep.scenario.names
+
+
+@st.composite
+def _phase_cuts(draw):
+    """(lengths, segments, h, cm): 2-5 episodes of unequal lengths, some cut too short.
+
+    A drawn case forces no episode, the first, a middle one (with 3 or more),
+    the last or every episode to yield no window, by a segment shorter than h.
+    The others draw any segment, so they too may yield none.
+    """
+    lengths = draw(st.lists(st.integers(10, 60), min_size=2, max_size=5, unique=True))
+    h, cm = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = len(lengths)
+    forced = {
+        "none": set(), "first": {0}, "last": {n - 1}, "every": set(range(n)),
+        "middle": {draw(st.integers(1, n - 2))} if n > 2 else set(),
+    }[draw(st.sampled_from(["none", "first", "middle", "last", "every"]))]
+    segments = []
+    for i, t_len in enumerate(lengths):
+        s0 = draw(st.integers(0, t_len))
+        top = min(t_len, s0 + h - 1) if i in forced else t_len
+        segments.append((s0, draw(st.integers(s0, top))))
+    return lengths, segments, h, cm
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cuts=_phase_cuts(), phase=st.sampled_from(["train", "val", "test"]), seed=st.integers(0, 99))
+@example(cuts=([10, 11, 12], [(0, 10), (0, 11), (0, 11)], 3, 3), phase="test", seed=0)
+def test_windows_for_phase_equals_per_episode_enumeration_property(cuts, phase, seed, caplog):
+    lengths, segments, h, cm = cuts
+    eps = [
+        replace(make_episode(t=t_len, seed=seed + i, eid=f"ep{i}"),
+                scenario=Scenario((0.2 * i, 0.5, -1.0, i), DIMS))
+        for i, t_len in enumerate(lengths)
+    ]
+    norm = fit_norm(eps, build_split(eps))
+    split = {ep.id: EpisodeSplit(seg, seg, seg) for ep, seg in zip(eps, segments)}
+    wc = WindowConfig(h=h, cm=cm)
+    per_episode = [_enumerated_windows(ep, seg, wc, norm, "margin_he")
+                   for ep, seg in zip(eps, segments)]
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        batch = windows_for_phase(eps, split, wc, norm, phase, target="margin_he")
+    want = [w for windows in per_episode for w in windows]
+    ids = [ep.id for ep in eps]
+    _assert_batch_equals_samples(batch, want, wc.k, h, n_cov=2, n_static=len(DIMS), ids=ids)
+    excluded = [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()]
+    assert excluded == [
+        f"episode {ep.id}: {phase} segment {seg} too short for windows (k={wc.k}, h={h}); excluded"
+        for ep, seg, windows in zip(eps, segments, per_episode) if not windows
+    ]
+
+
+def test_a_call_with_no_window_gives_an_empty_batch():
+    # T=10 at (h=3, cm=3): every phase is shorter than k + h = 12, so no view fits
+    eps = [make_episode(t=10, seed=s, eid=f"ep{s}") for s in range(3)]
+    split = build_split(eps)
+    norm = fit_norm(eps, split)
+    wc = WindowConfig(h=3, cm=3)
+    batches = [windows_for_phase(eps, split, wc, norm, phase, "margin_cte")
+               for phase in ("train", "val", "test")]
+    batches.append(make_windows(eps[0], (0, 10), wc, norm, "margin_cte"))
+    for batch in batches:
+        assert len(batch) == 0
+        for name, shape in (("static", (0, len(DIMS))), ("past_target", (0, 9)),
+                            ("past_cov", (0, 9, 2)), ("future_target", (0, 3))):
+            assert getattr(batch, name).shape == shape and getattr(batch, name).dtype == np.float64
+        assert batch.origin_t.shape == batch.episode_ids.shape == (0,)
+        assert batch.origin_t.dtype == np.dtype(int) and batch.episode_ids.dtype.kind == "U"
+        assert batch.scenario_dims == eps[0].scenario.names
+
+
+def _without(norm, channel):
+    return NormStats({name: stats for name, stats in norm.channels.items() if name != channel})
+
+
+def _no_metric(ep):
+    return replace(ep, metric_names=("margin_x", "margin_he"))
+
+
+_FAULT_MESSAGES = {
+    "segment": (DatasetError, "segment (0, 41) out of bounds for T=40"),
+    "target stats": (DatasetError, "no normalization stats for channel 'margin_cte'"),
+    "target metric": (ValidationError,
+                      "episode 'ep1' has no metric 'margin_cte' (has ('margin_x', 'margin_he'))"),
+    "channel stats": (DatasetError, "no normalization stats for channel 'he_est'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_MESSAGES))
+def test_an_episodes_window_checks_run_in_order(fault):
+    # this fault and every one checked after it: the first is the one raised
+    faults = list(_FAULT_MESSAGES)[list(_FAULT_MESSAGES).index(fault):]
+    ep = make_episode(t=40, eid="ep1")
+    norm = fit_norm([ep], build_split([ep]))
+    if "target stats" in faults:
+        norm = _without(norm, "margin_cte")
+    if "channel stats" in faults:
+        norm = _without(norm, "he_est")
+    if "target metric" in faults:
+        ep = _no_metric(ep)
+    segment = (0, 41) if "segment" in faults else (0, 40)
+    error, message = _FAULT_MESSAGES[fault]
+    with pytest.raises(error) as info:
+        make_windows(ep, segment, WindowConfig(h=3, cm=2), norm, "margin_cte")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_MESSAGES))
+def test_window_errors_keep_their_text_and_episode_order(fault):
+    # the middle episode is bad, and a later check or a later episode is bad too:
+    # each episode is checked in turn (bounds, target stats, target metric, channel
+    # stats), so the first fault met in that order is the one raised
+    eps = [make_episode(t=40, seed=s, eid=f"ep{s}") for s in range(3)]
+    split = build_split(eps)
+    norm = fit_norm(eps, split)
+    past_end = {"ep1": (0, 41), "ep2": (0, 42)}
+    if fault == "segment":  # ep1 also lacks the metric, ep2 is out of bounds too
+        eps[1] = _no_metric(eps[1])
+    elif fault == "target stats":  # met at ep0, before ep1's bounds
+        norm = _without(norm, "margin_cte")
+    elif fault == "target metric":  # ep1, before ep2's bounds
+        eps[1], past_end = _no_metric(eps[1]), {"ep2": (0, 42)}
+    else:  # met at ep0, before ep1's missing metric
+        norm, eps[1], past_end = _without(norm, "he_est"), _no_metric(eps[1]), {}
+    split |= {eid: EpisodeSplit(*[seg] * 3) for eid, seg in past_end.items()}
+    error, message = _FAULT_MESSAGES[fault]
+    with pytest.raises(error) as info:
+        windows_for_phase(eps, split, WindowConfig(h=3, cm=2), norm, "val", "margin_cte")
+    assert str(info.value) == message
 
 
 def test_windows_for_phase_concatenates_episode_batches_in_order():
