@@ -3,9 +3,9 @@
 A minimal tape: each Tensor remembers its parents and a closure that pushes
 the output gradient back to them. backward() walks the tape in reverse
 topological order (iteratively; recurrent nets build long chains). Everything
-is float64. Broadcasting in elementwise ops and batched matmul (1-D operands
-included, as numpy promotes them) is supported; gradients are summed back to
-the parent's shape.
+is float64. Broadcasting in elementwise ops and batched matmul is supported;
+gradients are summed back to the parent's shape. A matmul operand has at
+least two dimensions: the backward of a 1-D one fails.
 
 backward() sets .grad only on the nodes reachable from its output, and each
 such node gets its own buffer: no two nodes' .grad share memory, so a caller
@@ -166,21 +166,15 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def bw(g):
-            # promote 1-D operands as numpy does: (d,) is (1, d) on the left
-            # and (d, 1) on the right, and g regains the axis numpy dropped
             a, b = self.data, other.data
-            if b.ndim == 1:
-                b, g = b[:, None], g[..., None]
-            if a.ndim == 1:
-                a, g = a[None, :], g[..., None, :]
             ga = g @ b.swapaxes(-1, -2)
             if b.ndim == 2 and a.ndim > 2:
                 # a weight shared across leading dims: one 2-D GEMM over all rows
                 gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = a.swapaxes(-1, -2) @ g
-            self._acc(_unbroadcast(ga, a.shape).reshape(self.data.shape), fresh=True)
-            other._acc(_unbroadcast(gb, b.shape).reshape(other.data.shape), fresh=True)
+            self._acc(_unbroadcast(ga, a.shape), fresh=True)
+            other._acc(_unbroadcast(gb, b.shape), fresh=True)
 
         out._bw = bw
         return out
@@ -204,15 +198,12 @@ class Tensor:
 
     # ------------------------------------------------------------- shape ops
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int):
         out = Tensor(self.data.reshape(shape), (self,))
         out._bw = lambda g: self._acc(g.reshape(self.data.shape))
         return out
 
-    def transpose(self, axes: Sequence[int]):
-        axes = tuple(axes)
+    def transpose(self, axes: tuple[int, ...]):
         inverse = tuple(np.argsort(axes))
         out = Tensor(self.data.transpose(axes), (self,))
         out._bw = lambda g: self._acc(g.transpose(inverse))

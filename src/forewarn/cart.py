@@ -199,10 +199,10 @@ class CVResult:
 def cross_validate(
     features,
     targets,
-    max_depths: Sequence[int] = (1, 2, 3, 4, 5),
-    min_leaves: Sequence[int] = (2, 5, 10),
-    k: int = 10,
-    seed: int = 0,
+    max_depths: Sequence[int],
+    min_leaves: Sequence[int],
+    k: int,
+    seed: int,
 ) -> CVResult:
     """Pick (max_depth, min_samples_leaf) by k-fold CV mean MSE, refit on all data.
 
@@ -271,18 +271,16 @@ class Rule:
     value: float
     count: int
 
-    def text(self, feature_names: Sequence[str] | None = None) -> str:
-        def name(j: int) -> str:
-            return feature_names[j] if feature_names is not None else f"x{j}"
-
+    def text(self, feature_names: Sequence[str]) -> str:
         parts = []
         for j, lo, hi in self.intervals:
+            name = feature_names[j]
             if lo == -np.inf and hi < np.inf:
-                parts.append(f"{name(j)} <= {hi:g}")
+                parts.append(f"{name} <= {hi:g}")
             elif hi == np.inf and lo > -np.inf:
-                parts.append(f"{name(j)} > {lo:g}")
+                parts.append(f"{name} > {lo:g}")
             else:
-                parts.append(f"{lo:g} < {name(j)} <= {hi:g}")
+                parts.append(f"{lo:g} < {name} <= {hi:g}")
         head = " and ".join(parts) if parts else "always"
         return f"{head} -> {self.value:.4f}  (n={self.count})"
 

@@ -132,9 +132,6 @@ class Scenario:
         )
         return out
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
-
 
 @dataclass(frozen=True)
 class SafetyRequirement:
@@ -318,8 +315,10 @@ class WindowBatch:
     being the episode step its lookback ends at, which also seeds its
     Monte-Carlo draws. The batch is checked once, as a whole: the arrays agree
     on N and k, static has one column per scenario dim, every float is finite
-    and every origin_t is an int >= 0. ``batch[i]`` is a WindowSample handle on
-    window i; a slice, an int array or a boolean mask selects a WindowBatch.
+    and every origin_t is an int >= 0. A slice, an int array or a boolean mask
+    selects a WindowBatch. An int index is refused: the columns it would give
+    fail the shape check. Iterating yields a WindowSample handle per window,
+    the list form training.fit also takes.
     """
 
     static: np.ndarray
@@ -368,8 +367,6 @@ class WindowBatch:
         return (WindowSample(self, i) for i in range(len(self)))
 
     def __getitem__(self, index):
-        if isinstance(index, Integral) and not isinstance(index, bool):
-            return WindowSample(self, range(len(self))[index])
         return WindowBatch(  # a slice, an int array or a boolean mask selects rows
             *(getattr(self, f.name)[index] for f in fields(self) if f.name != "scenario_dims"),
             scenario_dims=self.scenario_dims,
@@ -383,7 +380,8 @@ class WindowBatch:
 def as_batch(windows: WindowBatch | Sequence[WindowSample]) -> WindowBatch:
     """`windows` as one non-empty WindowBatch: a batch as it is, handles gathered.
 
-    Handles must index one batch; their rows are selected from it in one go.
+    training.fit's two forms. Handles must index one batch; their rows are
+    selected from it in one go.
     """
     if not len(windows):
         raise ValidationError("empty window batch")

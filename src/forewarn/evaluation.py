@@ -34,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Episode, QuantileGrid, ValidationError, WindowBatch, WindowConfig, WindowSample, as_batch,
-    check_setting, derived_seed, violation_sign,
+    Episode, QuantileGrid, ValidationError, WindowBatch, WindowConfig, check_setting,
+    derived_seed, violation_sign,
 )
 from .data import NormStats, phase_windows
 from .forecasters import (
@@ -231,23 +231,28 @@ class ModelEval:
 
 def evaluate_model(
     model: TrainedForecaster,
-    test_windows: WindowBatch | Sequence[WindowSample],
+    test_windows: WindowBatch,
     mc_seed: int | None = None,
     n_paths: int = DEFAULT_N_PATHS,
 ) -> ModelEval:
     """Forecast every test window once; exact counts, q-Risk and coverage per quantile.
 
-    Forecasts and truths are taken back to the original scale by the model's norm.
+    Forecasts and truths are taken back to the original scale by the model's
+    norm. The truths' verdicts are not: a raw 0 can come back as -2.2e-16, so
+    each is taken on the normalized scale, against the limit (0 - mean) / std
+    that a raw 0 is normalized to exactly.
     """
-    test = as_batch(test_windows)
-    preds = predict_quantiles_batch(model, test, mc_seed=mc_seed, n_paths=n_paths)
+    preds = predict_quantiles_batch(model, test_windows, mc_seed=mc_seed, n_paths=n_paths)
     mean, std = model.norm.stats(model.target)
-    y_true = test.future_target * std + mean
+    y_true = test_windows.future_target * std + mean
     # lead-major copies, (h, N) and (h, |Q|, N), put the windows on the inner
     # axis, where numpy's loops run fast: the max over leads and the coverage
     # counts each take a fraction of their time on the (N, h, |Q|) block
     true_by_lead = np.ascontiguousarray(y_true.T)
-    truths = violation_sign(true_by_lead, axis=0)
+    # normalized truth minus the limit is >= 0 exactly when the truth is >= it
+    truths = violation_sign(
+        np.subtract(test_windows.future_target.T, (0.0 - mean) / std, order="C"), axis=0
+    )
     by_lead = preds.transpose(1, 2, 0).copy()
     decisions = violation_sign(by_lead, axis=0)  # (|Q|, N)
     covered = true_by_lead[:, None, :] <= by_lead
@@ -269,7 +274,7 @@ def evaluate_model(
         per_q=per_q,
         decisions=np.ascontiguousarray(decisions.T),  # (N, |Q|)
         truths=truths,
-        episode_ids=test.episode_ids,
+        episode_ids=test_windows.episode_ids,
     )
 
 
@@ -309,10 +314,10 @@ class EvalReport:
 def evaluate(
     spec: ForecasterSpec,
     base_cfg: TrainConfig,
-    train_windows: WindowBatch | Sequence[WindowSample],
-    val_windows: WindowBatch | Sequence[WindowSample],
-    test_windows: WindowBatch | Sequence[WindowSample],
-    repetitions: int = 30,
+    train_windows: WindowBatch,
+    val_windows: WindowBatch,
+    test_windows: WindowBatch,
+    repetitions: int,
     grid: QuantileGrid = QuantileGrid(),
     *,
     norm: NormStats,
@@ -372,9 +377,9 @@ def sweep(
     episodes,
     families: Sequence[str],
     base_cfg: TrainConfig,
-    h_values: Sequence[int] = (3, 12),
-    cm_values: Sequence[int] = (1, 3, 9),
-    repetitions: int = 1,
+    h_values: Sequence[int],
+    cm_values: Sequence[int],
+    repetitions: int,
     grid: QuantileGrid = QuantileGrid(),
     target: str | None = None,
     n_paths: int = DEFAULT_N_PATHS,
@@ -447,10 +452,10 @@ class TuneResult:
 def grid_tune(
     family: str,
     axes: dict[str, Sequence],
-    train_windows: WindowBatch | Sequence[WindowSample],
-    val_windows: WindowBatch | Sequence[WindowSample],
+    train_windows: WindowBatch,
+    val_windows: WindowBatch,
     base_cfg: TrainConfig,
-    repetitions: int = 5,
+    repetitions: int,
     grid: QuantileGrid = QuantileGrid(),
     *,
     norm: NormStats,
@@ -534,7 +539,7 @@ class BenchReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def bench(cfg: MonitorConfig, episode: Episode, warmup: int = 50, iters: int = 500) -> BenchReport:
+def bench(cfg: MonitorConfig, episode: Episode, warmup: int, iters: int) -> BenchReport:
     """Wall-clock latency and peak allocation of the monitor's decided pushes.
 
     The episode, checked as `decisions` checks it, streams through SafetyMonitor.push,

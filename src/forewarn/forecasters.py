@@ -1,9 +1,8 @@
 """The forecaster families and their prediction/serialization contracts.
 
 Five families share one interface (train on a WindowBatch, whose columns
-stack_windows hands to the forward passes, or on a list of WindowSample
-handles into one batch, which core.as_batch gathers first; emit original-scale
-quantile forecasts):
+stack_windows hands to the forward passes; emit original-scale quantile
+forecasts):
 
 * ``persistence``   last observed value, copied to every (lead, quantile) cell
 * ``seq2seq``       MLP encoder over [static; flattened lookback] -> MLP
@@ -99,8 +98,6 @@ from .core import (
     ValidationError,
     WindowBatch,
     WindowConfig,
-    WindowSample,
-    as_batch,
     check_setting,
     derived_seed,
 )
@@ -314,8 +311,11 @@ class TrainedForecaster:
             )
 
     def check_windows(self, batch: WindowBatch, where: str = "") -> None:
-        """ValidationError unless the batch is cut the way the model reads windows:
-        with the model's scenario dims, lookback, horizon and covariate width."""
+        """ValidationError unless the batch holds windows cut the way the model
+        reads them: with the model's scenario dims, lookback, horizon and
+        covariate width. An empty batch is refused first."""
+        if not len(batch):
+            raise ValidationError(f"{where}empty window batch")
         self.check_scenario(batch.scenario_dims, where)
         for what, n, n_model in (
             ("lookback", batch.past_target.shape[1], self.wc.k),
@@ -329,9 +329,9 @@ class TrainedForecaster:
 # ----------------------------------------------------------------- helpers
 
 
-def stack_windows(windows: WindowBatch | Sequence[WindowSample]) -> dict[str, np.ndarray]:
-    """The columns of as_batch(windows): the forward arrays, and origin_t for ar_rnn's draws."""
-    return as_batch(windows).columns()
+def stack_windows(windows: WindowBatch) -> dict[str, np.ndarray]:
+    """The batch's columns: the forward arrays, and origin_t for ar_rnn's draws."""
+    return windows.columns()
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -740,18 +740,18 @@ def _path_quantiles(paths: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 def predict_quantiles_batch(
     model: TrainedForecaster,
-    windows: WindowBatch | Sequence[WindowSample],
+    windows: WindowBatch,
     mc_seed: int | None = None,
     n_paths: int = DEFAULT_N_PATHS,
 ) -> np.ndarray:
     """predict_quantiles on windows checked against the model: (N, h, |Q|).
 
-    model.check_windows checks the batch first: its scenario dims (names and
-    order, as in the monitor), lookback, horizon and covariate width.
+    model.check_windows checks the batch first: that it is not empty, its
+    scenario dims (names and order, as in the monitor), lookback, horizon and
+    covariate width.
     """
-    batch = as_batch(windows)
-    model.check_windows(batch)
-    return predict_quantiles(model, stack_windows(batch), mc_seed=mc_seed, n_paths=n_paths)
+    model.check_windows(windows)
+    return predict_quantiles(model, stack_windows(windows), mc_seed=mc_seed, n_paths=n_paths)
 
 
 def predict_quantiles(

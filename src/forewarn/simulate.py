@@ -110,18 +110,6 @@ def lhs_sample(n: int, dims: Sequence[ScenarioDim], seed: int) -> list[Scenario]
     return [Scenario(tuple(row), dims) for row in values]
 
 
-def _sigma(cfg: SimConfig, scenario_map: dict[str, float]) -> float:
-    return (
-        cfg.noise_base
-        + cfg.noise_cloud_gain * scenario_map.get("cloud_cover", 0.0)
-        + cfg.noise_tod_gain * scenario_map.get("time_of_day", 0.0)
-    )
-
-
-def _bias(cfg: SimConfig, scenario_map: dict[str, float]) -> float:
-    return cfg.bias_gain * (scenario_map.get("cloud_cover", 0.0) - 0.5)
-
-
 def simulate_episode(scenario: Scenario, cfg: SimConfig, index: int = 0) -> Episode:
     """Run the closed loop for cfg.episode_len steps from one scenario point.
 
@@ -134,19 +122,23 @@ def simulate_episode(scenario: Scenario, cfg: SimConfig, index: int = 0) -> Epis
 
     Recorded state/estimates/metrics at step t describe the plant *before*
     the step-t control is applied; the metrics are DEFAULT_REQUIREMENTS'. The
+    scenario is a point of the DEFAULT_DIMS box, its values in that order. The
     noise stream is seeded by (cfg.seed, index), so episode `index` is
     reproducible in isolation.
     """
-    smap = scenario.as_dict()
-    if "cte_start" not in smap or "he_start" not in smap:
-        raise ValidationError("scenario must define cte_start and he_start")
+    if scenario.dims != DEFAULT_DIMS:
+        raise ValidationError(
+            f"scenario dims {scenario.names} are not DEFAULT_DIMS "
+            f"{tuple(d.name for d in DEFAULT_DIMS)}: the simulator needs those bounds and order"
+        )
+    tod, cloud, cte, he = scenario.values
     t_len = cfg.episode_len
     rng = np.random.default_rng((cfg.seed, index))
-    noise = rng.normal(size=(t_len, 2)) * _sigma(cfg, smap)
-    bias = _bias(cfg, smap)
+    noise = rng.normal(size=(t_len, 2)) * (
+        cfg.noise_base + cfg.noise_cloud_gain * cloud + cfg.noise_tod_gain * tod
+    )
+    bias = cfg.bias_gain * (cloud - 0.5)
 
-    cte = float(smap["cte_start"])
-    he = float(smap["he_start"])
     state = np.empty((t_len, 2))
     est = np.empty((t_len, 2))
     for t in range(t_len):

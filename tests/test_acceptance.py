@@ -349,7 +349,10 @@ def test_07_latency_grows_with_horizon_only_for_iterative_decoding():
 
 def test_08_window_sweep_emits_all_six_configs(workbench):
     cfg = TrainConfig(epochs=1, batch_size=256, lr=1e-3, clip_norm=1.0, patience=1, seed=0)
-    rows = sweep(workbench["episodes"][:40], ["persistence"], cfg, repetitions=1)
+    rows = sweep(
+        workbench["episodes"][:40], ["persistence"], cfg,
+        h_values=(3, 12), cm_values=(1, 3, 9), repetitions=1,
+    )
     assert len(rows) == 6
     assert all(not row["skipped"] for row in rows)
     assert all(row["total_window"] == row["h"] * (1 + row["cm"]) for row in rows)
@@ -371,7 +374,7 @@ def test_09_tree_recovers_planted_scenario_structure():
         np.where(x[:, 2] <= 0.6, 0.55, 0.30),
     )
     y = plateau + 0.01 * rng.standard_normal(n)
-    result = cross_validate(x, y, k=10, seed=0)
+    result = cross_validate(x, y, max_depths=(1, 2, 3, 4, 5), min_leaves=(2, 5, 10), k=10, seed=0)
     assert result.r2 >= 0.9
     rules = extract_rules(result.tree)
     used = {j for rule in rules for (j, _, _) in rule.intervals}

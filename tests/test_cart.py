@@ -173,18 +173,19 @@ def test_cross_validate_checks_every_depth():
     x, y = planted_data(seed=9, n=20)
     for depths in ((1, -1), (2, 1.5), (True,)):
         with pytest.raises(ValidationError, match="max_depth"):
-            cross_validate(x, y, max_depths=depths, min_leaves=(2,), k=2)
+            cross_validate(x, y, max_depths=depths, min_leaves=(2,), k=2, seed=0)
     # also when no leaf size fits a fold
     with pytest.raises(ValidationError, match="max_depth"):
-        cross_validate(x, y, max_depths=(1, -1), min_leaves=(50,), k=2)
+        cross_validate(x, y, max_depths=(1, -1), min_leaves=(50,), k=2, seed=0)
 
 
 def test_cross_validate_k_bounds():
     x, y = planted_data(seed=7, n=8)
+    grid = dict(max_depths=(1, 2, 3, 4, 5), min_leaves=(2, 5, 10), seed=0)
     with pytest.raises(ValidationError, match="folds"):
-        cross_validate(x, y, k=9)
+        cross_validate(x, y, k=9, **grid)
     with pytest.raises(ValidationError, match="k must be"):
-        cross_validate(x, y, k=1)
+        cross_validate(x, y, k=1, **grid)
 
 
 def test_mean_predictor_has_zero_r_squared():
@@ -206,7 +207,7 @@ def test_single_leaf_rule_has_empty_antecedent():
     rules = extract_rules(tree)
     assert len(rules) == 1
     assert rules[0].intervals == ()
-    assert rules[0].text().startswith("always")
+    assert rules[0].text(["a", "b"]).startswith("always")
 
 
 def test_depth_one_rules_partition():

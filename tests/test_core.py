@@ -150,7 +150,7 @@ def test_first_violation_index_agrees_with_sign():
 
 def test_scenario_roundtrip_and_unit_values():
     s = Scenario((0.25, 1.0, -8.0, 10.0), DIMS)
-    assert s.as_dict()["cloud_cover"] == 1.0
+    assert s.values[s.names.index("cloud_cover")] == 1.0
     u = s.unit_values()
     assert u == pytest.approx([0.25, 1.0, 0.0, 1.0])
 
@@ -289,9 +289,12 @@ def test_window_sample_is_a_row_handle_its_batch_checks():
         )
 
     batch = one(np.zeros((9, 2)))
-    s = batch[0]
+    (s,) = batch  # iterating gives the handles; an int index selects nothing
     assert (s.batch, s.index, s.episode_id) == (batch, 0, "ep0")
-    assert batch[-1].index == 0
+    refusal = r"static must be 2-dimensional, got shape \(4,\)"
+    for index in (0, -1, np.int64(0)):
+        with pytest.raises(ValidationError, match=refusal):
+            batch[index]
     with pytest.raises(ValidationError, match="window index must be an int >= 0 and < 1"):
         WindowSample(batch, 1)
     with pytest.raises(IndexError):
@@ -318,7 +321,7 @@ def test_window_batch_is_checked_once_as_a_whole():
         )
 
     ok = batch(dims=list(names))
-    assert len(ok) == 3 and ok.origin_t[ok[1].index] == 1
+    assert len(ok) == 3 and ok.origin_t[list(ok)[1].index] == 1
     assert ok.scenario_dims == names and ok[::2].scenario_dims == names
     assert isinstance(ok[::2], WindowBatch) and len(ok[::2]) == 2
     with pytest.raises(ValidationError, match="disagree"):

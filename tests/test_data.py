@@ -410,7 +410,7 @@ def test_columnar_windows_equal_per_window_enumeration(cuts, seed):
     batch = make_windows(ep, segment, wc, norm, target="margin_he")
     for got, ref in ((batch, want), (batch[1::2], want[1::2])):
         _assert_batch_equals_samples(got, ref, wc.k, h, n_cov=2, n_static=len(DIMS), ids=[ep.id])
-    for i, (got, ref) in enumerate(zip(batch, want)):  # int indexing gives a row handle
+    for i, (got, ref) in enumerate(zip(batch, want)):  # iterating gives row handles
         assert (got.batch, got.index, got.episode_id) == (batch, i, ref["episode_ids"])
     assert batch.scenario_dims == batch[1::2].scenario_dims == ep.scenario.names
 

@@ -16,8 +16,8 @@ from _synth import (
     FIT_KW, identity_norm, make_episode, make_learnable_windows, make_model, make_noise_windows,
 )
 from forewarn import evaluation
-from forewarn.core import QuantileGrid, Scenario, ValidationError, WindowConfig
-from forewarn.data import build_split, fit_norm, windows_for_phase
+from forewarn.core import QuantileGrid, Scenario, ValidationError, WindowConfig, violation_sign
+from forewarn.data import build_split, fit_norm, phase_windows, windows_for_phase
 from forewarn.evaluation import (
     BenchReport,
     Confusion,
@@ -38,7 +38,8 @@ from forewarn.evaluation import (
 )
 from forewarn.forecasters import ForecasterSpec, predict_quantiles_batch
 from forewarn.monitor import MonitorConfig
-from forewarn.training import TrainConfig
+from forewarn.simulate import SimConfig, generate_dataset
+from forewarn.training import TrainConfig, fit
 
 WC = WindowConfig(h=2, cm=2)
 
@@ -293,19 +294,39 @@ def test_coverage_rises_with_the_level_and_bounds_joint_coverage_property(data):
     assert np.all(joint <= coverage)
 
 
-@pytest.mark.parametrize("family", ["persistence", "seq2seq", "ar_rnn"])
-def test_evaluate_model_on_a_window_batch_equals_it_on_its_samples(family):
-    rng = np.random.default_rng(8)
-    eps = [make_episode(rng, t_len=60, eid=f"ep{i}") for i in range(3)]
-    split = build_split(eps)
-    batch = windows_for_phase(eps, split, WC, fit_norm(eps, split), "test", target="m")
-    model = make_model(family, wc=WC)
-    on_batch = evaluate_model(model, batch, mc_seed=4, n_paths=20)
-    on_samples = evaluate_model(model, list(batch), mc_seed=4, n_paths=20)
-    assert np.array_equal(on_batch.decisions, on_samples.decisions)
-    assert np.array_equal(on_batch.truths, on_samples.truths)
-    assert np.array_equal(on_batch.episode_ids, on_samples.episode_ids)
-    assert on_batch.per_q == on_samples.per_q
+def test_a_metric_of_exactly_zero_is_a_violation_whatever_the_norm():
+    # every episode touches the cross-track limit once; at this seed the norm's
+    # round trip takes that 0.0 below zero, which would score it as safe
+    episodes = []
+    for ep in generate_dataset(SimConfig(n_scenarios=20, episode_len=60, seed=15)):
+        metric = ep.safety_metric.copy()
+        metric[55, ep.metric_names.index("margin_cte")] = 0.0
+        episodes.append(replace(ep, safety_metric=metric))
+    wc = WindowConfig(h=3, cm=1)
+    norm, phases = phase_windows(episodes, wc, "margin_cte")
+    mean, std = norm.stats("margin_cte")
+    assert (0.0 - mean) / std * std + mean < 0.0
+    model = fit(
+        ForecasterSpec("persistence"), phases["train"], phases["val"], TrainConfig(),
+        norm=norm, target="margin_cte", lc_names=episodes[0].lc_names,
+    )
+    test = phases["test"]
+    ev = evaluate_model(model, test)
+    metric = {ep.id: ep.metric("margin_cte") for ep in episodes}
+    raw = np.array([
+        metric[e][t + 1 : t + 1 + wc.h] for e, t in zip(test.episode_ids, test.origin_t)
+    ])
+    assert np.array_equal((raw - mean) / std, test.future_target)  # the windows' own horizons
+    assert np.count_nonzero(raw.max(axis=1) == 0.0) > 0
+    assert np.array_equal(ev.truths, violation_sign(raw, axis=1))
+
+
+def test_an_empty_batch_is_refused_by_name():
+    empty = make_noise_windows(np.random.default_rng(0), WC, 3)[:0]
+    model = make_model("seq2seq", wc=WC)
+    for call in (predict_quantiles_batch, evaluate_model):
+        with pytest.raises(ValidationError, match="^empty window batch$"):
+            call(model, empty)
 
 
 @pytest.mark.parametrize("dims", ["reordered", "renamed"])
@@ -447,7 +468,7 @@ def test_sweep_rows_carry_the_model_size_of_each_family_and_config():
     episodes = [make_episode(rng, t_len=20, eid=f"ep{i}") for i in range(3)]
     rows = sweep(
         episodes, ("persistence", "seq2seq"), TrainConfig(epochs=1, seed=0),
-        h_values=(2, 40), cm_values=(1,), grid=QuantileGrid((0.1, 0.5, 0.9)),
+        h_values=(2, 40), cm_values=(1,), repetitions=1, grid=QuantileGrid((0.1, 0.5, 0.9)),
     )
 
     def seq2seq_size(k, h, n=80, layers=2, n_static=3, n_cov=2, n_q=3):
@@ -489,13 +510,14 @@ def test_sweep_rejects_an_unknown_family_even_when_every_config_is_skipped():
     with pytest.raises(ValidationError, match="unknown family 'bogus'"):
         sweep(
             episodes, ["persistence", "bogus"], TrainConfig(epochs=1),
-            h_values=(40,), cm_values=(1,),
+            h_values=(40,), cm_values=(1,), repetitions=1,
         )
 
 
 def test_sweep_without_episodes_is_a_named_error():
     with pytest.raises(ValidationError, match="sweep needs at least one episode"):
-        sweep([], ["persistence"], TrainConfig())
+        sweep([], ["persistence"], TrainConfig(), h_values=(3, 12), cm_values=(1, 3, 9),
+              repetitions=1)
 
 
 # ------------------------------------------------------------------ bench

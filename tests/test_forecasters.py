@@ -18,7 +18,9 @@ import _oracles
 from _synth import FIT_KW, identity_norm, make_episode, make_noise_windows, unit_dims
 from forewarn import forecasters
 from forewarn.autodiff import Tensor, pinball_mean
-from forewarn.core import QuantileGrid, ValidationError, WindowConfig, derived_seed, violation_sign
+from forewarn.core import (
+    QuantileGrid, ValidationError, WindowConfig, as_batch, derived_seed, violation_sign,
+)
 from forewarn.data import make_windows
 from forewarn.forecasters import (
     FAMILIES,
@@ -481,8 +483,8 @@ def test_batch_prediction_matches_single_calls():
     for family in ("persistence", "seq2seq", "convseq2seq", "attn_seq2seq"):
         model = tiny_model(family, scale=(0.7, 1.3))
         batched = predict_quantiles_batch(model, samples)
-        for i, s in enumerate(samples):
-            single = predict_quantiles_batch(model, [s])[0]
+        for i in range(len(samples)):
+            single = predict_quantiles_batch(model, samples[i : i + 1])[0]
             assert np.allclose(batched[i], single, rtol=0, atol=1e-12), family
 
 
@@ -604,9 +606,13 @@ def test_convseq2seq_is_the_full_length_stack_to_the_bit_property(h, cm, bsz, se
         assert np.array_equal(g, tensors[name].grad), name
 
 
-def test_no_windows_cannot_be_stacked():
-    with pytest.raises(ValidationError, match="empty"):
-        stack_windows([])
+def test_no_windows_are_refused_by_check_windows():
+    empty = batch_of(np.random.default_rng(13), 3)[:0]
+    with pytest.raises(ValidationError, match="^val windows: empty window batch$"):
+        tiny_model("seq2seq").check_windows(empty, "val windows: ")
+    odd = make_noise_windows(np.random.default_rng(13), n=2, wc=WindowConfig(h=4, cm=1))[:0]
+    with pytest.raises(ValidationError, match="^empty window batch$"):
+        tiny_model("seq2seq").check_windows(odd)
 
 
 # windows cut unlike a WC model's, by what differs, and the refusal they earn
@@ -643,25 +649,18 @@ def test_windows_cut_unlike_the_model_are_refused_by_name(what, call):
     "odd", [odd for odd, _ in ODD_WINDOWS.values()], ids=list(ODD_WINDOWS)
 )
 def test_windows_of_different_shapes_cannot_share_a_batch(odd):
-    from forewarn.evaluation import evaluate_model
     from forewarn.training import TrainConfig, fit
 
     rng = np.random.default_rng(12)
     batch, other = batch_of(rng, 3), make_noise_windows(rng, **{"wc": WC, **odd})
     mixed = [*batch, *other]
-    for call in (
-        lambda: stack_windows(mixed),
-        lambda: predict_quantiles_batch(tiny_model("seq2seq"), mixed),
-        lambda: evaluate_model(tiny_model("persistence"), mixed),
-        lambda: fit(ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"]), mixed, batch_of(rng, 2),
-                    TrainConfig(epochs=1), **FIT_KW),
-    ):
-        with pytest.raises(ValidationError, match="windows index different batches"):
-            call()
+    with pytest.raises(ValidationError, match="windows index different batches"):
+        fit(ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"]), mixed, batch_of(rng, 2),
+            TrainConfig(epochs=1), **FIT_KW)
     # a batch's columns agree on N and k, so it cannot hold such a window either
     with pytest.raises(ValidationError, match="disagree"):
         dataclasses.replace(batch, past_cov=np.zeros((3, WC.k + 1, 2)))
-    assert np.array_equal(stack_windows(list(batch[::-1]))["past_cov"], batch.past_cov[::-1])
+    assert np.array_equal(as_batch(list(batch[::-1])).past_cov, batch.past_cov[::-1])
 
 
 # ------------------------------------------------------------------ checkpoints

@@ -6,6 +6,8 @@ import inside a function hides a dependency (often a cycle) from the module's
 header, so every import sits at module level. Each module's __all__ lists
 every public top-level function and class, and only names the module binds.
 No module reads a `_private` attribute that it does not define itself.
+Only training.fit and core.as_batch take WindowSample handles: every other
+window parameter is one WindowBatch.
 Every function, class and method is named somewhere in the package or the
 benchmark, or is on a short list that gives the reason it stays.
 """
@@ -183,3 +185,39 @@ def test_every_definition_is_named_by_the_package_or_the_benchmark():
         f"named nowhere: {sorted(unreached - set(UNREACHED))}; "
         f"no longer unreached: {sorted(set(UNREACHED) - unreached)}"
     )
+
+
+# the functions whose parameters may take WindowSample handles: fit's list form
+# and the gather it goes through; every other window argument is a WindowBatch
+HANDLE_TAKERS = {("training", "fit"), ("core", "as_batch")}
+
+
+def handle_parameters(source: str) -> set[str]:
+    """Functions with a parameter whose annotation names WindowSample, by name."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+            if arg is not None and arg.annotation is not None and any(
+                (isinstance(n, ast.Name) and n.id == "WindowSample")
+                or (isinstance(n, ast.Constant) and "WindowSample" in str(n.value))
+                for n in ast.walk(arg.annotation)
+            ):
+                out.add(fn.name)
+    return out
+
+
+def test_the_scan_finds_a_parameter_that_takes_handles():
+    source = (
+        "def f(w: WindowBatch | Sequence[WindowSample]): pass\n"
+        "def g(w: WindowBatch, *, s: 'list[WindowSample]'): pass\n"
+        "def h(w: WindowBatch) -> WindowSample: pass\n"
+    )
+    assert handle_parameters(source) == {"f", "g"}
+
+
+def test_only_fit_and_as_batch_take_window_handles():
+    found = {(p.stem, name) for p in SRC.glob("*.py") for name in handle_parameters(p.read_text())}
+    assert found == HANDLE_TAKERS

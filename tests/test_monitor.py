@@ -293,7 +293,7 @@ def test_push_forecasts_equal_predict_quantiles_on_make_windows(family):
     cfg = MonitorConfig(model, decision_quantile=0.5, seed=9, n_paths=30)
     ep = make_episode(np.random.default_rng(18), t_len=30)
     batch = make_windows(ep, (0, ep.length), WC, SKEWED_NORM, target="m")
-    windows = {t: batch[i] for i, t in enumerate(batch.origin_t.tolist())}
+    windows = {t: batch[i : i + 1] for i, t in enumerate(batch.origin_t.tolist())}
     monitor = SafetyMonitor(cfg, ep.scenario)
     y = ep.metric("m")
     compared = 0
@@ -302,7 +302,7 @@ def test_push_forecasts_equal_predict_quantiles_on_make_windows(family):
         if t not in windows or monitor.last_forecast is None:
             continue
         want = predict_quantiles_batch(
-            model, [windows[t]], mc_seed=cfg.seed, n_paths=cfg.n_paths
+            model, windows[t], mc_seed=cfg.seed, n_paths=cfg.n_paths
         )[0]
         assert monitor.last_forecast.origin_t == t
         assert np.array_equal(monitor.last_forecast.values, want)

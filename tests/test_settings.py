@@ -5,13 +5,16 @@ number but a bool; the type is checked before the range, and a failure is a
 ValidationError naming the setting.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from _synth import FIT_KW, make_episode, make_model, make_noise_windows
+from forewarn import cli
 from forewarn.cart import cross_validate, fit_cart
 from forewarn.core import ValidationError, WindowConfig, WindowSample, check_setting
-from forewarn.evaluation import bench, evaluate, grid_tune
+from forewarn.evaluation import bench, evaluate, grid_tune, sweep
 from forewarn.forecasters import (
     ForecasterSpec, load_checkpoint, predict_quantiles, save_checkpoint, stack_windows,
 )
@@ -28,8 +31,14 @@ def _predict(**kw):
     return predict_quantiles(make_model("ar_rnn", wc=WC), batch, **{"mc_seed": 0, **kw})
 
 
-def _bench(**kw):
-    return bench(MonitorConfig(make_model(wc=WC)), make_episode(np.random.default_rng(1)), **kw)
+def _bench(warmup, iters):
+    model, episode = make_model(wc=WC), make_episode(np.random.default_rng(1))
+    return bench(MonitorConfig(model), episode, warmup=warmup, iters=iters)
+
+
+def _cross_validate(k, seed):
+    return cross_validate(ROWS, ROWS[:, 0], max_depths=(1, 2, 3, 4, 5), min_leaves=(2, 5, 10),
+                          k=k, seed=seed)
 
 
 def _spec(family, key):
@@ -87,16 +96,16 @@ SITES = {
         lambda v: grid_tune("persistence", {}, [], [], TrainConfig(), v, **FIT_KW),
         "repetitions", int, 0,
     ),
-    "bench.warmup": (lambda v: _bench(warmup=v), "warmup", int, -1),
-    "bench.iters": (lambda v: _bench(iters=v), "iters", int, 0),
+    "bench.warmup": (lambda v: _bench(warmup=v, iters=500), "warmup", int, -1),
+    "bench.iters": (lambda v: _bench(warmup=50, iters=v), "iters", int, 0),
     "fit_cart.max_depth": (
         lambda v: fit_cart(ROWS, ROWS[:, 0], max_depth=v), "max_depth", int, -1,
     ),
     "fit_cart.min_samples_leaf": (
         lambda v: fit_cart(ROWS, ROWS[:, 0], min_samples_leaf=v), "min_samples_leaf", int, 0,
     ),
-    "cross_validate.k": (lambda v: cross_validate(ROWS, ROWS[:, 0], k=v), "k", int, 1),
-    "cross_validate.seed": (lambda v: cross_validate(ROWS, ROWS[:, 0], seed=v), "seed", int, -1),
+    "cross_validate.k": (lambda v: _cross_validate(k=v, seed=0), "k", int, 1),
+    "cross_validate.seed": (lambda v: _cross_validate(k=10, seed=v), "seed", int, -1),
 }
 
 
@@ -128,3 +137,28 @@ def test_numpy_int_sizes_are_stored_as_ints_and_the_checkpoint_saves(tmp_path):
     loaded = load_checkpoint(tmp_path / "m.ckpt")
     assert loaded.spec == model.spec and loaded.wc == wc
     assert all(np.array_equal(loaded.params[n], p) for n, p in model.params.items())
+
+
+# (subcommand, its DEFAULTS key, the library function, the parameter it sets):
+# the CLI always passes these, so DEFAULTS holds their one default
+CLI_SETTINGS = [
+    ("evaluate", "reps", evaluate, "repetitions"),
+    ("sweep", "h_values", sweep, "h_values"),
+    ("sweep", "cm_values", sweep, "cm_values"),
+    ("sweep", "reps", sweep, "repetitions"),
+    ("tune", "reps", grid_tune, "repetitions"),
+    ("bench", "warmup", bench, "warmup"),
+    ("bench", "iters", bench, "iters"),
+    ("analyze", "depths", cross_validate, "max_depths"),
+    ("analyze", "leaves", cross_validate, "min_leaves"),
+    ("analyze", "folds", cross_validate, "k"),
+    ("analyze", "seed", cross_validate, "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, key, fn, name", CLI_SETTINGS, ids=[f"{c}.{k}" for c, k, _, _ in CLI_SETTINGS]
+)
+def test_a_cli_setting_has_no_second_default_in_the_library(cmd, key, fn, name):
+    assert key in cli.DEFAULTS[cmd]
+    assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty

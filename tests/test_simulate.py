@@ -122,9 +122,14 @@ def test_diverged_plant_raises():
 
 
 def test_scenario_without_start_dims_rejected():
-    dims = (ScenarioDim("cloud_cover", 0.0, 1.0),)
-    with pytest.raises(ValidationError):
-        simulate_episode(Scenario((0.5,), dims), SimConfig(episode_len=10))
+    # the simulator reads a scenario's values by DEFAULT_DIMS' order: any other
+    # box, a reordered or rescaled one too, is refused by name
+    reordered = Scenario((0.0, 0.0, 0.5, 0.5), DEFAULT_DIMS[::-1])
+    wider_dims = (*DEFAULT_DIMS[:3], ScenarioDim("he_start", -20.0, 20.0))
+    wider = Scenario((0.5, 0.5, 0.0, 0.0), wider_dims)
+    for scenario in (Scenario((0.5,), (ScenarioDim("cloud_cover", 0.0, 1.0),)), reordered, wider):
+        with pytest.raises(ValidationError, match=r"scenario dims \(.*\) are not DEFAULT_DIMS"):
+            simulate_episode(scenario, SimConfig(episode_len=10))
 
 
 # ---------------------------------------------------------------- dataset-level

@@ -409,7 +409,8 @@ def test_selection_equals_the_rows_it_names_and_fits_as_its_handles(sel):
     spec = ForecasterSpec("seq2seq", TINY_HYPERS["seq2seq"])
     cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
     want = fit(spec, got, val, cfg, grid=QS, **FIT_KW)
-    for windows in (list(got), [train[i] for i in rows]):
+    handles = list(train)
+    for windows in (list(got), [handles[i] for i in rows]):
         model = fit(spec, windows, val, cfg, grid=QS, **FIT_KW)
         assert model.training_log == want.training_log
         for name, p in want.params.items():
@@ -546,7 +547,10 @@ def test_grid_tune_rows_and_divergence_ranking():
 def test_grid_tune_rejects_unknown_axes():
     train, val = make_split_windows(seed=10, n_train=8, n_val=4)
     with pytest.raises(ValidationError, match="unknown tuning axes"):
-        grid_tune("seq2seq", {"bogus": (1,)}, train, val, TrainConfig(), grid=QS, **FIT_KW)
+        grid_tune(
+            "seq2seq", {"bogus": (1,)}, train, val, TrainConfig(), repetitions=5, grid=QS,
+            **FIT_KW,
+        )
 
 
 def test_grid_tune_persistence_has_single_config():
