@@ -51,23 +51,22 @@ class Node:
 @dataclass(frozen=True)
 class RegressionTree:
     root: Node
-    max_depth: int
-    min_samples_leaf: int
     n_features: int
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        x = _check_features(features, self.n_features)
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        return _walk(self.root, _check_features(features, self.n_features))
 
-    def mse(self, features: np.ndarray, targets: np.ndarray) -> float:
-        y = np.asarray(targets, dtype=np.float64)
-        return float(np.mean((self.predict(features) - y) ** 2))
+
+def _walk(root: Node, x: np.ndarray, depth: float = np.inf) -> np.ndarray:
+    """Each row's value at the node it reaches from root, stopping `depth` splits down."""
+    out = np.empty(x.shape[0])
+    for i, row in enumerate(x):
+        node, left = root, depth
+        while not node.is_leaf and left > 0:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+            left -= 1
+        out[i] = node.value
+    return out
 
 
 def _check_features(features, n_features: int | None = None) -> np.ndarray:
@@ -157,10 +156,7 @@ def fit_cart(
         node.right = build(rows[~mask], depth + 1)
         return node
 
-    root = build(np.arange(x.shape[0]), 0)
-    return RegressionTree(
-        root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf, n_features=x.shape[1]
-    )
+    return RegressionTree(root=build(np.arange(x.shape[0]), 0), n_features=x.shape[1])
 
 
 def r_squared(tree: RegressionTree, features, targets) -> float:
@@ -171,16 +167,6 @@ def r_squared(tree: RegressionTree, features, targets) -> float:
     if sst == 0.0:
         return 1.0 if sse == 0.0 else 0.0
     return 1.0 - sse / sst
-
-
-def _cut(node: Node, depth: int) -> Node:
-    """A copy of the subtree with every node at `depth` below `node` made a leaf."""
-    if node.is_leaf or depth == 0:
-        return Node(value=node.value, count=node.count)
-    return Node(
-        node.value, node.count, node.feature, node.threshold,
-        _cut(node.left, depth - 1), _cut(node.right, depth - 1),
-    )
 
 
 # ----------------------------------------------------------------- selection
@@ -208,8 +194,9 @@ def cross_validate(
 
     Folds come from one seeded shuffle, so selection is deterministic. The
     reported r2 is on the full data with the refit tree. Each (fold, leaf size)
-    is fit once, at the largest depth: greedy splits do not depend on
-    max_depth, so that tree cut at a depth is the fit at that depth.
+    is fit once, at the largest depth, and scored at each depth by reading it
+    only that many splits down: greedy splits do not depend on max_depth, so
+    that read is the fit at that depth.
     """
     x = _check_features(features)
     y = np.asarray(targets, dtype=np.float64)
@@ -221,21 +208,18 @@ def cross_validate(
     depths = [check_setting("max_depth", depth) for depth in max_depths]
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, k)
+    # array_split makes the first fold the largest, so leaving it out gives the
+    # smallest training set: a leaf size it can hold twice fits every fold
+    leaves = [leaf for leaf in dict.fromkeys(min_leaves) if n - folds[0].size >= 2 * leaf]
     fold_mse: dict[int, dict[int, list[float]]] = {}  # leaf -> depth -> per-fold MSE
-    for leaf in dict.fromkeys(min_leaves) if depths else ():
-        scores: dict[int, list[float]] | None = {depth: [] for depth in depths}
+    for leaf in leaves if depths else ():
+        fold_mse[leaf] = {depth: [] for depth in depths}
         for i in range(k):
-            test_idx = folds[i]
             train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-            if train_idx.size < 2 * leaf:
-                scores = None
-                break
             tree = fit_cart(x[train_idx], y[train_idx], max(depths), min_samples_leaf=leaf)
-            for depth in scores:
-                cut = RegressionTree(_cut(tree.root, depth), depth, leaf, tree.n_features)
-                scores[depth].append(cut.mse(x[test_idx], y[test_idx]))
-        if scores is not None:
-            fold_mse[leaf] = scores
+            for depth, scores in fold_mse[leaf].items():
+                pred = _walk(tree.root, x[folds[i]], depth)
+                scores.append(float(np.mean((pred - y[folds[i]]) ** 2)))
     rows: list[dict] = []
     best = None  # (cv_mse, max_depth, min_leaf)
     for depth in depths:

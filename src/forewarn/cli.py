@@ -239,7 +239,7 @@ def _coerce(key: str, value, nullable: bool):
                 return [_scalar(type(typed[0]), x) for x in items]
         else:
             return _scalar(type(typed), value)
-    except (ValueError, OverflowError):  # also json.JSONDecodeError
+    except (ValueError, OverflowError, RecursionError):  # JSON bad or nested too deep
         pass
     raise UsageError(f"setting {key!r} must be {kind}, got {value!r}")
 

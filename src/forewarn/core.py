@@ -372,10 +372,6 @@ class WindowBatch:
             scenario_dims=self.scenario_dims,
         )
 
-    def columns(self) -> dict[str, np.ndarray]:
-        """The four forward arrays and origin_t, by the names the forward passes read."""
-        return {name: getattr(self, name) for name in (*self.COLUMNS, "origin_t")}
-
 
 def as_batch(windows: WindowBatch | Sequence[WindowSample]) -> WindowBatch:
     """`windows` as one non-empty WindowBatch: a batch as it is, handles gathered.

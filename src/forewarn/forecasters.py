@@ -280,10 +280,6 @@ class TrainedForecaster:
         self.scenario_dims = tuple(dims)
 
     @property
-    def n_static(self) -> int:
-        return len(self.scenario_dims)
-
-    @property
     def parameter_count(self) -> int:
         return int(sum(p.size for p in self.params.values()))
 
@@ -331,7 +327,7 @@ class TrainedForecaster:
 
 def stack_windows(windows: WindowBatch) -> dict[str, np.ndarray]:
     """The batch's columns: the forward arrays, and origin_t for ar_rnn's draws."""
-    return windows.columns()
+    return {name: getattr(windows, name) for name in (*WindowBatch.COLUMNS, "origin_t")}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -844,66 +840,73 @@ def save_checkpoint(model: TrainedForecaster, path) -> None:
 def load_checkpoint(path) -> TrainedForecaster:
     """Read a checkpoint; ValidationError unless it describes a usable model.
 
-    The header must parse and hold every key save_checkpoint writes, its
-    tensor list must be exactly the names and shapes init_params gives the
-    stored family and sizes, the rest of the header and the tensor payload must
-    have the sha256 the header records, every tensor value must be finite, and
-    norm must cover the target and every learned-component channel.
+    The checks run in this order, and nothing sized by the header is built
+    before its sha256 holds: the magic line; the header parses and lists its
+    tensors' names and shapes; the rest of the file is exactly the listed
+    tensors' bytes; the rest of the header and the tensor payload have the
+    sha256 the header records; the header holds every key save_checkpoint
+    writes and describes a valid model, whose init_params names and shapes are
+    exactly the listed ones; every tensor value is finite. norm must cover the
+    target and every learned-component channel.
     """
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != _MAGIC:
             raise ValidationError(f"not a forecaster checkpoint: bad magic {magic!r}")
-        try:
-            header = json.loads(f.readline().decode("utf-8"))
-            model = TrainedForecaster(
-                spec=ForecasterSpec(header["family"], header["hyper"], header["allow_custom"]),
-                wc=WindowConfig(h=header["h"], cm=header["cm"]),
-                grid=QuantileGrid(tuple(header["quantiles"])),
-                target=header["target"],
-                lc_names=tuple(header["lc_names"]),
-                scenario_dims=header["scenario_dims"],
-                norm=NormStats(
-                    {k_: (float(v[0]), float(v[1])) for k_, v in header["norm"].items()}
-                ),
-                params={},
-                training_log=header["training_log"],
-            )
-            stored = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-            digest = header[_DIGEST]
-            named = dict(stored)
-            expected = init_params(
-                model.spec, model.wc, len(model.grid), len(model.lc_names), model.n_static, seed=0
-            )
-        except ValidationError:
-            raise
-        except KeyError as exc:
-            raise ValidationError(f"checkpoint header has no {exc} entry") from None
-        except (
-            AttributeError, IndexError, TypeError, ValueError, OverflowError, RecursionError
-        ) as exc:
-            # ValueError covers JSON and UTF-8 decoding errors, OverflowError a
-            # number too large for a float, RecursionError JSON nested too deep
-            raise ValidationError(f"malformed checkpoint header: {exc}") from None
-        shapes = {n_: p_.shape for n_, p_ in expected.items()}
-        if named != shapes or len(stored) != len(named):
-            differing = [n_ for n_ in {**named, **shapes} if named.get(n_) != shapes.get(n_)]
-            raise ValidationError(
-                f"checkpoint tensors do not fit a {model.spec.family} model of the stored "
-                f"sizes (differing: {differing}, listed {len(stored)}, expected {len(shapes)})"
-            )
-        bufs = []
-        for n_, _ in stored:
-            bufs.append(f.read(expected[n_].nbytes))
-            if len(bufs[-1]) != expected[n_].nbytes:
+        line, payload = f.readline(), f.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+        stored = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        if not all(type(d) is int and d >= 0 for _, shape in stored for d in shape):
+            raise ValueError("tensor shapes must be lists of non-negative ints")
+        named = dict(stored)
+        digest = header[_DIGEST]
+        end = 0
+        for n_, shape in stored:
+            end += 8 * math.prod(shape)
+            if end > len(payload):
                 raise ValidationError(f"checkpoint truncated at tensor {n_!r}")
-        if f.read(1):
+        if end != len(payload):
             raise ValidationError("trailing bytes after checkpoint tensors")
-    if _digest(header, bufs) != digest:
-        raise ValidationError("checkpoint header and tensors do not match their sha256")
-    for (n_, shape), buf in zip(stored, bufs):
-        tensor = np.frombuffer(buf, dtype="<f8").reshape(shape)
+        if _digest(header, [payload]) != digest:
+            raise ValidationError("checkpoint header and tensors do not match their sha256")
+        model = TrainedForecaster(
+            spec=ForecasterSpec(header["family"], header["hyper"], header["allow_custom"]),
+            wc=WindowConfig(h=header["h"], cm=header["cm"]),
+            grid=QuantileGrid(tuple(header["quantiles"])),
+            target=header["target"],
+            lc_names=tuple(header["lc_names"]),
+            scenario_dims=header["scenario_dims"],
+            norm=NormStats({k_: (float(v[0]), float(v[1])) for k_, v in header["norm"].items()}),
+            params={},
+            training_log=header["training_log"],
+        )
+        expected = init_params(
+            model.spec, model.wc, len(model.grid), len(model.lc_names), len(model.scenario_dims),
+            seed=0,
+        )
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint header has no {exc} entry") from None
+    except (
+        AttributeError, IndexError, TypeError, ValueError, OverflowError, RecursionError
+    ) as exc:
+        # ValueError covers JSON and UTF-8 decoding errors, OverflowError a
+        # number too large for a float, RecursionError JSON nested too deep
+        raise ValidationError(f"malformed checkpoint header: {exc}") from None
+    shapes = {n_: p_.shape for n_, p_ in expected.items()}
+    if named != shapes or len(stored) != len(named):
+        differing = [n_ for n_ in {**named, **shapes} if named.get(n_) != shapes.get(n_)]
+        raise ValidationError(
+            f"checkpoint tensors do not fit a {model.spec.family} model of the stored "
+            f"sizes (differing: {differing}, listed {len(stored)}, expected {len(shapes)})"
+        )
+    offset = 0
+    for n_, shape in stored:
+        tensor = np.frombuffer(payload, "<f8", math.prod(shape), offset).reshape(shape)
         if not np.isfinite(tensor).all():
             raise ValidationError(f"checkpoint tensor {n_!r} has non-finite values")
         model.params[n_] = tensor.copy()
+        offset += tensor.nbytes
     return model

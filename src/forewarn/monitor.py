@@ -92,7 +92,6 @@ class SafetyMonitor:
         stats = np.array([model.norm.stats(c) for c in (model.target, *model.lc_names)])
         self._mean, self._std = stats.T.copy()
         self.cfg = cfg
-        self.scenario = scenario
         k = model.wc.k
         self._k = k
         # row t is written at t % k and t % k + k, so the newest k rows are one slice

@@ -213,7 +213,7 @@ def fit(
 
     val_arrays = stack_windows(val_windows)
     params = init_params(
-        spec, wc, len(grid), len(lc_names), model.n_static,
+        spec, wc, len(grid), len(lc_names), len(model.scenario_dims),
         seed=np.random.SeedSequence((cfg.seed, 1)),
     )
     # each parameter becomes a view into one buffer, which one Adam step updates

@@ -85,7 +85,7 @@ def cross_validate_rows(x, y, max_depths, min_leaves, k: int, seed: int) -> list
                     fold_mse = None
                     break
                 tree = fit_cart(x[train_idx], y[train_idx], max_depth=depth, min_samples_leaf=leaf)
-                fold_mse.append(tree.mse(x[test_idx], y[test_idx]))
+                fold_mse.append(float(np.mean((tree.predict(x[test_idx]) - y[test_idx]) ** 2)))
             if fold_mse is not None:
                 cv_mse = float(np.mean(fold_mse))
                 rows.append({"max_depth": depth, "min_samples_leaf": leaf, "cv_mse": cv_mse})

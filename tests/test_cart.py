@@ -38,7 +38,7 @@ def test_planted_step_is_recovered_exactly():
     assert tree_depth(tree) == 1  # one split separates the classes perfectly
     assert tree.root.feature == 0
     assert abs(tree.root.threshold - 0.5) < 0.1
-    assert tree.mse(x, y) == 0.0
+    assert float(np.mean((tree.predict(x) - y) ** 2)) == 0.0
     preds = tree.predict(x)
     assert np.array_equal(preds, y)
 
@@ -58,14 +58,15 @@ def test_tree_beats_mean_predictor_on_random_data():
     x = rng.random((50, 3))
     y = rng.standard_normal(50)
     tree = fit_cart(x, y, max_depth=3, min_samples_leaf=2)
-    assert tree.mse(x, y) <= float(np.var(y))
+    assert float(np.mean((tree.predict(x) - y) ** 2)) <= float(np.var(y))
 
 
 def test_deeper_trees_never_increase_training_mse():
     rng = np.random.default_rng(3)
     x = rng.random((80, 3))
     y = np.sin(3 * x[:, 0]) + 0.3 * rng.standard_normal(80)
-    mses = [fit_cart(x, y, max_depth=d, min_samples_leaf=2).mse(x, y) for d in range(6)]
+    trees = [fit_cart(x, y, max_depth=d, min_samples_leaf=2) for d in range(6)]
+    mses = [float(np.mean((tree.predict(x) - y) ** 2)) for tree in trees]
     assert all(b <= a + 1e-15 for a, b in zip(mses, mses[1:]))
 
 

@@ -149,6 +149,21 @@ def test_config_file_not_utf8_or_nested_too_deep_exits_2(tmp_path, capsys, raw, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["flag", "config_file"])
+@pytest.mark.parametrize("cmd, key", [("train", "params"), ("tune", "axes")])
+def test_a_dict_setting_nested_too_deep_exits_2_naming_the_key(tmp_path, capsys, cmd, key, where):
+    deep = "[" * 100_000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: deep}))
+    setting = [f"--{key}", deep] if where == "flag" else ["--config", str(cfg)]
+    # settings are coerced before any data is read
+    argv = [cmd, *setting, "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: setting {key!r} must be dict")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", ["model_is_a_directory", "config_is_a_directory", "out_is_a_file"])
 def test_a_path_that_cannot_be_opened_or_written_exits_1(workdir, tmp_path, capsys, case):
     a_file = tmp_path / "a_file"

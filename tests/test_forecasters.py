@@ -1,6 +1,7 @@
 """Forecaster specs, forward passes, prediction, and checkpoints."""
 
 import dataclasses
+import json
 import math
 import os
 import re
@@ -301,10 +302,10 @@ def test_ar_rnn_forecasts_are_bit_identical_for_any_worker_count(cell, monkeypat
         for workers in (1, 2, 3):
             monkeypatch.setattr(forecasters, "_WORKERS", workers)
             got[workers] = predict_quantiles_batch(model, windows, mc_seed=3, n_paths=20)
-            paths = sample_paths(model.spec, model.params, windows.columns(), WC.h, 20, 3)
+            paths = sample_paths(model.spec, model.params, stack_windows(windows), WC.h, 20, 3)
             # chunk boundaries stay put: each chunk's rows are that chunk decoded alone
             for i in range(0, len(windows), 3):
-                chunk = windows[i : i + 3].columns()
+                chunk = stack_windows(windows[i : i + 3])
                 alone = sample_paths(model.spec, model.params, chunk, WC.h, 20, 3)
                 assert np.array_equal(paths[i : i + 3], alone)
     finally:
@@ -352,7 +353,7 @@ def test_ar_rnn_warms_up_and_draws_once_and_only_decodes_in_chunks(cell, monkeyp
     ))
     monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 60)  # 3 windows of 20 paths a chunk
     monkeypatch.setattr(forecasters, "_WORKERS", 2)
-    sample_paths(model.spec, model.params, windows.columns(), WC.h, 20, mc_seed=3)
+    sample_paths(model.spec, model.params, stack_windows(windows), WC.h, 20, mc_seed=3)
     caller = threading.get_ident()
     assert calls["warmup"] == [(caller, len(windows))]
     assert calls["draw"] == [(caller, derived_seed(3, t)) for t in windows.origin_t.tolist()]
@@ -367,7 +368,7 @@ def test_ar_rnn_warms_up_and_draws_once_and_only_decodes_in_chunks(cell, monkeyp
 ], ids=["no_paths", "negative_paths", "no_seed"])
 def test_sample_paths_checks_its_own_settings(n_paths, mc_seed, match):
     model = tiny_model("ar_rnn")
-    batch = _ragged_windows().columns()
+    batch = stack_windows(_ragged_windows())
     with pytest.raises(ValidationError, match=match):
         sample_paths(model.spec, model.params, batch, WC.h, n_paths, mc_seed)
 
@@ -379,7 +380,7 @@ def test_a_callers_errstate_holds_in_every_chunk(workers, monkeypatch):
     model.params["head.b_sigma"] = np.array([1e308])
     monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 60)
     monkeypatch.setattr(forecasters, "_WORKERS", workers)
-    batch = _ragged_windows().columns()
+    batch = stack_windows(_ragged_windows())
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         sample_paths(model.spec, model.params, batch, WC.h, 20, mc_seed=3)
 
@@ -406,7 +407,7 @@ def test_attn_seq2seq_forecasts_are_bit_identical_for_any_worker_count(monkeypat
     windows = _ragged_windows(per_chunk=4)
     model = tiny_model("attn_seq2seq")
     monkeypatch.setattr(forecasters, "_ATTN_CHUNK_ROWS", 4)  # 35 windows: 9 chunks of 4, 8 + 3
-    batch = windows.columns()
+    batch = stack_windows(windows)
     got = {}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches, more chances for chunks to collide
@@ -419,7 +420,7 @@ def test_attn_seq2seq_forecasts_are_bit_identical_for_any_worker_count(monkeypat
             )
             # chunk boundaries stay put: each chunk's rows are that chunk predicted alone
             for i in range(0, len(windows), 4):
-                chunk = windows[i : i + 4].columns()
+                chunk = stack_windows(windows[i : i + 4])
                 alone = forward_quantiles(model.spec, model.params, chunk, WC.h, len(QS))
                 assert np.array_equal(chunked[i : i + 4], alone)
     finally:
@@ -720,6 +721,29 @@ def test_checkpoint_corruption_is_detected(tmp_path):
     with pytest.raises(ValidationError, match="trailing"):
         load_checkpoint(trailing)
 
+
+
+@pytest.mark.parametrize("edit", [
+    {"h": 10**8},
+    {"hyper": {"decoder_layers": 1, "neurons": 10**6}, "allow_custom": True},
+], ids=["h", "neurons"])
+def test_an_edited_header_is_refused_before_a_model_is_built(tmp_path, monkeypatch, edit):
+    # sizes that would ask init_params for many GB; the recorded sha256 is left as it was
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model("seq2seq", seed=44), path)
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    edited = {**json.loads(header), **edit}
+    path.write_bytes(magic + b"\n" + json.dumps(edited).encode() + b"\n" + payload)
+    calls = []
+
+    def init_params(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("init_params called before the sha256 was checked")
+
+    monkeypatch.setattr(forecasters, "init_params", init_params)
+    with pytest.raises(ValidationError, match="do not match their sha256"):
+        load_checkpoint(path)
+    assert calls == []
 
 def test_parameter_count_and_bytes():
     model = tiny_model("seq2seq")
