@@ -7,11 +7,19 @@ is float64. Broadcasting in elementwise ops and batched matmul is supported;
 gradients are summed back to the parent's shape. A matmul operand has at
 least two dimensions: the backward of a 1-D one fails.
 
-backward() sets .grad only on the nodes reachable from its output, and each
-such node gets its own buffer: no two nodes' .grad share memory, so a caller
-may scale one in place (training clips leaf gradients that way). A buffer is
-made by the first gradient that reaches the node (adopted when that array is
-new, copied when it is a view or another node's), and later ones add into it.
+backward() leaves .grad set only on the leaves (the nodes with no parents:
+parameters and wrapped constants) reachable from its output, each in its own
+buffer: no two leaves' .grad share memory, so a caller may scale one in place
+(training clips leaf gradients that way). A buffer is made by the first
+gradient that reaches the node (adopted when that array is new, copied when
+it is a view or another node's), and later ones add into it. backward()
+releases the tape as it walks it: once an inner node's backward has run, the
+node drops its .grad, its parents and its closure, which holds the arrays its
+forward saved. So a step's peak is about its tape, not the tape plus the
+inner gradients (an attn_seq2seq step at h=12, B=64 under tracemalloc: 25 MiB
+against 50, on a 23 MiB tape). The arithmetic and its order do not change, so
+neither do the bits. A released graph is spent: a second backward() through
+it raises ValueError.
 
 Most ops serve the forecaster families' forwards and losses. Five serve only
 the composed reference implementations in the tests (tests/_oracles.py), which
@@ -126,7 +134,11 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def backward(self) -> None:
-        """Set .grad of every reachable node to d(self)/d(node), in its own buffer."""
+        """Set .grad of every reachable leaf to d(self)/d(leaf), in its own buffer.
+
+        Each inner node is released once its backward has run (see the module
+        docstring); a node an earlier backward() released raises ValueError.
+        """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
         order: list[Tensor] = []
@@ -139,6 +151,11 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ValueError(
+                    "backward() reached a node an earlier backward() released: "
+                    "build the graph again"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -147,9 +164,12 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._bw is not None:
+        while order:  # popped, so the list holds no node it has passed
+            node = order.pop()
+            if node._parents:  # a leaf keeps its gradient
                 node._bw(node.grad)
+                # spent: its gradient, its parents and the closure with its saved arrays go
+                node.grad = node._parents = node._bw = None
 
     def _acc(self, g: np.ndarray, fresh: bool = False) -> None:
         """Add g into .grad. The first g becomes the buffer when fresh (a new

@@ -241,7 +241,16 @@ def _coerce(key: str, value, nullable: bool):
             return _scalar(type(typed), value)
     except (ValueError, OverflowError, RecursionError):  # JSON bad or nested too deep
         pass
-    raise UsageError(f"setting {key!r} must be {kind}, got {value!r}")
+    raise UsageError(f"setting {key!r} must be {kind}, got {_quote(value)}")
+
+
+def _quote(value) -> str:
+    """repr(value), or for a long one its first 40 characters and the length."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:40]}… ({size} characters)"
 
 
 def _read_config(path: Path, cmd: str) -> dict:

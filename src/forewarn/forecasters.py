@@ -55,7 +55,12 @@ most 3.6e-15.
 Two batch forwards run in chunks of rows on a thread per CPU that BLAS leaves
 free (numpy releases the GIL in its BLAS and ufunc loops): sample_paths'
 decode, in chunks of _CHUNK_ROWS Monte-Carlo rows, and a predicting
-attn_seq2seq forward's chunks of at most _ATTN_CHUNK_ROWS windows.
+attn_seq2seq forward's chunks of at most _ATTN_CHUNK_ROWS windows. The
+calling thread is one of those threads: it drains the chunks beside a pool
+one thread smaller, because each thread that runs a chunk grows a malloc
+arena of its own. On 2 cores, over the evaluate benchmark's rounds at seed
+7, a pool of two threads grew the process by 41 MiB in the first round and
+57 MiB by the second; the caller beside one pool thread, by 19 MiB.
 sample_paths warms the cell up over the lookback and draws every window's
 normals once, over the whole batch, on the calling thread: each chunk's own
 warm-up was many GRU steps on arrays too small for numpy to release the GIL,
@@ -85,6 +90,7 @@ import hashlib
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -162,7 +168,8 @@ def _pool_size() -> int:
     return 1
 
 
-# threads _on_cores runs the chunks of a batch prediction on
+# threads that drain the chunks of a batch prediction in _on_cores: the
+# calling thread and _WORKERS - 1 pool threads
 _WORKERS = _pool_size()
 # convseq2seq's kernel-3 causal layers are conv0 (dilation 1) and conv1
 # (dilation 2). The decoder reads conv1 at the last step k-1 alone, which reads
@@ -642,8 +649,8 @@ def sample_paths(
 
     The warm-up and the draws run once over the whole batch, on the calling
     thread. Only the decode runs in chunks, of max(1, _CHUNK_ROWS // n_paths)
-    windows, by _on_cores, so the result is the same for any worker count (see
-    the module docstring).
+    windows, by _on_cores, which the calling thread drains beside its pool, so
+    the result is the same for any worker count (see the module docstring).
     """
     mc_seed = check_setting(f"{spec.family} prediction mc_seed", mc_seed)
     n_paths = check_setting("n_paths", n_paths, low=1)
@@ -664,26 +671,35 @@ def _on_cores(run_chunk, batch: dict[str, np.ndarray], per_chunk: int, out: np.n
     """run_chunk(rows of batch, the same rows of out) for each chunk of per_chunk rows.
 
     Chunks are cut at range(0, len(out), per_chunk), whatever the thread
-    count, and run on up to _WORKERS threads (numpy releases the GIL in its
-    BLAS and ufunc loops), each in a copy of the caller's context, so the
-    caller's np.errstate (a context variable since numpy 2) holds in it. One
-    chunk or one worker runs inline, with no pool. Chunks write disjoint rows
-    of out, so it is the same for any worker count.
+    count, into one queue. The calling thread drains it beside _WORKERS - 1
+    pool threads (numpy releases the GIL in its BLAS and ufunc loops), each
+    pool thread in a copy of the caller's context, so the caller's np.errstate
+    (a context variable since numpy 2) holds in it. The caller works rather
+    than waits because each thread that runs a chunk grows a malloc arena of
+    its own: a pool of _WORKERS threads held one arena more than there are
+    busy cores. One chunk or one worker runs inline, with no pool. Chunks
+    write disjoint rows of out, so it is the same for any worker count.
     """
-    tasks = [
+    tasks = deque(
         ({k_: v[i : i + per_chunk] for k_, v in batch.items()}, out[i : i + per_chunk])
         for i in range(0, len(out), per_chunk)
-    ]
-    workers = min(_WORKERS, len(tasks))
-    if workers <= 1:
-        for sub, dest in tasks:
+    )
+    helpers = min(_WORKERS, len(tasks)) - 1
+
+    def drain() -> None:
+        while True:
+            try:
+                sub, dest = tasks.popleft()  # atomic, so no two threads take one chunk
+            except IndexError:
+                return
             run_chunk(sub, dest)
+
+    if helpers < 1:
+        drain()
         return
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, run_chunk, sub, dest)
-            for sub, dest in tasks
-        ]
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+        drain()
         for f in futures:
             f.result()
 

@@ -1,4 +1,5 @@
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -195,26 +196,79 @@ def test_gradient_buffers_never_alias():
     a.grad *= 2.0
     assert np.array_equal(b.grad, before)
 
-    # every pass-through op: add, sub, reshape, transpose, sum, concat, getitem
-    x, y = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3)))
-    s = x + y
-    d = s - y
-    r = d.reshape(3, 2).transpose((1, 0))
-    c = concat([r, s], axis=1)
-    total = (c[:, 1:].sum(axis=0) + c.sum()).sum()
-    total.backward()
-    nodes = [x, y, s, d, r, c, total]
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            assert not np.shares_memory(u.grad, v.grad)
+    # a leaf operand under every pass-through op: add, sub, reshape, transpose,
+    # sum, concat, getitem; x is under three of them, so its gradient adds up
+    x, y, u, v, w, z, q = (Tensor(rng.normal(size=(2, 3))) for _ in range(7))
+    passed = [
+        x + y, x - u, v.reshape(3, 2), w.transpose((1, 0)), z.sum(axis=0),
+        concat([q, x], axis=1), q[1:, ::2],
+    ]
+    sums = [node.sum() for node in passed]
+    totals = [sums[0]]
+    for part in sums[1:]:
+        totals.append(totals[-1] + part)
+    totals[-1].backward()
+    assert all(node.grad is None for node in passed + sums + totals)
+    leaves = [x, y, u, v, w, z, q]
+    for i, one in enumerate(leaves):
+        assert one.grad is not None and one.grad.shape == one.shape
+        for other in leaves[i + 1 :]:
+            assert not np.shares_memory(one.grad, other.grad)
 
 
 def test_backward_resets_grads_between_calls():
+    # two graphs over one leaf: each backward starts its gradient afresh
+    x = Tensor(np.arange(3.0))
+    for _ in range(2):
+        (x * 2.0).sum().backward()
+        assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_a_second_backward_through_a_released_graph_raises():
     x = Tensor(np.arange(3.0))
     loss = (x * 2.0).sum()
     loss.backward()
-    loss.backward()
-    assert np.array_equal(x.grad, np.full(3, 2.0))
+    with pytest.raises(ValueError, match="released"):
+        loss.backward()
+    # a second graph that reuses a node of the first
+    y = x * 3.0
+    y.sum().backward()
+    with pytest.raises(ValueError, match="released"):
+        (y * y).sum().backward()
+    assert np.array_equal(x.grad, np.full(3, 3.0))  # the leaf keeps the first one's
+
+
+def test_backward_releases_each_inner_node_once_it_has_run():
+    rng = np.random.default_rng(3)
+    n, d_in, bsz = 5, 2, 4
+    weights = [
+        Tensor(rng.normal(scale=0.5, size=shape))
+        for shape in ((d_in, 2 * n), (n, 2 * n), (2 * n,), (d_in, n), (n, n), (n,))
+    ]
+    state, steps = np.zeros((bsz, n)), []
+    for _ in range(3):
+        state = gru_cell(rng.normal(size=(bsz, d_in)), state, *weights)
+        steps.append(state)
+    # Tensor has no __weakref__ slot: the refs go on the arrays each step keeps
+    refs = []
+
+    def watching(bw):
+        def run(g):
+            refs.append(weakref.ref(g))
+            bw(g)
+        return run
+
+    def saved(bw, name):  # an array the step's backward closes over
+        return weakref.ref(bw.__closure__[bw.__code__.co_freevars.index(name)].cell_contents)
+
+    for step in steps:
+        refs += [saved(step._bw, "rz"), saved(step._bw, "cand")]
+        step._bw = watching(step._bw)
+    state.sum().backward()
+    assert len(refs) == 9  # rz, cand and the gradient of each step
+    assert all(ref() is None for ref in refs)
+    assert all(step.grad is None for step in steps)
+    assert all(w.grad is not None for w in weights)  # the leaves keep theirs
 
 
 # ------------------------------------------------------------------ the op table

@@ -164,6 +164,15 @@ def test_a_dict_setting_nested_too_deep_exits_2_naming_the_key(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+def test_a_long_bad_setting_is_quoted_by_a_prefix_and_its_length(tmp_path, capsys):
+    argv = ["train", "--params", "[" * 100_000, "--data", str(tmp_path / "missing"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert err.endswith("got '" + "[" * 39 + "… (100000 characters)\n")
+
+
 @pytest.mark.parametrize("case", ["model_is_a_directory", "config_is_a_directory", "out_is_a_file"])
 def test_a_path_that_cannot_be_opened_or_written_exits_1(workdir, tmp_path, capsys, case):
     a_file = tmp_path / "a_file"

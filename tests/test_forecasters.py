@@ -358,7 +358,25 @@ def test_ar_rnn_warms_up_and_draws_once_and_only_decodes_in_chunks(cell, monkeyp
     assert calls["warmup"] == [(caller, len(windows))]
     assert calls["draw"] == [(caller, derived_seed(3, t)) for t in windows.origin_t.tolist()]
     assert sorted(rows for _, rows in calls["decode"]) == [2] + [3] * (len(windows) // 3)
-    assert all(thread != caller for thread, _ in calls["decode"])
+    # the caller drains chunks beside the pool, so it may be one of the threads
+    assert len({thread for thread, _ in calls["decode"]}) <= forecasters._WORKERS
+
+
+def test_the_caller_drains_chunks_beside_a_pool_one_thread_smaller(monkeypatch):
+    built, pool = [], forecasters.ThreadPoolExecutor
+
+    def spy(max_workers=None, **kwargs):
+        built.append(max_workers)
+        return pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(forecasters, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(forecasters, "_WORKERS", 2)
+    monkeypatch.setattr(forecasters, "_CHUNK_ROWS", 60)  # 3 windows of 20 paths a chunk
+    monkeypatch.setattr(forecasters, "_ATTN_CHUNK_ROWS", 4)
+    windows = _ragged_windows()
+    predict_quantiles_batch(tiny_model("ar_rnn"), windows, mc_seed=3, n_paths=20)
+    predict_quantiles_batch(tiny_model("attn_seq2seq"), windows)
+    assert built == [1, 1]
 
 
 @pytest.mark.parametrize("n_paths, mc_seed, match", [

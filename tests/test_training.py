@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,33 @@ def test_training_starts_no_thread(monkeypatch):
         model = fit(ForecasterSpec(family, TINY_HYPERS[family]), train, val, cfg, grid=QS, **FIT_KW)
         with pytest.raises(AssertionError, match="thread pool"):  # prediction would start one
             forecasters.predict_quantiles_batch(model, val, mc_seed=0, n_paths=10)
+
+
+@pytest.mark.parametrize("family", ["attn_seq2seq", "ar_rnn"])
+def test_a_training_steps_backward_peaks_near_its_tape(family, monkeypatch):
+    # backward releases each node once it has run, so at its peak it holds
+    # little beyond the tape: at h=12, B=64 the excess read 0.10 and 0.05 of
+    # the tape, where keeping every inner gradient read 1.18 and 0.31
+    wc = WindowConfig(h=12, cm=3)
+    spec = ForecasterSpec(family)
+    batch = stack_windows(make_noise_windows(np.random.default_rng(4), wc, n=64))
+    params = init_params(spec, wc, len(QS), 2, 3, seed=0)
+    backward, traced = Tensor.backward, {}
+
+    def measured(loss):
+        traced["tape"] = tracemalloc.get_traced_memory()[0] - traced["base"]
+        tracemalloc.reset_peak()
+        backward(loss)
+        traced["peak"] = tracemalloc.get_traced_memory()[1] - traced["base"]
+
+    monkeypatch.setattr(Tensor, "backward", measured)
+    tracemalloc.start()
+    try:
+        traced["base"] = tracemalloc.get_traced_memory()[0]
+        loss_and_grads(spec, params, batch, QS, rng=np.random.default_rng(0))
+    finally:
+        tracemalloc.stop()
+    assert traced["peak"] - traced["tape"] <= 0.25 * traced["tape"], traced
 
 
 @pytest.mark.parametrize("family", ["ar_rnn", "attn_seq2seq"])
